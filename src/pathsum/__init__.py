@@ -1,11 +1,11 @@
 """Quantum measurement sequences with retained or erased records.
 
-Outcome statistics are computed two independent ways: a virtual-path engine
-that multiplies evolution matrix elements along branch assignments and sums
-amplitudes over records that were erased, and a dilation oracle that models
-every measurement as a unitary coupling to an explicit pointer ancilla and
-reads probabilities off pointer projectors at the end.  The two must agree
-entrywise to 1e-9 on every scenario.
+Outcome statistics are computed two independent ways: a path engine that
+sums amplitudes over records that were erased (that sum inserts an identity,
+so it is the Born rule over the retained measurements), and a dilation
+oracle that models every measurement as a unitary coupling to an explicit
+pointer ancilla and reads probabilities off pointer projectors at the end.
+The two must agree entrywise to 1e-9 on every scenario.
 """
 
 from .hilbert import (

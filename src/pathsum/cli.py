@@ -49,7 +49,6 @@ class RunReport:
     oracle_dist: paths.OutcomeDistribution | None
     delta: float | None
     queries: list[QueryOutcome]
-    graph_path: str | None = None
     scenario: Scenario | None = None
 
     @property
@@ -258,8 +257,6 @@ def main(argv=None) -> int:
 
     if args.out:
         Path(args.out).write_text(rendered, "utf-8")
-        if args.fmt == "dot":
-            report.graph_path = args.out
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(rendered)

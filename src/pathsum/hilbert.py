@@ -10,6 +10,9 @@ Two tolerances are used throughout the package:
 * ``ATOL_STRUCT`` (1e-12) for structural checks (orthonormality, unitarity,
   normalization),
 * ``ATOL_PROB`` (1e-9) for engine-to-engine probability comparisons.
+
+``MAX_AMPLITUDES`` bounds the path engine's batched branch states and the
+oracle's dilated state; both check it before allocating.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import numpy as np
 
 ATOL_STRUCT = 1e-12
 ATOL_PROB = 1e-9
+MAX_AMPLITUDES = 1 << 24  # 256 MiB of complex128
 
 
 class HilbertError(ValueError):
@@ -118,9 +122,6 @@ class Operator:
         if defect > ATOL_STRUCT:
             raise HilbertError(f"{what} is not unitary (defect {defect:.3g})")
         return self
-
-    def dagger(self) -> "Operator":
-        return Operator(self.dims, self.entries.conj().T)
 
 
 def identity(dims: Sequence[int]) -> Operator:

@@ -19,11 +19,13 @@ record must not have been disturbed between its creation and its erasure.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import ATOL_PROB, ATOL_STRUCT, StateVector, apply_to_slots
+from .hilbert import ATOL_PROB, ATOL_STRUCT, MAX_AMPLITUDES, StateVector, apply_to_slots
 from .paths import OutcomeDistribution, regime_tag_for
 from .scenario import (
     MeasurementEvent,
@@ -93,12 +95,6 @@ class DilatedScenario:
                 return a
         raise ValueError(f"event {event_index} has no ancilla")
 
-    def ancilla_for_agent(self, agent: str) -> AncillaSpec:
-        for a in self.ancillas:
-            if a.agent == agent:
-                return a
-        raise ValueError(f"unknown agent {agent!r}")
-
 
 @dataclass(frozen=True)
 class DilatedState:
@@ -155,6 +151,11 @@ def dilate(s: Scenario) -> DilatedScenario:
             AncillaSpec(i, e.agent, base_n + k, len(e.labels) + 1, e.labels)
         )
         dims.append(len(e.labels) + 1)
+    n_amps = math.prod(dims)
+    if n_amps > MAX_AMPLITUDES:
+        raise OracleError(
+            f"dilated state needs {n_amps} amplitudes, over the budget of {MAX_AMPLITUDES}"
+        )
     anc_by_event = {a.event_index: a for a in ancillas}
 
     couplings = []
@@ -333,20 +334,17 @@ def inspect_record(st: DilatedState, agent: str, pointer_label: str | None,
 def distribution(s: Scenario) -> OutcomeDistribution:
     """Full retained-outcome distribution from pointer projectors."""
     st = evolve(dilate(s))
-    retained = s.retained()
+    # per retained event, in time order: ((agent, label), (ancilla slot, pointer))
+    options = [
+        [((e.agent, label), (st.dilated.ancilla_for_event(i).slot, j + 1))
+         for j, label in enumerate(e.labels)]
+        for i, e in s.retained()
+    ]
     weights = {}
-
-    def fill(idx: int, key, pairs):
-        if idx == len(retained):
-            w = _pointer_probability(st, pairs)
-            weights[key] = 0.0 if w <= ATOL_STRUCT else w
-            return
-        i, e = retained[idx]
-        anc = st.dilated.ancilla_for_event(i)
-        for j, label in enumerate(e.labels):
-            fill(idx + 1, key + ((e.agent, label),), pairs + [(anc.slot, j + 1)])
-
-    fill(0, (), [])
+    for choice in itertools.product(*options):  # row-major over the labels
+        key, pairs = zip(*choice)
+        w = _pointer_probability(st, pairs)
+        weights[key] = 0.0 if w <= ATOL_STRUCT else w
     dist = OutcomeDistribution(weights, regime_tag_for(s))
     total = dist.total()
     if abs(total - 1.0) > ATOL_PROB:

@@ -1,36 +1,49 @@
-"""Virtual-path engine: amplitudes multiplied along a path, then summed.
+"""Path engines: retained-outcome distributions and signed path amplitudes.
 
-For every assignment of one outcome per measurement event the engine
-computes a complex amplitude as the product of evolution matrix elements
-between consecutive branch states.  Reduction to probabilities follows the
-record bookkeeping: paths that agree on every RETAINED outcome but differ
-on ERASED ones are indistinguishable at the end of the experiment, so their
-amplitudes are added before squaring; RETAINED outcomes distinguish paths,
-so their probabilities are added.
+Paths that agree on every RETAINED outcome but differ on ERASED ones are
+indistinguishable at the end of the experiment, so their amplitudes are
+added before squaring; RETAINED outcomes distinguish paths, so their
+probabilities are added.  Summing over an erased event's outcomes inserts
+sum_k |v_k><v_k| = I, so the erased event drops out of the amplitude
+altogether.  ``distribution`` therefore computes the Born rule over the
+retained events only and skips every erased one.  It works for any valid
+scenario.
 
-Scalar path amplitudes exist only when the final state of every subsystem
-is pinned by its last measurement.  ``enumerate_paths`` therefore requires:
+``enumerate_paths`` gives the signed-amplitude table: one complex amplitude
+per assignment of an outcome to every measurement event, the product of
+evolution matrix elements between consecutive branch states, and
+``reduce(enumerate_paths(s), s)`` is the definition ``distribution`` is
+tested against.  Scalar path amplitudes exist only when the final state of
+every subsystem is pinned by its last measurement, so ``enumerate_paths``
+requires:
 
 * every subsystem is measured at least once,
 * no unitary acts on a subsystem after its last measurement,
 * a measurement on several subsystems jointly is the last event on all of
   its targets (its basis may be entangled, so no later event may split it).
 
-These hold for all built-in scenarios; the dilation oracle has no such
-restriction and can be used as a fallback for anything else.
+These hold for all built-in scenarios.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import ATOL_PROB, ATOL_STRUCT, apply_to_slots, insert_slots, project_slots
-from .scenario import Scenario, UnitaryEvent, require_valid
+from .hilbert import (
+    ATOL_PROB,
+    ATOL_STRUCT,
+    MAX_AMPLITUDES,
+    apply_to_slots,
+    insert_slots,
+    project_slots,
+)
+from .scenario import Record, Scenario, UnitaryEvent, require_valid
 
-_MAX_PATHS = 1 << 20
+_MAX_PATHS = 1 << 20  # virtual paths enumerated, retained tuples distributed
 
 # (agent, outcome label) per retained event, in time order
 OutcomeTuple = tuple[tuple[str, str], ...]
@@ -207,23 +220,24 @@ def enumerate_paths(s: Scenario) -> tuple[VirtualPath, ...]:
 
     out: list[VirtualPath] = []
     events = s.events
-
-    def walk(idx: int, state: np.ndarray, branches: tuple[tuple[int, str], ...]):
+    # depth first, children pushed in reverse so paths come out in label order
+    stack = [(0, s.initial.as_tensor(), ())]
+    while stack:
+        idx, state, branches = stack.pop()
         if idx == len(events):
             out.append(VirtualPath(branches, _scalarize(s, dict(branches), state)))
-            return
+            continue
         e = events[idx]
         slots = s.slots(e.targets)
         if isinstance(e, UnitaryEvent):
-            walk(idx + 1, apply_to_slots(e.op.entries, e.op.dims, slots, state), branches)
-            return
-        for label in e.labels:
+            stack.append((idx + 1, apply_to_slots(e.op.entries, e.op.dims, slots, state),
+                          branches))
+            continue
+        for label in reversed(e.labels):
             v = e.basis.vector(label)
             rem = project_slots(v.amps, v.dims, slots, state)
             nxt = insert_slots(v.amps, v.dims, slots, rem)
-            walk(idx + 1, nxt, branches + ((idx, label),))
-
-    walk(0, s.initial.as_tensor(), ())
+            stack.append((idx + 1, nxt, branches + ((idx, label),)))
     return tuple(out)
 
 
@@ -258,8 +272,47 @@ def reduce(paths, s: Scenario) -> OutcomeDistribution:
 
 
 def distribution(s: Scenario) -> OutcomeDistribution:
-    """Convenience: reduce(enumerate_paths(s), s)."""
-    return reduce(enumerate_paths(s), s)
+    """Born rule over the retained events; erased events are skipped.
+
+    The branch state carries a leading batch axis over the retained outcome
+    tuples seen so far.  In time order a unitary acts on every batch entry,
+    a retained measurement splits each entry into its projections onto the
+    basis vectors (label order), and an erased measurement does nothing.
+    Weights are the squared norms of the final batch entries, clamped to
+    exact 0 below 1e-12; they sum to 1 within 1e-9.  Equal to
+    ``reduce(enumerate_paths(s), s)`` wherever that is defined.
+    """
+    require_valid(s)
+    retained = s.retained()
+    n_tuples = math.prod(len(e.labels) for _, e in retained)
+    if n_tuples > _MAX_PATHS:
+        raise PathEngineError(f"{n_tuples} retained outcome tuples exceed the cap")
+    n_amps = n_tuples * math.prod(s.dims)  # the batch only grows, so this is its peak
+    if n_amps > MAX_AMPLITUDES:
+        raise PathEngineError(
+            f"branch states need {n_amps} amplitudes, over the budget of {MAX_AMPLITUDES}"
+        )
+    state = s.initial.as_tensor()[np.newaxis]
+    for e in s.events:
+        slots = tuple(k + 1 for k in s.slots(e.targets))  # axis 0 is the batch
+        if isinstance(e, UnitaryEvent):
+            state = apply_to_slots(e.op.entries, e.op.dims, slots, state)
+        elif e.record is Record.RETAINED:
+            # entry b becomes entries b * n_labels + l, its projections onto v_l
+            parts = []
+            for v in e.basis.vectors:
+                rem = project_slots(v.amps, v.dims, slots, state)
+                parts.append(insert_slots(v.amps, v.dims, slots, rem))
+            state = np.stack(parts, axis=1).reshape((-1,) + state.shape[1:])
+    norms = np.linalg.norm(state.reshape(n_tuples, -1), axis=1) ** 2
+    keys = itertools.product(*(tuple((e.agent, label) for label in e.labels)
+                               for _, e in retained))
+    weights = {key: 0.0 if w <= ATOL_STRUCT else w for key, w in zip(keys, norms.tolist())}
+    dist = OutcomeDistribution(weights, regime_tag_for(s))
+    total = dist.total()
+    if abs(total - 1.0) > ATOL_PROB:
+        raise PathEngineError(f"probabilities sum to {total!r}, expected 1")
+    return dist
 
 
 def marginal(d: OutcomeDistribution, keep) -> OutcomeDistribution:

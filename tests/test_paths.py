@@ -1,9 +1,11 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pathsum import library
+from pathsum import cli, library, oracle
 from pathsum.hilbert import Basis, Operator, StateVector
 from pathsum.paths import (
     PathEngineError,
@@ -23,8 +25,9 @@ from pathsum.scenario import (
     SubsystemSpec,
     UnitaryEvent,
     parse_scenario,
+    serialize_scenario,
 )
-from pathsum.testing import random_scenario
+from pathsum.testing import random_basis, random_scenario, random_state
 
 SQ12 = 1.0 / math.sqrt(12.0)
 
@@ -298,18 +301,16 @@ class TestEnginePreconditions:
     def _basis(self):
         return Basis((2,), ("u", "d"), (StateVector((2,), [1, 0]), StateVector((2,), [0, 1])))
 
-    def test_unmeasured_subsystem_rejected(self):
-        s = Scenario(
+    def _unmeasured_subsystem(self):
+        return Scenario(
             (self._qubit("a"), self._qubit("b")),
             StateVector((2, 2), [1, 0, 0, 0]),
             (MeasurementEvent(1, "F", ("a",), self._basis(), Record.RETAINED),),
         )
-        with pytest.raises(PathEngineError, match="never measured"):
-            enumerate_paths(s)
 
-    def test_unitary_after_last_measurement_rejected(self):
+    def _unitary_after_last_measurement(self):
         had = Operator((2,), np.array([[1, 1], [1, -1]]) / math.sqrt(2))
-        s = Scenario(
+        return Scenario(
             (self._qubit("a"), self._qubit("b")),
             StateVector((2, 2), [1, 0, 0, 0]),
             (
@@ -318,8 +319,131 @@ class TestEnginePreconditions:
                 MeasurementEvent(3, "W", ("b",), self._basis(), Record.RETAINED),
             ),
         )
+
+    def test_unmeasured_subsystem_rejected(self):
+        with pytest.raises(PathEngineError, match="never measured"):
+            enumerate_paths(self._unmeasured_subsystem())
+
+    def test_unitary_after_last_measurement_rejected(self):
         with pytest.raises(PathEngineError, match="after its last measurement"):
-            enumerate_paths(s)
+            enumerate_paths(self._unitary_after_last_measurement())
+
+    @pytest.mark.parametrize("build", ["_unmeasured_subsystem", "_unitary_after_last_measurement"])
+    def test_distribution_outside_path_class_matches_oracle(self, build):
+        s = getattr(self, build)()
+        pd, od = distribution(s), oracle.distribution(s)
+        assert set(pd.weights) == set(od.weights)
+        for key, w in od.weights.items():
+            assert pd.weights[key] == pytest.approx(w, abs=1e-9), key
+
+
+def _assert_matches_definition(s):
+    got = distribution(s).weights
+    want = reduce(enumerate_paths(s), s).weights
+    assert set(got) == set(want)
+    for key, w in want.items():
+        assert got[key] == pytest.approx(w, abs=1e-12), key
+
+
+class TestDefinitionalEquivalence:
+    """distribution(s) skips erased events; reduce(enumerate_paths(s)) sums
+    amplitudes over their outcomes.  The two must agree wherever both exist."""
+
+    @pytest.mark.parametrize("name", library.builtin_names())
+    def test_builtins(self, name):
+        _assert_matches_definition(library.builtin(name))
+
+    @pytest.mark.parametrize("regime", [r.value for r in library.RegimeTag])
+    def test_2w2f_regimes(self, regime):
+        _assert_matches_definition(two_wigners(regime))
+
+    @pytest.mark.parametrize("start", range(0, 500, 100))
+    def test_random_scenarios(self, start):
+        for seed in range(start, start + 100):
+            _assert_matches_definition(random_scenario(seed))
+
+
+def erased_qubit_chain(n):
+    """One qubit measured n times in random bases; only the last record kept."""
+    rng = np.random.default_rng(n)
+    events = tuple(
+        MeasurementEvent(t, f"A{t}", ("q",), random_basis(rng, (2,)),
+                         Record.RETAINED if t == n else Record.ERASED)
+        for t in range(1, n + 1)
+    )
+    return Scenario((SubsystemSpec("q", 2, ("b0", "b1")),), random_state(rng, 2), events)
+
+
+class TestLongErasedChain:
+    N = 25  # 2**25 virtual paths, 2 * 3**25 oracle amplitudes
+
+    def test_distribution_is_the_last_basis_born_rule(self):
+        s = erased_qubit_chain(self.N)
+        last = s.events[-1].basis
+        dist = distribution(s)
+        assert len(dist.weights) == 2
+        for label, v in zip(last.labels, last.vectors):
+            born = abs(np.vdot(v.amps, s.initial.amps)) ** 2
+            assert dist.weights[((f"A{self.N}", label),)] == pytest.approx(born, abs=1e-12)
+
+    def test_enumeration_hits_its_cap(self):
+        with pytest.raises(PathEngineError, match="enumeration cap"):
+            enumerate_paths(erased_qubit_chain(self.N))
+
+    def test_oracle_refuses_before_allocating(self):
+        s = erased_qubit_chain(self.N)
+        tracemalloc.start()
+        try:
+            with pytest.raises(oracle.OracleError, match="amplitudes"):
+                oracle.dilate(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cli_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "chain.scn"
+        target.write_text(serialize_scenario(erased_qubit_chain(self.N)), "utf-8")
+        assert cli.main(["run", str(target), "--engine", "both"]) == 2
+        assert "amplitudes" in capsys.readouterr().err
+
+
+def test_distribution_refuses_oversized_batch_before_allocating():
+    # 13 qubits each measured once: 2**13 tuples of 2**13 amplitudes each
+    n = 13
+    basis = Basis((2,), ("0", "1"), (StateVector((2,), [1, 0]), StateVector((2,), [0, 1])))
+    initial = np.zeros(2**n)
+    initial[0] = 1.0
+    s = Scenario(
+        tuple(SubsystemSpec(f"q{k}", 2, ("0", "1")) for k in range(n)),
+        StateVector((2,) * n, initial),
+        tuple(MeasurementEvent(1, f"A{k}", (f"q{k}",), basis, Record.RETAINED)
+              for k in range(n)),
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(PathEngineError, match="amplitudes"):
+            distribution(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("regime", [r.value for r in library.RegimeTag])
+def test_engines_leave_no_cyclic_garbage(regime):
+    # garbage in a reference cycle waits for the cyclic collector, so large
+    # evolved states would pile up between collections
+    s = two_wigners(regime)
+    gc.collect()
+    gc.disable()
+    try:
+        distribution(s)
+        enumerate_paths(s)
+        oracle.distribution(s)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestDeterminism:

@@ -184,7 +184,8 @@ def render_json(report: RunReport, scenario: Scenario) -> str:
             }
             for q in report.queries
         ]
-    return json.dumps(doc, indent=2) + "\n"
+    # compact: any indent makes the json module fall back to its pure-Python encoder
+    return json.dumps(doc) + "\n"
 
 
 def dot_source(d: paths.OutcomeDistribution, s: Scenario) -> str:

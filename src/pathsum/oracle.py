@@ -19,14 +19,13 @@ record must not have been disturbed between its creation and its erasure.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import ATOL_PROB, ATOL_STRUCT, MAX_AMPLITUDES, StateVector, apply_to_slots
-from .paths import OutcomeDistribution, regime_tag_for
+from .hilbert import ATOL_STRUCT, MAX_AMPLITUDES, StateVector, apply_to_slots
+from .paths import OutcomeDistribution, outcome_distribution, retained_keys
 from .scenario import (
     MeasurementEvent,
     Record,
@@ -332,21 +331,16 @@ def inspect_record(st: DilatedState, agent: str, pointer_label: str | None,
 
 
 def distribution(s: Scenario) -> OutcomeDistribution:
-    """Full retained-outcome distribution from pointer projectors."""
+    """Full retained-outcome distribution from pointer projectors.
+
+    One reduction: keep pointers 1..n of every retained ancilla and sum
+    |psi|^2 over all other axes, which leaves the tuples in row-major order.
+    """
     st = evolve(dilate(s))
-    # per retained event, in time order: ((agent, label), (ancilla slot, pointer))
-    options = [
-        [((e.agent, label), (st.dilated.ancilla_for_event(i).slot, j + 1))
-         for j, label in enumerate(e.labels)]
-        for i, e in s.retained()
-    ]
-    weights = {}
-    for choice in itertools.product(*options):  # row-major over the labels
-        key, pairs = zip(*choice)
-        w = _pointer_probability(st, pairs)
-        weights[key] = 0.0 if w <= ATOL_STRUCT else w
-    dist = OutcomeDistribution(weights, regime_tag_for(s))
-    total = dist.total()
-    if abs(total - 1.0) > ATOL_PROB:
-        raise OracleError(f"pointer probabilities sum to {total!r}, expected 1")
-    return dist
+    pointers = [st.dilated.ancilla_for_event(i).slot for i, _ in s.retained()]
+    psi = st.psi.as_tensor()
+    density = psi.real**2 + psi.imag**2
+    fired = tuple(slice(1, None) if a in pointers else slice(None) for a in range(psi.ndim))
+    weights = np.einsum(density[fired], list(range(psi.ndim)), pointers)
+    return outcome_distribution(dict(zip(retained_keys(s), weights.reshape(-1).tolist())), s,
+                                OracleError)

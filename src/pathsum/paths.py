@@ -13,9 +13,13 @@ scenario.
 per assignment of an outcome to every measurement event, the product of
 evolution matrix elements between consecutive branch states, and
 ``reduce(enumerate_paths(s), s)`` is the definition ``distribution`` is
-tested against.  Scalar path amplitudes exist only when the final state of
-every subsystem is pinned by its last measurement, so ``enumerate_paths``
-requires:
+tested against.  One walk over the events serves all three: it splits a
+batch of branch states on the labels it is given for each measurement and
+skips the other measurements.  ``distribution`` gives it the retained
+events, ``enumerate_paths`` every measurement, and ``path_amplitude`` every
+measurement with its one assigned label.  Scalar path amplitudes exist only
+when the final state of every subsystem is pinned by its last measurement,
+so ``enumerate_paths`` and ``path_amplitude`` require:
 
 * every subsystem is measured at least once,
 * no unitary acts on a subsystem after its last measurement,
@@ -111,12 +115,13 @@ class RealPathGraph:
     # (source layer, source label, target label, weight, vanishing)
 
 
-def _engine_preconditions(s: Scenario) -> None:
-    measured: dict[int, int] = {}  # subsystem slot -> last covering event index
+def _engine_preconditions(s: Scenario) -> tuple[int, ...]:
+    """Check the pinned class; return the last measurement on each subsystem, in time order."""
+    last: dict[int, int] = {}  # subsystem slot -> last covering event index
     for i, e in s.measurements():
         for slot in s.slots(e.targets):
-            measured[slot] = i
-    unmeasured = [sub.name for k, sub in enumerate(s.subsystems) if k not in measured]
+            last[slot] = i
+    unmeasured = [sub.name for k, sub in enumerate(s.subsystems) if k not in last]
     if unmeasured:
         raise PathEngineError(
             f"subsystem {unmeasured[0]!r} is never measured; "
@@ -124,7 +129,7 @@ def _engine_preconditions(s: Scenario) -> None:
         )
     for i, e in enumerate(s.events):
         if isinstance(e, UnitaryEvent):
-            late = [t for t in e.targets if measured[s.subsystem_index(t)] < i]
+            late = [t for t in e.targets if last[s.subsystem_index(t)] < i]
             if late:
                 raise PathEngineError(
                     f"unitary at time {e.time_index} acts on {late[0]!r} "
@@ -139,48 +144,52 @@ def _engine_preconditions(s: Scenario) -> None:
                     f"joint measurement by {e.agent!r} is followed by another "
                     f"event on its targets; entangled branch states cannot be split"
                 )
+    return tuple(sorted(set(last.values())))
 
 
-def _final_reference(s: Scenario, assignment: dict[int, str]) -> np.ndarray:
-    """Unit tensor pinning every subsystem to its last measured outcome."""
-    last_cover: dict[int, int] = {}
-    for i, e in s.measurements():
-        for slot in s.slots(e.targets):
-            last_cover[slot] = i
-    pieces = []  # (slots, tensor)
-    for i in sorted(set(last_cover.values())):
+def _branch_states(s: Scenario, split: dict[int, tuple[str, ...]]) -> np.ndarray:
+    """Walk ``s.events`` once; return the branch states, batch axis first.
+
+    A unitary acts on every entry.  Measurement ``i`` in ``split`` replaces
+    entry b by the entries b * n + l, its projections onto the vectors of
+    the n labels ``split[i]``, so the batch is row-major over the split
+    events; other measurements are skipped.  Limits are checked up front.
+    """
+    n_branches = math.prod(len(labels) for labels in split.values())
+    if n_branches > _MAX_PATHS:
+        raise PathEngineError(f"{n_branches} branches exceed the enumeration cap")
+    n_amps = n_branches * math.prod(s.dims)  # the batch only grows, so this is its peak
+    if n_amps > MAX_AMPLITUDES:
+        raise PathEngineError(
+            f"branch states need {n_amps} amplitudes, over the budget of {MAX_AMPLITUDES}"
+        )
+    state = s.initial.as_tensor()[np.newaxis]
+    for i, e in enumerate(s.events):
+        slots = tuple(k + 1 for k in s.slots(e.targets))  # axis 0 is the batch
+        if isinstance(e, UnitaryEvent):
+            state = apply_to_slots(e.op.entries, e.op.dims, slots, state)
+        elif i in split:
+            parts = []
+            for label in split[i]:
+                v = e.basis.vector(label)
+                rem = project_slots(v.amps, v.dims, slots, state)
+                parts.append(insert_slots(v.amps, v.dims, slots, rem))
+            state = np.stack(parts, axis=1).reshape((-1,) + state.shape[1:])
+    return state
+
+
+def _scalarize(s: Scenario, finals: tuple[int, ...], assignment: dict[int, str],
+               state: np.ndarray) -> complex:
+    """Contract a walked state against the unit tensor that pins every
+    subsystem to the outcome of its final measurement in ``assignment``."""
+    ref = np.ones(())
+    slot_order: list[int] = []
+    for i in finals:
         e = s.events[i]
         v = e.basis.vector(assignment[i])
-        pieces.append((s.slots(e.targets), v.amps.reshape(v.dims)))
-    out = np.ones(())
-    slot_order: list[int] = []
-    for slots, tens in pieces:
-        out = np.multiply.outer(out, tens)
-        slot_order.extend(slots)
-    return np.moveaxis(out, range(len(slot_order)), slot_order)
-
-
-def path_amplitude(branches, s: Scenario) -> complex:
-    """Product of evolution matrix elements along one branch assignment.
-
-    ``branches`` is an iterable of (event index, label) covering every
-    measurement event of the scenario.
-    """
-    require_valid(s)
-    _engine_preconditions(s)
-    assignment = dict(branches)
-    expected = {i for i, _ in s.measurements()}
-    if set(assignment) != expected:
-        raise PathEngineError(
-            f"branch assignment covers events {sorted(assignment)}, "
-            f"expected {sorted(expected)}"
-        )
-    return _amplitude(s, assignment)
-
-
-def _scalarize(s: Scenario, assignment: dict[int, str], state: np.ndarray) -> complex:
-    """Contract the walked state against its final-outcome reference tensor."""
-    ref = _final_reference(s, assignment)
+        ref = np.multiply.outer(ref, v.amps.reshape(v.dims))
+        slot_order.extend(s.slots(e.targets))
+    ref = np.moveaxis(ref, range(len(slot_order)), slot_order)
     amp = complex(np.vdot(ref, state))
     residual = float(np.linalg.norm(state)) ** 2 - abs(amp) ** 2
     if residual > 1e-10:
@@ -191,60 +200,62 @@ def _scalarize(s: Scenario, assignment: dict[int, str], state: np.ndarray) -> co
     return amp
 
 
-def _amplitude(s: Scenario, assignment: dict[int, str]) -> complex:
-    state = s.initial.as_tensor()
-    for i, e in enumerate(s.events):
-        slots = s.slots(e.targets)
-        if isinstance(e, UnitaryEvent):
-            state = apply_to_slots(e.op.entries, e.op.dims, slots, state)
-        else:
-            v = e.basis.vector(assignment[i])
-            rem = project_slots(v.amps, v.dims, slots, state)
-            state = insert_slots(v.amps, v.dims, slots, rem)
-    return _scalarize(s, assignment, state)
+def path_amplitude(branches, s: Scenario) -> complex:
+    """Product of evolution matrix elements along one branch assignment.
+
+    ``branches`` is an iterable of (event index, label) covering every
+    measurement event of the scenario.
+    """
+    require_valid(s)
+    finals = _engine_preconditions(s)
+    assignment = dict(branches)
+    expected = {i for i, _ in s.measurements()}
+    if set(assignment) != expected:
+        raise PathEngineError(
+            f"branch assignment covers events {sorted(assignment)}, "
+            f"expected {sorted(expected)}"
+        )
+    (state,) = _branch_states(s, {i: (label,) for i, label in assignment.items()})
+    return _scalarize(s, finals, assignment, state)
 
 
 def enumerate_paths(s: Scenario) -> tuple[VirtualPath, ...]:
     """All virtual paths (one outcome per measurement event) with amplitudes.
 
-    Paths with |amplitude| <= 1e-12 are kept and flagged via ``is_zero``.
-    Prefixes are shared while walking the event sequence, so the cost is the
-    path tree, not paths x events.
+    Paths come out row-major over the measurement events' labels.  Paths
+    with |amplitude| <= 1e-12 are kept and flagged via ``is_zero``.
     """
     require_valid(s)
-    _engine_preconditions(s)
-    measurements = s.measurements()
-    n_paths = math.prod(len(e.labels) for _, e in measurements)
-    if n_paths > _MAX_PATHS:
-        raise PathEngineError(f"{n_paths} virtual paths exceed the enumeration cap")
-
-    out: list[VirtualPath] = []
-    events = s.events
-    # depth first, children pushed in reverse so paths come out in label order
-    stack = [(0, s.initial.as_tensor(), ())]
-    while stack:
-        idx, state, branches = stack.pop()
-        if idx == len(events):
-            out.append(VirtualPath(branches, _scalarize(s, dict(branches), state)))
-            continue
-        e = events[idx]
-        slots = s.slots(e.targets)
-        if isinstance(e, UnitaryEvent):
-            stack.append((idx + 1, apply_to_slots(e.op.entries, e.op.dims, slots, state),
-                          branches))
-            continue
-        for label in reversed(e.labels):
-            v = e.basis.vector(label)
-            rem = project_slots(v.amps, v.dims, slots, state)
-            nxt = insert_slots(v.amps, v.dims, slots, rem)
-            stack.append((idx + 1, nxt, branches + ((idx, label),)))
+    finals = _engine_preconditions(s)
+    split = {i: e.labels for i, e in s.measurements()}  # time order, like the batch
+    out = []
+    for labels, state in zip(itertools.product(*split.values()), _branch_states(s, split)):
+        assignment = dict(zip(split, labels))
+        out.append(VirtualPath(tuple(assignment.items()),
+                               _scalarize(s, finals, assignment, state)))
     return tuple(out)
 
 
-def regime_tag_for(s: Scenario) -> str:
+def retained_keys(s: Scenario):
+    """Outcome tuples of the retained events, row-major over their labels."""
+    return itertools.product(*(tuple((e.agent, label) for label in e.labels)
+                               for _, e in s.retained()))
+
+
+def outcome_distribution(weights: dict[OutcomeTuple, float], s: Scenario,
+                         error: type[ValueError]) -> OutcomeDistribution:
+    """Both engines' result: weights <= 1e-12 clamped to exact 0, total 1 within
+    1e-9 or ``error`` is raised."""
     retained = ",".join(e.agent for _, e in s.retained())
     erased = ",".join(e.agent for _, e in s.erased())
-    return f"retained={retained}" + (f"; erased={erased}" if erased else "")
+    dist = OutcomeDistribution(
+        {key: 0.0 if w <= ATOL_STRUCT else w for key, w in weights.items()},
+        f"retained={retained}" + (f"; erased={erased}" if erased else ""),
+    )
+    total = dist.total()
+    if abs(total - 1.0) > ATOL_PROB:
+        raise error(f"probabilities sum to {total!r}, expected 1")
+    return dist
 
 
 def reduce(paths, s: Scenario) -> OutcomeDistribution:
@@ -260,59 +271,25 @@ def reduce(paths, s: Scenario) -> OutcomeDistribution:
             (s.events[i].agent, label) for i, label in p.branches if i in retained
         )
         sums[key] = sums.get(key, 0.0) + p.amplitude
-    weights = {}
-    for key, amp in sums.items():
-        w = abs(amp) ** 2
-        weights[key] = 0.0 if w <= ATOL_STRUCT else w
-    dist = OutcomeDistribution(weights, regime_tag_for(s))
-    total = dist.total()
-    if abs(total - 1.0) > ATOL_PROB:
-        raise PathEngineError(f"probabilities sum to {total!r}, expected 1")
-    return dist
+    return outcome_distribution(
+        {key: abs(amp) ** 2 for key, amp in sums.items()}, s, PathEngineError
+    )
 
 
 def distribution(s: Scenario) -> OutcomeDistribution:
     """Born rule over the retained events; erased events are skipped.
 
-    The branch state carries a leading batch axis over the retained outcome
-    tuples seen so far.  In time order a unitary acts on every batch entry,
-    a retained measurement splits each entry into its projections onto the
-    basis vectors (label order), and an erased measurement does nothing.
-    Weights are the squared norms of the final batch entries, clamped to
-    exact 0 below 1e-12; they sum to 1 within 1e-9.  Equal to
-    ``reduce(enumerate_paths(s), s)`` wherever that is defined.
+    The branch states are split on the retained events only, so there is
+    one batch entry per retained outcome tuple and its weight is the
+    entry's squared norm, clamped to exact 0 below 1e-12; the weights sum
+    to 1 within 1e-9.  Equal to ``reduce(enumerate_paths(s), s)`` wherever
+    that is defined.
     """
     require_valid(s)
-    retained = s.retained()
-    n_tuples = math.prod(len(e.labels) for _, e in retained)
-    if n_tuples > _MAX_PATHS:
-        raise PathEngineError(f"{n_tuples} retained outcome tuples exceed the cap")
-    n_amps = n_tuples * math.prod(s.dims)  # the batch only grows, so this is its peak
-    if n_amps > MAX_AMPLITUDES:
-        raise PathEngineError(
-            f"branch states need {n_amps} amplitudes, over the budget of {MAX_AMPLITUDES}"
-        )
-    state = s.initial.as_tensor()[np.newaxis]
-    for e in s.events:
-        slots = tuple(k + 1 for k in s.slots(e.targets))  # axis 0 is the batch
-        if isinstance(e, UnitaryEvent):
-            state = apply_to_slots(e.op.entries, e.op.dims, slots, state)
-        elif e.record is Record.RETAINED:
-            # entry b becomes entries b * n_labels + l, its projections onto v_l
-            parts = []
-            for v in e.basis.vectors:
-                rem = project_slots(v.amps, v.dims, slots, state)
-                parts.append(insert_slots(v.amps, v.dims, slots, rem))
-            state = np.stack(parts, axis=1).reshape((-1,) + state.shape[1:])
-    norms = np.linalg.norm(state.reshape(n_tuples, -1), axis=1) ** 2
-    keys = itertools.product(*(tuple((e.agent, label) for label in e.labels)
-                               for _, e in retained))
-    weights = {key: 0.0 if w <= ATOL_STRUCT else w for key, w in zip(keys, norms.tolist())}
-    dist = OutcomeDistribution(weights, regime_tag_for(s))
-    total = dist.total()
-    if abs(total - 1.0) > ATOL_PROB:
-        raise PathEngineError(f"probabilities sum to {total!r}, expected 1")
-    return dist
+    states = _branch_states(s, {i: e.labels for i, e in s.retained()})
+    norms = np.linalg.norm(states.reshape(len(states), -1), axis=1) ** 2
+    return outcome_distribution(dict(zip(retained_keys(s), norms.tolist())), s,
+                                PathEngineError)
 
 
 def marginal(d: OutcomeDistribution, keep) -> OutcomeDistribution:

@@ -137,7 +137,8 @@ class Scenario:
         events = tuple(
             sorted(
                 self.events,
-                key=lambda e: (e.time_index, min(order.get(t, len(order)) for t in e.targets)),
+                key=lambda e: (e.time_index,
+                               min((order.get(t, len(order)) for t in e.targets), default=0)),
             )
         )
         object.__setattr__(self, "events", events)
@@ -748,38 +749,62 @@ def scenario_to_json(s: Scenario) -> str:
     return json.dumps(doc, indent=2)
 
 
-def scenario_from_json(text: str) -> Scenario:
-    doc = json.loads(text)
-    subsystems = tuple(
-        SubsystemSpec(d["name"], int(d["dim"]), tuple(d["basis_labels"]))
-        for d in doc["subsystems"]
-    )
-    initial = StateVector(tuple(doc["initial"]["dims"]),
-                          [_j2c(p) for p in doc["initial"]["amps"]])
-    events: list[Event] = []
-    for d in doc["events"]:
-        if d["kind"] == "unitary":
-            op = Operator(
-                tuple(d["op"]["dims"]),
-                np.array([[_j2c(z) for z in row] for row in d["op"]["entries"]]),
-            )
-            events.append(UnitaryEvent(int(d["time_index"]), tuple(d["targets"]), op))
-        else:
-            dims = tuple(d["basis"]["dims"])
-            basis = Basis(
-                dims,
-                tuple(d["basis"]["labels"]),
-                tuple(StateVector(dims, [_j2c(p) for p in vec])
-                      for vec in d["basis"]["vectors"]),
-            )
-            events.append(
-                MeasurementEvent(
-                    int(d["time_index"]),
-                    d["agent"],
-                    tuple(d["targets"]),
-                    basis,
-                    Record[d["record"]],
+def _strings(items) -> tuple[str, ...]:
+    if isinstance(items, str) or not all(isinstance(x, str) for x in items):
+        raise TypeError(f"expected a list of strings, got {items!r}")
+    return tuple(items)
+
+
+def scenario_from_json(text: str | bytes) -> Scenario:
+    """Load the canonical JSON form into a validated Scenario.
+
+    Total: any input produces either a Scenario or a ScenarioParseError that
+    names the entry at fault (``events[0]``) or the JSON syntax error's line.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    except (ValueError, RecursionError) as exc:  # undecodable bytes, nesting too deep
+        raise ScenarioParseError(f"invalid JSON: {exc}", 1, 1) from None
+    where = "document"
+    try:
+        subs, init, evs = doc["subsystems"], doc["initial"], doc["events"]
+        final_time = int(doc.get("final_time", -1))
+        subsystems = []
+        for k, d in enumerate(subs):
+            where = f"subsystems[{k}]"
+            (name,) = _strings([d["name"]])
+            subsystems.append(SubsystemSpec(name, int(d["dim"]), _strings(d["basis_labels"])))
+        where = "initial"
+        initial = StateVector(tuple(init["dims"]), [_j2c(p) for p in init["amps"]])
+        events: list[Event] = []
+        for k, d in enumerate(evs):
+            where = f"events[{k}]"
+            targets = _strings(d["targets"])
+            if d["kind"] == "unitary":
+                op = Operator(
+                    tuple(d["op"]["dims"]),
+                    np.array([[_j2c(z) for z in row] for row in d["op"]["entries"]]),
                 )
-            )
-    scenario = Scenario(subsystems, initial, tuple(events), int(doc.get("final_time", -1)))
-    return require_valid(scenario)
+                events.append(UnitaryEvent(int(d["time_index"]), targets, op))
+            elif d["kind"] == "measurement":
+                dims = tuple(d["basis"]["dims"])
+                basis = Basis(
+                    dims,
+                    _strings(d["basis"]["labels"]),
+                    tuple(StateVector(dims, [_j2c(p) for p in vec])
+                          for vec in d["basis"]["vectors"]),
+                )
+                (agent,) = _strings([d["agent"]])
+                events.append(MeasurementEvent(int(d["time_index"]), agent, targets, basis,
+                                               Record(d["record"])))
+            else:
+                raise ValueError(f"kind must be 'unitary' or 'measurement', got {d['kind']!r}")
+    except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
+        raise ScenarioParseError(f"{where}: {exc!r}") from None
+    scenario = Scenario(tuple(subsystems), initial, tuple(events), final_time)
+    violations = validate(scenario)
+    if violations:
+        raise ScenarioParseError(violations[0])
+    return scenario

@@ -101,7 +101,9 @@ class TestRendering:
 
     def test_json_schema_and_round_trip(self):
         report = run("2w2f", regime="both_erased")
-        doc = json.loads(render_json(report, report.scenario))
+        rendered = render_json(report, report.scenario)
+        assert rendered.count("\n") == 1 and rendered.endswith("\n")
+        doc = json.loads(rendered)
         assert set(doc) == {"scenario", "regime", "engine", "outcomes", "delta"}
         rebuilt = {
             tuple((a, l) for a, l in entry["tuple"]): entry["p"]

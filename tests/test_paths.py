@@ -408,8 +408,9 @@ class TestLongErasedChain:
         assert "amplitudes" in capsys.readouterr().err
 
 
-def test_distribution_refuses_oversized_batch_before_allocating():
-    # 13 qubits each measured once: 2**13 tuples of 2**13 amplitudes each
+@pytest.mark.parametrize("engine", [distribution, enumerate_paths], ids=lambda f: f.__name__)
+def test_distribution_refuses_oversized_batch_before_allocating(engine):
+    # 13 qubits each measured once: 2**13 tuples (and paths) of 2**13 amplitudes each
     n = 13
     basis = Basis((2,), ("0", "1"), (StateVector((2,), [1, 0]), StateVector((2,), [0, 1])))
     initial = np.zeros(2**n)
@@ -423,7 +424,7 @@ def test_distribution_refuses_oversized_batch_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(PathEngineError, match="amplitudes"):
-            distribution(s)
+            engine(s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

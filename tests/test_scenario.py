@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -28,6 +29,13 @@ subsystem sys up down
 state 1 0
 measure 1 F sys retained up: 1 0 down: 0 1
 """
+
+
+def minimal_json(**event_fields):
+    """MINIMAL as a JSON document, with fields of its one event replaced."""
+    doc = json.loads(scenario_to_json(parse_scenario(MINIMAL)))
+    doc["events"][0].update(event_fields)
+    return json.dumps(doc)
 
 
 class TestComplexLiterals:
@@ -146,6 +154,18 @@ class TestParser:
             parse_scenario(bad)
         assert err.value.line == 3
 
+    def test_validation_error_points_at_event_line_after_time_sort(self):
+        # the event at time 1 sorts first inside Scenario but sits on line 4
+        bad = (
+            "subsystem a x y\n"
+            "state 1 0\n"
+            "measure 5 W a retained x: 1 0 y: 0 1\n"
+            "measure 1 F a,a erased p: 1 0 0 0 q: 0 1 0 0 r: 0 0 1 0 s: 0 0 0 1\n"
+        )
+        with pytest.raises(ScenarioParseError, match="duplicate targets") as err:
+            parse_scenario(bad)
+        assert err.value.line == 4
+
     def test_overlapping_same_time_events_rejected(self):
         bad = (
             "subsystem sys up down\n"
@@ -209,6 +229,21 @@ class TestRoundTrip:
         assert doc["initial"]["amps"][0] == [0.6, 0.0]
         assert doc["events"][0]["kind"] == "measurement"
         assert doc["events"][0]["record"] == "RETAINED"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"subsystems": []}',
+            "[]",
+            minimal_json(record="erased"),
+            minimal_json(targets=[]),
+            "{",
+        ],
+        ids=["no_initial", "not_an_object", "lowercase_record", "empty_targets", "truncated"],
+    )
+    def test_malformed_json_raises_parse_error(self, text):
+        with pytest.raises(ScenarioParseError):
+            scenario_from_json(text)
 
     def test_explicit_final_time_round_trips(self):
         s = Scenario(

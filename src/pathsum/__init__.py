@@ -16,7 +16,6 @@ from .hilbert import (
     Operator,
     StateVector,
     apply,
-    embed,
     inner,
     tensor,
     validate_basis,

@@ -124,10 +124,6 @@ class Operator:
         return self
 
 
-def identity(dims: Sequence[int]) -> Operator:
-    return Operator(tuple(dims), np.eye(math.prod(tuple(dims))))
-
-
 @dataclass(frozen=True)
 class Basis:
     """Complete orthonormal measurement basis with one label per vector.
@@ -221,28 +217,6 @@ def apply(op: Operator, psi: StateVector) -> StateVector:
     return StateVector(psi.dims, op.entries @ psi.amps)
 
 
-def embed(op: Operator, target_slots: Sequence[int], full_dims: Sequence[int]) -> Operator:
-    """Embed ``op`` so it acts on ``target_slots`` and as identity elsewhere.
-
-    ``target_slots`` gives, in order, which subsystem of the full space each
-    tensor factor of ``op`` acts on; slots need not be contiguous or sorted.
-    """
-    full_dims = _dims_tuple(full_dims)
-    slots = tuple(int(s) for s in target_slots)
-    if len(set(slots)) != len(slots):
-        raise HilbertError(f"duplicate target slots {slots!r}")
-    if any(s < 0 or s >= len(full_dims) for s in slots):
-        raise HilbertError(f"target slots {slots!r} out of range for {len(full_dims)} subsystems")
-    if len(slots) != len(op.dims) or tuple(full_dims[s] for s in slots) != op.dims:
-        raise HilbertError(
-            f"operator dims {op.dims} do not match slots {slots!r} of {full_dims}"
-        )
-    side = math.prod(full_dims)
-    eye = np.eye(side).reshape(full_dims + full_dims)
-    out = _tensor_apply(op.entries, op.dims, slots, eye)
-    return Operator(full_dims, out.reshape(side, side))
-
-
 def apply_to_slots(op_entries: np.ndarray, op_dims: Sequence[int],
                    slots: Sequence[int], state: np.ndarray) -> np.ndarray:
     """Apply a small operator to the given axes of a state tensor.
@@ -250,13 +224,10 @@ def apply_to_slots(op_entries: np.ndarray, op_dims: Sequence[int],
     ``state`` is the full state reshaped to its dims tuple; the result has the
     same shape.  Avoids ever materializing the embedded full-space matrix.
     """
-    return _tensor_apply(op_entries, tuple(op_dims), tuple(slots), state)
-
-
-def _tensor_apply(entries, op_dims, slots, tensor_in):
+    op_dims, slots = tuple(op_dims), tuple(slots)
     k = len(op_dims)
-    op_t = np.asarray(entries).reshape(op_dims + op_dims)
-    moved = np.tensordot(op_t, tensor_in, axes=(tuple(range(k, 2 * k)), slots))
+    op_t = np.asarray(op_entries).reshape(op_dims + op_dims)
+    moved = np.tensordot(op_t, state, axes=(tuple(range(k, 2 * k)), slots))
     # tensordot puts the operator's output axes first; restore positions
     return np.moveaxis(moved, tuple(range(k)), slots)
 

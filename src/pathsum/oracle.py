@@ -10,24 +10,31 @@ Record erasure is realized the way an observer who measures a whole
 laboratory does: when a later measurement's targets cover a pending erased
 record, its coupling is taken in the composite basis that entangles the
 erased ancilla with the erased event's own basis vectors.  Operationally
-the coupling is conjugated by the erased event's coupling chain, which maps
-the plain basis onto exactly that composite basis.  The conjugation also
-exposes the realizability condition: after undoing the chain, the consumed
-ancillas must sit back at pointer 0 (population outside <= 1e-12), i.e. the
-record must not have been disturbed between its creation and its erasure.
+the coupling is conjugated by the erased event's coupling chain L, which
+maps the plain basis onto exactly that composite basis.  The conjugation
+also exposes the realizability condition: after undoing the chain, the
+consumed ancillas must sit back at pointer 0 (population outside <= 1e-12),
+i.e. the record must not have been disturbed between its creation and its
+erasure.
+
+Each coupling is applied once.  ``evolve`` keeps the chains it has not yet
+applied pending, and a chain round trip L L^dagger with nothing on its
+slots in between is the identity: the eraser's L^dagger cancels the pending
+L, so only its own coupling joins the chain.  Pending chains are applied
+when another event touches their slots, and at the end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .hilbert import ATOL_STRUCT, MAX_AMPLITUDES, StateVector, apply_to_slots
 from .paths import OutcomeDistribution, outcome_distribution, retained_keys
 from .scenario import (
-    MeasurementEvent,
     Record,
     RecordErasedError,
     Scenario,
@@ -75,9 +82,33 @@ class EraserRealization:
 
     erased_event: int
     eraser_event: int
-    composite_slots: tuple[int, ...]  # consumed ancilla slots + eraser target slots
-    basis: np.ndarray = field(repr=False)  # columns = composite basis vectors
+    anc_slots: tuple[int, ...]  # consumed ancilla slots
+    target_slots: tuple[int, ...]  # eraser target slots
     labels: tuple[str, ...]
+    dims: tuple[int, ...] = field(repr=False)  # dilated dims
+    chain: tuple[LiftOp, ...] = field(repr=False, compare=False)  # consumed lift ops
+    vectors: tuple[StateVector, ...] = field(repr=False, compare=False)  # eraser basis
+
+    @property
+    def composite_slots(self) -> tuple[int, ...]:
+        return self.anc_slots + self.target_slots
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Columns of the composite basis |E_k> = chain(|0...0> x w_k).
+
+        Built on first access: the run never reads it, only inspection does.
+        """
+        n_anc, n_k = len(self.anc_slots), len(self.vectors)
+        axis = {slot: a + 1 for a, slot in enumerate(self.composite_slots)}  # axis 0 is k
+        cols = np.zeros((n_k,) + tuple(self.dims[sl] for sl in self.composite_slots),
+                        dtype=complex)
+        cols[(slice(None),) + (0,) * n_anc] = np.stack([v.amps for v in self.vectors]).reshape(
+            cols.shape[:1] + cols.shape[1 + n_anc:])
+        for slots, m in self.chain:
+            cols = apply_to_slots(m, tuple(self.dims[sl] for sl in slots),
+                                  tuple(axis[sl] for sl in slots), cols)
+        return cols.reshape(n_k, -1).T
 
 
 @dataclass(frozen=True)
@@ -119,19 +150,14 @@ def _coupling_matrix(basis_columns: np.ndarray) -> np.ndarray:
     """
     side, n_labels = basis_columns.shape
     anc_dim = n_labels + 1
-    eye_r = np.eye(side)
-    m = np.zeros((anc_dim * side, anc_dim * side), dtype=complex)
-
-    def anc_block(i, j):
-        block = np.zeros((anc_dim, anc_dim))
-        block[i, j] = 1.0
-        return block
-
-    for k in range(n_labels):
-        w = basis_columns[:, k : k + 1]
-        proj = w @ w.conj().T
-        m += np.kron(anc_block(k + 1, 0) + anc_block(0, k + 1), proj)
-        m += np.kron(anc_block(k + 1, k + 1), eye_r - proj)
+    # blocks m[i, :, j, :] on (ancilla pointer i <- j) x targets
+    m = np.zeros((anc_dim, side, anc_dim, side), dtype=complex)
+    proj = np.einsum("ik,jk->kij", basis_columns, basis_columns.conj())
+    fired = np.arange(1, anc_dim)
+    m[fired, :, 0, :] = proj
+    m[0, :, fired, :] = proj
+    m[fired, :, fired, :] = np.eye(side) - proj
+    m = m.reshape(anc_dim * side, anc_dim * side)
     defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
     if defect > ATOL_STRUCT:
         raise OracleError(f"coupling completion is not unitary (defect {defect:.3g})")
@@ -178,17 +204,15 @@ def dilate(s: Scenario) -> DilatedScenario:
         plan = CouplingPlan(i, (anc.slot,) + tslots, matrix, consumed_ops, consumed_anc)
         couplings.append(plan)
 
-        if consumed:
-            composite_slots = consumed_anc + tslots
-            basis = _lifted_basis(e, tslots, consumed_ops, composite_slots, dims)
-            for lift in consumed:
-                for erased_event in lift.events:
-                    # the first consumer is the eraser; later measurements
-                    # through the same chain do not destroy anything new
-                    erasure_map.setdefault(
-                        erased_event,
-                        EraserRealization(erased_event, i, composite_slots, basis, e.labels),
-                    )
+        for lift in consumed:
+            for erased_event in lift.events:
+                # the first consumer is the eraser; later measurements
+                # through the same chain do not destroy anything new
+                erasure_map.setdefault(
+                    erased_event,
+                    EraserRealization(erased_event, i, consumed_anc, tslots, e.labels,
+                                      tuple(dims), consumed_ops, e.basis.vectors),
+                )
         if e.record is Record.ERASED:
             new = _Lift(
                 footprint=frozenset(tset),
@@ -201,26 +225,14 @@ def dilate(s: Scenario) -> DilatedScenario:
     return DilatedScenario(s, tuple(dims), tuple(ancillas), tuple(couplings), erasure_map)
 
 
-def _lifted_basis(e: MeasurementEvent, tslots, consumed_ops, composite_slots, dims):
-    """Columns of the composite basis |E_k> = chain(|0...0> x w_k)."""
-    local = {slot: axis for axis, slot in enumerate(composite_slots)}
-    cdims = tuple(dims[slot] for slot in composite_slots)
-    n_anc = len(composite_slots) - len(tslots)
-    cols = []
-    for k in range(len(e.labels)):
-        vec = np.zeros(cdims, dtype=complex)
-        w = e.basis.vectors[k].amps.reshape(tuple(dims[t] for t in tslots))
-        vec[(0,) * n_anc] = w
-        for slots, m in consumed_ops:
-            axes = tuple(local[sl] for sl in slots)
-            op_dims = tuple(cdims[a] for a in axes)
-            vec = apply_to_slots(m, op_dims, axes, vec)
-        cols.append(vec.reshape(-1))
-    return np.column_stack(cols)
-
-
 def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
     """Apply free unitaries and couplings in time order; norm is conserved.
+
+    Each coupling is applied once.  Chains not yet applied stay pending on
+    pairwise disjoint slots, so the physical state is the pending chains
+    applied to ``state``.  A measurement conjugates its coupling by the chain
+    L it consumes; when L is exactly what is pending on its slots, L^dagger
+    cancels it and the coupling just joins the chain.
 
     ``upto_time`` stops after the last event with time_index <= upto_time,
     which exposes intermediate states for inspection.
@@ -231,30 +243,61 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
     n_anc = n - len(s.subsystems)
     state[(slice(None),) * len(s.subsystems) + (0,) * n_anc] = s.initial.as_tensor()
     plan_by_event = {p.event_index: p for p in d.couplings}
+    pending: list[tuple[frozenset[int], tuple[LiftOp, ...]]] = []
 
     time = -1
     for i, e in enumerate(s.events):
         if upto_time is not None and e.time_index > upto_time:
             break
         if isinstance(e, UnitaryEvent):
-            state = apply_to_slots(e.op.entries, e.op.dims, s.slots(e.targets), state)
+            slots = s.slots(e.targets)
+            state, pending = _undo_chain(state, pending, frozenset(slots), (), d.dims)
+            state = apply_to_slots(e.op.entries, e.op.dims, slots, state)
         else:
             plan = plan_by_event[i]
-            for slots, m in reversed(plan.consumed_ops):
-                state = _apply(m.conj().T, slots, d.dims, state)
+            chain = ((plan.slots, plan.matrix),) + plan.consumed_ops
+            footprint = frozenset(sl for slots, _ in chain for sl in slots)
+            state, pending = _undo_chain(state, pending, footprint, plan.consumed_ops, d.dims)
             _check_records_intact(state, plan.consumed_anc_slots, e.agent)
-            state = _apply(plan.matrix, plan.slots, d.dims, state)
-            for slots, m in plan.consumed_ops:
-                state = _apply(m, slots, d.dims, state)
-        drift = abs(float(np.linalg.norm(state)) - 1.0)
-        if drift > ATOL_STRUCT:
-            raise OracleError(f"norm drifted by {drift:.3g} at time {e.time_index}")
+            pending.append((footprint, chain))
+        _check_norm(state, e.time_index)
         time = e.time_index
+    for _, chain in pending:
+        state = _apply_chain(chain, d.dims, state)
+    _check_norm(state, time)
     return DilatedState(StateVector(d.dims, state.reshape(-1)), time, d)
+
+
+def _undo_chain(state, pending, footprint, consumed, dims):
+    """Apply ``consumed``^dagger to the physical state on ``footprint``.
+
+    Returns the new stored state and the chains still pending.  If the
+    chains pending on ``footprint`` are exactly ``consumed``, L^dagger L = I
+    and nothing is applied; otherwise they are applied, then L^dagger.
+    """
+    hit = [op for slots, chain in pending if slots & footprint for op in chain]
+    rest = [(slots, chain) for slots, chain in pending if not slots & footprint]
+    if len(hit) != len(consumed) or any(a is not b for (_, a), (_, b) in zip(hit, consumed)):
+        state = _apply_chain(hit, dims, state)
+        for slots, m in reversed(consumed):
+            state = _apply(m.conj().T, slots, dims, state)
+    return state, rest
+
+
+def _apply_chain(chain, dims, state):
+    for slots, m in chain:
+        state = _apply(m, slots, dims, state)
+    return state
 
 
 def _apply(matrix, slots, dims, state):
     return apply_to_slots(matrix, tuple(dims[x] for x in slots), slots, state)
+
+
+def _check_norm(state, time_index):
+    drift = abs(float(np.linalg.norm(state)) - 1.0)
+    if drift > ATOL_STRUCT:
+        raise OracleError(f"norm drifted by {drift:.3g} at time {time_index}")
 
 
 def _check_records_intact(state, anc_slots, agent):

@@ -755,6 +755,16 @@ def _strings(items) -> tuple[str, ...]:
     return tuple(items)
 
 
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _dims(items) -> tuple[int, ...]:
+    return tuple(_integer(x, "dims entry") for x in items)
+
+
 def scenario_from_json(text: str | bytes) -> Scenario:
     """Load the canonical JSON form into a validated Scenario.
 
@@ -770,26 +780,28 @@ def scenario_from_json(text: str | bytes) -> Scenario:
     where = "document"
     try:
         subs, init, evs = doc["subsystems"], doc["initial"], doc["events"]
-        final_time = int(doc.get("final_time", -1))
+        final_time = _integer(doc.get("final_time", -1), "final_time")
         subsystems = []
         for k, d in enumerate(subs):
             where = f"subsystems[{k}]"
             (name,) = _strings([d["name"]])
-            subsystems.append(SubsystemSpec(name, int(d["dim"]), _strings(d["basis_labels"])))
+            subsystems.append(SubsystemSpec(name, _integer(d["dim"], "dim"),
+                                             _strings(d["basis_labels"])))
         where = "initial"
-        initial = StateVector(tuple(init["dims"]), [_j2c(p) for p in init["amps"]])
+        initial = StateVector(_dims(init["dims"]), [_j2c(p) for p in init["amps"]])
         events: list[Event] = []
         for k, d in enumerate(evs):
             where = f"events[{k}]"
             targets = _strings(d["targets"])
+            time = _integer(d["time_index"], "time_index")
             if d["kind"] == "unitary":
                 op = Operator(
-                    tuple(d["op"]["dims"]),
+                    _dims(d["op"]["dims"]),
                     np.array([[_j2c(z) for z in row] for row in d["op"]["entries"]]),
                 )
-                events.append(UnitaryEvent(int(d["time_index"]), targets, op))
+                events.append(UnitaryEvent(time, targets, op))
             elif d["kind"] == "measurement":
-                dims = tuple(d["basis"]["dims"])
+                dims = _dims(d["basis"]["dims"])
                 basis = Basis(
                     dims,
                     _strings(d["basis"]["labels"]),
@@ -797,7 +809,7 @@ def scenario_from_json(text: str | bytes) -> Scenario:
                           for vec in d["basis"]["vectors"]),
                 )
                 (agent,) = _strings([d["agent"]])
-                events.append(MeasurementEvent(int(d["time_index"]), agent, targets, basis,
+                events.append(MeasurementEvent(time, agent, targets, basis,
                                                Record(d["record"])))
             else:
                 raise ValueError(f"kind must be 'unitary' or 'measurement', got {d['kind']!r}")

@@ -118,3 +118,14 @@ def random_scenario(seed_or_rng) -> Scenario:
             )
         )
     return require_valid(Scenario(subsystems, initial, tuple(events)))
+
+
+def erased_qubit_chain(n: int) -> Scenario:
+    """One qubit measured n times in random bases; only the last record kept."""
+    rng = np.random.default_rng(n)
+    events = tuple(
+        MeasurementEvent(t, f"A{t}", ("q",), random_basis(rng, (2,)),
+                         Record.RETAINED if t == n else Record.ERASED)
+        for t in range(1, n + 1)
+    )
+    return Scenario((SubsystemSpec("q", 2, ("b0", "b1")),), random_state(rng, 2), events)

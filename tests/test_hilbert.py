@@ -11,8 +11,7 @@ from pathsum.hilbert import (
     Operator,
     StateVector,
     apply,
-    embed,
-    identity,
+    apply_to_slots,
     inner,
     tensor,
     validate_basis,
@@ -20,6 +19,22 @@ from pathsum.hilbert import (
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SQ3 = 1.0 / math.sqrt(3.0)
+
+
+def identity(dims):
+    return Operator(tuple(dims), np.eye(math.prod(dims)))
+
+
+def embed(op, target_slots, full_dims):
+    """The full-space matrix of ``op`` acting on ``target_slots`` of
+    ``full_dims`` and as identity elsewhere: ``apply_to_slots`` on every
+    basis vector at once."""
+    full_dims, slots = tuple(full_dims), tuple(target_slots)
+    if len(set(slots)) != len(slots) or tuple(full_dims[s] for s in slots) != op.dims:
+        raise HilbertError(f"operator dims {op.dims} do not match slots {slots!r} of {full_dims}")
+    side = math.prod(full_dims)
+    eye = np.eye(side).reshape(full_dims + full_dims)
+    return Operator(full_dims, apply_to_slots(op.entries, op.dims, slots, eye).reshape(side, side))
 
 
 def q(*amps):

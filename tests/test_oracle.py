@@ -1,9 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pathsum import library, paths
+from pathsum import library, oracle, paths
+from pathsum.hilbert import apply_to_slots
 from pathsum.oracle import (
     OracleError,
     dilate,
@@ -12,8 +16,15 @@ from pathsum.oracle import (
     inspect_record,
     joint_probability,
 )
-from pathsum.scenario import RecordErasedError, parse_scenario
-from pathsum.testing import random_scenario
+from pathsum.scenario import (
+    MeasurementEvent,
+    Record,
+    RecordErasedError,
+    Scenario,
+    UnitaryEvent,
+    parse_scenario,
+)
+from pathsum.testing import erased_qubit_chain, random_basis, random_scenario
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SQ3 = 1.0 / math.sqrt(3.0)
@@ -107,6 +118,133 @@ class TestEvolve:
         )
         with pytest.raises(OracleError, match="disturbed"):
             evolve(dilate(bad))
+
+
+def eager_evolve(d, upto_time=None):
+    """The definition ``evolve`` must reproduce: every measurement applies
+    its consumed chain's L^dagger, checks the records, then C, then L."""
+    s = d.base
+    state = np.zeros(d.dims, dtype=complex)
+    n_anc = len(d.dims) - len(s.subsystems)
+    state[(slice(None),) * len(s.subsystems) + (0,) * n_anc] = s.initial.as_tensor()
+    plan_by_event = {p.event_index: p for p in d.couplings}
+    for i, e in enumerate(s.events):
+        if upto_time is not None and e.time_index > upto_time:
+            break
+        if isinstance(e, UnitaryEvent):
+            state = apply_to_slots(e.op.entries, e.op.dims, s.slots(e.targets), state)
+            continue
+        plan = plan_by_event[i]
+        for slots, m in reversed(plan.consumed_ops):
+            state = oracle._apply(m.conj().T, slots, d.dims, state)
+        oracle._check_records_intact(state, plan.consumed_anc_slots, e.agent)
+        state = oracle._apply(plan.matrix, plan.slots, d.dims, state)
+        for slots, m in plan.consumed_ops:
+            state = oracle._apply(m, slots, d.dims, state)
+    return state
+
+
+def _assert_matches_eager(s):
+    d = dilate(s)
+    for t in sorted({0} | {e.time_index for e in s.events}) + [None]:
+        got = evolve(d, upto_time=t).psi.as_tensor()
+        np.testing.assert_allclose(got, eager_evolve(d, t), rtol=0, atol=1e-12, err_msg=str(t))
+
+
+class TestCouplingsAppliedOnce:
+    """``evolve`` applies each coupling once; the eager definition applies a
+    consumed chain twice per consumer.  The states must agree."""
+
+    @pytest.mark.parametrize("name", library.builtin_names())
+    def test_builtins(self, name):
+        _assert_matches_eager(library.builtin(name))
+
+    @pytest.mark.parametrize("regime", [r.value for r in library.RegimeTag])
+    def test_2w2f_regimes(self, regime):
+        _assert_matches_eager(library.two_wigners(library.RegimeTag(regime)))
+
+    @pytest.mark.parametrize("start", range(0, 200, 50))
+    def test_random_scenarios(self, start):
+        for seed in range(start, start + 50):
+            _assert_matches_eager(random_scenario(seed))
+
+    def test_erased_chain(self):
+        _assert_matches_eager(erased_qubit_chain(6))
+
+    def _count_applies(self, monkeypatch, s):
+        real, calls = oracle._apply, []
+        monkeypatch.setattr(oracle, "_apply", lambda *args: calls.append(args) or real(*args))
+        evolve(dilate(s))
+        return len(calls)
+
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_erased_chain_applies_each_coupling_once(self, monkeypatch, n):
+        assert self._count_applies(monkeypatch, erased_qubit_chain(n)) == n
+
+    @staticmethod
+    def _diagonal_unitary_before_eraser(joint):
+        # the unitary is diagonal in F's basis (+/-), so it commutes with F's
+        # coupling and leaves the record intact.  With ``joint``, R's record
+        # on a second subsystem is pending when W measures both.
+        had = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+        phase = had @ np.diag([1, np.exp(0.7j)]) @ had
+        entries = " ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in phase.reshape(-1))
+        plus_minus = "p: 1/sqrt(2) 1/sqrt(2) m: 1/sqrt(2) -1/sqrt(2)"
+        record = f"measure 1 F a erased {plus_minus}\nunitary 2 a {entries}\n"
+        if not joint:
+            return parse_scenario(
+                "subsystem a up down\nstate 0.6 0.8\n" + record
+                + "measure 3 W a retained u: 0.6 0.8 v: -0.8 0.6\n"
+            )
+        return parse_scenario(
+            "subsystem a up down\nsubsystem b up down\nstate 0.36 0.48 0.48 0.64\n" + record
+            + f"measure 3 R b retained {plus_minus}\n"
+            "measure 4 W a,b retained w1: 1 0 0 0 w2: 0 0.6 0.8 0"
+            " w3: 0 -0.8 0.6 0 w4: 0 0 0 1\n"
+        )
+
+    @pytest.mark.parametrize("joint,applies", [(False, 4), (True, 5)])
+    def test_unitary_between_record_and_eraser_applies_the_chain_first(
+        self, monkeypatch, joint, applies
+    ):
+        # F's coupling is applied before the unitary, so W undoes it
+        # explicitly; R's pending coupling is applied before W
+        s = self._diagonal_unitary_before_eraser(joint)
+        assert self._count_applies(monkeypatch, s) == applies
+        _assert_matches_eager(s)
+        pd, od = paths.distribution(s), distribution(s)
+        assert set(pd.weights) == set(od.weights)
+        for key, w in pd.weights.items():
+            assert od.weights[key] == pytest.approx(w, abs=1e-9), key
+
+
+class TestInsertedErasedMeasurement:
+    """The paper's claim: a record erased by the very next measurement of its
+    subsystem leaves no trace in the retained statistics."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 10**6))
+    def test_distribution_unchanged_on_both_engines(self, scenario_seed, insert_seed):
+        s = random_scenario(scenario_seed)
+        rng = np.random.default_rng(insert_seed)
+        # the oracle realizes an erasure only if no unitary acts on the
+        # record's subsystem afterwards (see pathsum.testing)
+        candidates = [
+            (e, target) for i, e in s.measurements() for target in e.targets
+            if not any(isinstance(u, UnitaryEvent) and target in u.targets
+                       for u in s.events[i:])
+        ]
+        eraser, target = candidates[int(rng.integers(len(candidates)))]
+        dim = s.dims[s.slots((target,))[0]]
+        inserted = MeasurementEvent(2 * eraser.time_index - 1, "X", (target,),
+                                    random_basis(rng, (dim,)), Record.ERASED)
+        doubled = tuple(replace(e, time_index=2 * e.time_index) for e in s.events)
+        s2 = Scenario(s.subsystems, s.initial, doubled + (inserted,))
+        for engine in (paths.distribution, distribution):
+            before, after = engine(s).weights, engine(s2).weights
+            assert set(before) == set(after)
+            for key, w in before.items():
+                assert after[key] == pytest.approx(w, abs=1e-9), (engine.__module__, key)
 
 
 class TestJointProbability:

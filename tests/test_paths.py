@@ -27,7 +27,7 @@ from pathsum.scenario import (
     parse_scenario,
     serialize_scenario,
 )
-from pathsum.testing import random_basis, random_scenario, random_state
+from pathsum.testing import erased_qubit_chain, random_scenario
 
 SQ12 = 1.0 / math.sqrt(12.0)
 
@@ -361,17 +361,6 @@ class TestDefinitionalEquivalence:
     def test_random_scenarios(self, start):
         for seed in range(start, start + 100):
             _assert_matches_definition(random_scenario(seed))
-
-
-def erased_qubit_chain(n):
-    """One qubit measured n times in random bases; only the last record kept."""
-    rng = np.random.default_rng(n)
-    events = tuple(
-        MeasurementEvent(t, f"A{t}", ("q",), random_basis(rng, (2,)),
-                         Record.RETAINED if t == n else Record.ERASED)
-        for t in range(1, n + 1)
-    )
-    return Scenario((SubsystemSpec("q", 2, ("b0", "b1")),), random_state(rng, 2), events)
 
 
 class TestLongErasedChain:

@@ -238,12 +238,38 @@ class TestRoundTrip:
             minimal_json(record="erased"),
             minimal_json(targets=[]),
             "{",
+            minimal_json(time_index=1.7),
+            minimal_json(time_index=True),
         ],
-        ids=["no_initial", "not_an_object", "lowercase_record", "empty_targets", "truncated"],
+        ids=["no_initial", "not_an_object", "lowercase_record", "empty_targets", "truncated",
+             "fractional_time", "boolean_time"],
     )
     def test_malformed_json_raises_parse_error(self, text):
         with pytest.raises(ScenarioParseError):
             scenario_from_json(text)
+
+    @pytest.mark.parametrize(
+        "path,value,entry",
+        [
+            (("events", 0, "time_index"), 1.7, "events[0]: TypeError('time_index"),
+            (("events", 0, "time_index"), True, "events[0]: TypeError('time_index"),
+            (("subsystems", 0, "dim"), 2.5, "subsystems[0]: TypeError('dim"),
+            (("subsystems", 0, "dim"), True, "subsystems[0]: TypeError('dim"),
+            (("initial", "dims"), [2.0], "initial: TypeError('dims entry"),
+            (("events", 0, "basis", "dims"), [False], "events[0]: TypeError('dims entry"),
+            (("final_time",), 1.5, "document: TypeError('final_time"),
+        ],
+    )
+    def test_non_integer_json_numbers_name_the_entry(self, path, value, entry):
+        doc = json.loads(minimal_json())
+        *parents, key = path
+        node = doc
+        for p in parents:
+            node = node[p]
+        node[key] = value
+        with pytest.raises(ScenarioParseError) as info:
+            scenario_from_json(json.dumps(doc))
+        assert entry in str(info.value)
 
     def test_explicit_final_time_round_trips(self):
         s = Scenario(

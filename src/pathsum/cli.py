@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from . import library, oracle, paths
@@ -128,11 +127,25 @@ def run(source: str, engine: str = "both", regime: str | None = None,
 
 
 def format_probability(p: float) -> str:
-    """Nine significant digits, plus the nearest small rational when exact."""
+    """Nine significant digits, plus the nearest small rational when exact.
+
+    Distinct fractions with denominators <= 144 lie at least 1/144^2 apart,
+    so at most one is within ATOL_PROB of p.  Such an a/b is a convergent of
+    p's continued fraction (|p - a/b| < 1/(2 b^2)), and later convergents are
+    closer still, so only the last convergent with denominator <= 144 needs
+    the check.
+    """
     dec = f"{p:.9g}"
-    frac = Fraction(p).limit_denominator(144)
-    if frac.denominator > 1 and abs(p - float(frac)) <= ATOL_PROB:
-        return f"{dec} = {frac.numerator}/{frac.denominator}"
+    n, d = p.as_integer_ratio()
+    h0, k0, h1, k1 = 0, 1, 1, 0  # the last two convergents h/k
+    while d:
+        a = n // d
+        if k0 + a * k1 > 144:
+            break
+        h0, k0, h1, k1 = h1, k1, h0 + a * h1, k0 + a * k1
+        n, d = d, n - a * d
+    if k1 > 1 and abs(p - h1 / k1) <= ATOL_PROB:
+        return f"{dec} = {h1}/{k1}"
     return dec
 
 

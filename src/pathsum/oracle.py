@@ -22,6 +22,12 @@ applied pending, and a chain round trip L L^dagger with nothing on its
 slots in between is the identity: the eraser's L^dagger cancels the pending
 L, so only its own coupling joins the chain.  Pending chains are applied
 when another event touches their slots, and at the end.
+
+An untriggered pointer is stored as a size-1 axis: it holds exactly pointer
+0, so psi x |0> needs no zeros.  The axis is widened to its full dimension
+when a coupling first acts on it, and whatever is still narrow is widened
+once at the end, so the state ``evolve`` returns always spans the full
+dilated dims.
 """
 
 from __future__ import annotations
@@ -232,16 +238,15 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
     pairwise disjoint slots, so the physical state is the pending chains
     applied to ``state``.  A measurement conjugates its coupling by the chain
     L it consumes; when L is exactly what is pending on its slots, L^dagger
-    cancels it and the coupling just joins the chain.
+    cancels it and the coupling just joins the chain.  Ancilla axes start at
+    size 1 and ``_apply`` widens them when an op first acts on them.
 
     ``upto_time`` stops after the last event with time_index <= upto_time,
     which exposes intermediate states for inspection.
     """
     s = d.base
-    n = len(d.dims)
-    state = np.zeros(d.dims, dtype=complex)
-    n_anc = n - len(s.subsystems)
-    state[(slice(None),) * len(s.subsystems) + (0,) * n_anc] = s.initial.as_tensor()
+    n_anc = len(d.dims) - len(s.subsystems)
+    state = s.initial.as_tensor().reshape(s.dims + (1,) * n_anc)
     plan_by_event = {p.event_index: p for p in d.couplings}
     pending: list[tuple[frozenset[int], tuple[LiftOp, ...]]] = []
 
@@ -265,6 +270,7 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
     for _, chain in pending:
         state = _apply_chain(chain, d.dims, state)
     _check_norm(state, time)
+    state = _widen(state, d.dims, range(len(d.dims)))
     return DilatedState(StateVector(d.dims, state.reshape(-1)), time, d)
 
 
@@ -291,7 +297,21 @@ def _apply_chain(chain, dims, state):
 
 
 def _apply(matrix, slots, dims, state):
+    state = _widen(state, dims, slots)
     return apply_to_slots(matrix, tuple(dims[x] for x in slots), slots, state)
+
+
+def _widen(state, dims, slots):
+    """Grow the size-1 (untriggered, pointer 0) axes among ``slots`` to ``dims``.
+
+    Exact: the old amplitudes land at pointer 0 and every new entry is zero.
+    """
+    shape = tuple(dims[x] if x in slots else n for x, n in enumerate(state.shape))
+    if shape == state.shape:
+        return state
+    wide = np.zeros(shape, dtype=complex)
+    wide[tuple(slice(n) for n in state.shape)] = state
+    return wide
 
 
 def _check_norm(state, time_index):

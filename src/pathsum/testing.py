@@ -11,6 +11,11 @@ composite-basis erasure can realize:
 Within that class the generator exercises erasure chains, superset erasers
 (a joint tail measurement erasing a single-subsystem record), interleaved
 unitaries and 1- to 3-subsystem systems of mixed dimension 2 and 3.
+
+``random_unpinned_scenario`` leaves that class on purpose: it produces
+unmeasured subsystems, unitaries after a subsystem's last measurement and
+events after a joint measurement, which ``paths.distribution`` and the oracle
+answer but ``enumerate_paths`` refuses.
 """
 
 from __future__ import annotations
@@ -117,6 +122,62 @@ def random_scenario(seed_or_rng) -> Scenario:
                 Record.RETAINED,
             )
         )
+    return require_valid(Scenario(subsystems, initial, tuple(events)))
+
+
+def random_unpinned_scenario(seed: int) -> Scenario:
+    """One random scenario outside the pinned class: <= 3 subsystems, <= 8 events.
+
+    Only the first ``measured`` subsystems are ever measured, joint
+    measurements can be followed by anything, and unitaries may come after a
+    subsystem's last measurement.  Two rules keep the oracle able to realize
+    every erasure: erased records sit on one subsystem, and a subsystem that
+    ever hosted one is never touched by a unitary again (the lift of an
+    erased record stays active after a retained eraser, see ``oracle.dilate``).
+    """
+    rng = np.random.default_rng(seed)
+    n_sub = int(rng.integers(1, 4))
+    dims = tuple(int(rng.integers(2, 4)) for _ in range(n_sub))
+    names = tuple(f"s{k}" for k in range(n_sub))
+    subsystems = tuple(
+        SubsystemSpec(names[k], dims[k], tuple(f"b{j}" for j in range(dims[k])))
+        for k in range(n_sub)
+    )
+    initial = StateVector(dims, random_state(rng, math.prod(dims)).amps)  # entangled
+    measured = int(rng.integers(1, n_sub + 1))
+
+    events: list = []
+    ever_erased: set[int] = set()
+    uncovered: set[int] = set()  # erased records still waiting for an eraser
+
+    def measure(targets, record):
+        time = len(events) + 1
+        basis = random_basis(rng, tuple(dims[k] for k in targets))
+        events.append(MeasurementEvent(time, f"A{time}", tuple(names[k] for k in targets),
+                                       basis, record))
+        uncovered.difference_update(targets)
+        if record is Record.ERASED:
+            ever_erased.update(targets)
+            uncovered.update(targets)
+
+    for _ in range(int(rng.integers(2, 6))):
+        free = [k for k in range(n_sub) if k not in ever_erased]
+        if free and rng.random() < 0.4:
+            n_targets = 1 if len(free) == 1 or rng.random() < 0.6 else 2
+            slots = sorted(rng.choice(free, size=n_targets, replace=False).tolist())
+            tdims = tuple(dims[k] for k in slots)
+            events.append(UnitaryEvent(len(events) + 1, tuple(names[k] for k in slots),
+                                       Operator(tdims, random_unitary(rng, math.prod(tdims)))))
+        elif measured >= 2 and rng.random() < 0.3:
+            measure(sorted(rng.choice(measured, size=2, replace=False).tolist()),
+                    Record.RETAINED)
+        else:
+            erase = rng.random() < 0.4
+            measure([int(rng.integers(measured))], Record.ERASED if erase else Record.RETAINED)
+    for k in sorted(uncovered):
+        measure([k], Record.RETAINED)
+    if not isinstance(events[-1], MeasurementEvent) or events[-1].record is Record.ERASED:
+        measure([int(rng.integers(measured))], Record.RETAINED)
     return require_valid(Scenario(subsystems, initial, tuple(events)))
 
 

@@ -1,4 +1,6 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -91,6 +93,24 @@ class TestRendering:
         assert format_probability(0.0) == "0"
         assert format_probability(1.0) == "1"
         assert format_probability(0.123456789123) == "0.123456789"
+
+    @staticmethod
+    def _reference_format(p):
+        """The definition: the closest fraction with denominator <= 144."""
+        dec = f"{p:.9g}"
+        frac = Fraction(p).limit_denominator(144)
+        if frac.denominator > 1 and abs(p - float(frac)) <= 1e-9:
+            return f"{dec} = {frac.numerator}/{frac.denominator}"
+        return dec
+
+    def test_probability_formatting_matches_limit_denominator(self):
+        fractions = [k / q for q in range(1, 145) for k in range(q + 1)]
+        near = [v + e for v in fractions for e in (5e-10, -5e-10, 2e-9, -2e-9)]
+        rng = random.Random(5)
+        randoms = [rng.random() for _ in range(20000)] + [rng.uniform(-3, 3) for _ in range(2000)]
+        edges = [0.0, -0.0, 1.0, 1 + 1e-10, 1 - 1e-10, -1e-20, 5e-324, 1e300]
+        for p in fractions + near + randoms + edges:
+            assert format_probability(p) == self._reference_format(p), repr(p)
 
     def test_table_is_deterministic(self):
         report = run("2w2f", regime="both_erased")

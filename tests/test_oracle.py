@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathsum import library, oracle, paths
-from pathsum.hilbert import apply_to_slots
+from pathsum.hilbert import Basis, Operator, StateVector, apply_to_slots
 from pathsum.oracle import (
     OracleError,
     dilate,
@@ -24,7 +24,13 @@ from pathsum.scenario import (
     UnitaryEvent,
     parse_scenario,
 )
-from pathsum.testing import erased_qubit_chain, random_basis, random_scenario
+from pathsum.testing import (
+    erased_qubit_chain,
+    random_basis,
+    random_scenario,
+    random_unitary,
+    random_unpinned_scenario,
+)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SQ3 = 1.0 / math.sqrt(3.0)
@@ -144,6 +150,11 @@ def eager_evolve(d, upto_time=None):
     return state
 
 
+def _all_retained(s):
+    return Scenario(s.subsystems, s.initial,
+                    tuple(replace(e, record=Record.RETAINED) for e in s.events))
+
+
 def _assert_matches_eager(s):
     d = dilate(s)
     for t in sorted({0} | {e.time_index for e in s.events}) + [None]:
@@ -171,11 +182,40 @@ class TestCouplingsAppliedOnce:
     def test_erased_chain(self):
         _assert_matches_eager(erased_qubit_chain(6))
 
-    def _count_applies(self, monkeypatch, s):
-        real, calls = oracle._apply, []
-        monkeypatch.setattr(oracle, "_apply", lambda *args: calls.append(args) or real(*args))
+    @pytest.mark.parametrize("start", range(0, 200, 50))
+    def test_unpinned_scenarios(self, start):
+        # unmeasured subsystems keep their ancilla-free axes; untriggered
+        # pointers at an intermediate upto_time are widened at the end
+        for seed in range(start, start + 50):
+            _assert_matches_eager(random_unpinned_scenario(seed))
+
+    def _applied_sizes(self, monkeypatch, s):
+        """Amplitude count of the state each ``oracle._apply`` call acts on."""
+        real, sizes = oracle._apply, []
+
+        def spy(*args):
+            out = real(*args)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(oracle, "_apply", spy)
         evolve(dilate(s))
-        return len(calls)
+        return sizes
+
+    def _count_applies(self, monkeypatch, s):
+        return len(self._applied_sizes(monkeypatch, s))
+
+    @pytest.mark.parametrize("s", [erased_qubit_chain(6), erased_qubit_chain(9),
+                                   _all_retained(erased_qubit_chain(8))],
+                             ids=["erased6", "erased9", "retained8"])
+    def test_untriggered_pointers_cost_nothing(self, monkeypatch, s):
+        # a pointer axis grows when its coupling fires, so the applies cost
+        # about 1.5x the final size; allocating every pointer up front costs
+        # one final size per apply
+        final_size = math.prod(dilate(s).dims)
+        sizes = self._applied_sizes(monkeypatch, s)
+        assert len(sizes) == len(s.events)
+        assert sum(sizes) < 2 * final_size
 
     @pytest.mark.parametrize("n", [1, 2, 6])
     def test_erased_chain_applies_each_coupling_once(self, monkeypatch, n):
@@ -245,6 +285,76 @@ class TestInsertedErasedMeasurement:
             assert set(before) == set(after)
             for key, w in before.items():
                 assert after[key] == pytest.approx(w, abs=1e-9), (engine.__module__, key)
+
+
+def _assert_same_distribution(s, s2):
+    for engine in (paths.distribution, distribution):
+        before, after = engine(s).weights, engine(s2).weights
+        assert set(before) == set(after)
+        for key, w in before.items():
+            assert after[key] == pytest.approx(w, abs=1e-9), (engine.__module__, key)
+
+
+_generators = st.sampled_from([random_scenario, random_unpinned_scenario])
+_seeds = st.integers(0, 10**6)
+
+
+class TestInvariances:
+    """Physical invariances (ROADMAP item 4, i-iv), on both engines."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_generators, _seeds, st.floats(0, 2 * math.pi))
+    def test_global_phase_of_the_initial_state(self, generate, seed, theta):
+        s = generate(seed)
+        rotated = StateVector(s.dims, s.initial.amps * np.exp(1j * theta))
+        _assert_same_distribution(s, Scenario(s.subsystems, rotated, s.events))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_generators, _seeds, _seeds)
+    def test_phase_of_one_measurement_basis_vector(self, generate, seed, pick_seed):
+        s = generate(seed)
+        rng = np.random.default_rng(pick_seed)
+        i, e = s.measurements()[int(rng.integers(len(s.measurements())))]
+        j = int(rng.integers(len(e.labels)))
+        vectors = list(e.basis.vectors)
+        vectors[j] = StateVector(e.basis.dims, vectors[j].amps * np.exp(1j * rng.uniform(0, 7)))
+        events = list(s.events)
+        events[i] = replace(e, basis=Basis(e.basis.dims, e.labels, tuple(vectors)))
+        _assert_same_distribution(s, Scenario(s.subsystems, s.initial, tuple(events)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_generators, _seeds, _seeds)
+    def test_order_of_subsystem_declarations(self, generate, seed, perm_seed):
+        s = generate(seed)
+        perm = np.random.default_rng(perm_seed).permutation(len(s.subsystems))
+        subsystems = tuple(s.subsystems[k] for k in perm)
+        initial = StateVector(tuple(sub.dim for sub in subsystems),
+                              s.initial.as_tensor().transpose(perm).reshape(-1))
+        _assert_same_distribution(s, Scenario(subsystems, initial, s.events))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_generators, _seeds, _seeds)
+    def test_splitting_a_unitary_into_two_events(self, generate, seed, split_seed):
+        s = generate(seed)
+        rng = np.random.default_rng(split_seed)
+        events = [replace(e, time_index=2 * e.time_index + 2) for e in s.events]
+        unitaries = [k for k, e in enumerate(events) if isinstance(e, UnitaryEvent)]
+        if unitaries:
+            k = unitaries[int(rng.integers(len(unitaries)))]
+        else:  # none to split: start with one, before any record exists
+            sub = s.subsystems[int(rng.integers(len(s.subsystems)))]
+            events.append(UnitaryEvent(2, (sub.name,),
+                                       Operator((sub.dim,), random_unitary(rng, sub.dim))))
+            k = len(events) - 1
+        u = events[k]
+        first = random_unitary(rng, u.op.side)
+        second = u.op.entries @ first.conj().T
+        split = events[:k] + events[k + 1:] + [
+            UnitaryEvent(u.time_index - 1, u.targets, Operator(u.op.dims, first)),
+            UnitaryEvent(u.time_index, u.targets, Operator(u.op.dims, second)),
+        ]
+        _assert_same_distribution(Scenario(s.subsystems, s.initial, tuple(events)),
+                                  Scenario(s.subsystems, s.initial, tuple(split)))
 
 
 class TestJointProbability:
@@ -441,6 +551,15 @@ class TestEngineEquivalence:
             assert pd.weights.get(key, 0.0) == pytest.approx(
                 od.weights.get(key, 0.0), abs=1e-9
             )
+
+    @pytest.mark.parametrize("start", range(0, 200, 50))
+    def test_unpinned_scenarios(self, start):
+        for seed in range(start, start + 50):
+            s = random_unpinned_scenario(seed)
+            pd, od = paths.distribution(s), distribution(s)
+            assert set(pd.weights) == set(od.weights)
+            for key, w in pd.weights.items():
+                assert od.weights[key] == pytest.approx(w, abs=1e-9), (seed, key)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_random_scenarios(self, seed):

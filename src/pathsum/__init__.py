@@ -15,7 +15,6 @@ from .hilbert import (
     HilbertError,
     Operator,
     StateVector,
-    apply,
     inner,
     tensor,
     validate_basis,
@@ -57,7 +56,6 @@ from .scenario import (
     scenario_from_json,
     scenario_to_json,
     serialize_scenario,
-    validate,
 )
 
 __version__ = "0.1.0"

@@ -16,14 +16,7 @@ from pathlib import Path
 
 from . import library, oracle, paths
 from .hilbert import ATOL_PROB
-from .scenario import (
-    Record,
-    RecordErasedError,
-    Scenario,
-    ScenarioParseError,
-    ScenarioValidationError,
-    parse_scenario,
-)
+from .scenario import Record, RecordErasedError, Scenario, parse_scenario
 
 
 class CliError(ValueError):
@@ -149,7 +142,7 @@ def format_probability(p: float) -> str:
     return dec
 
 
-def render_table(report: RunReport, scenario: Scenario) -> str:
+def render_table(report: RunReport) -> str:
     lines = [f"scenario: {report.source}"]
     dist = report.dist
     lines.append(f"records: {dist.regime_tag}")
@@ -160,7 +153,7 @@ def render_table(report: RunReport, scenario: Scenario) -> str:
     lines.append("")
     rows = [
         (" ".join(f"{agent}={label}" for agent, label in key), format_probability(w))
-        for key, w in paths.sorted_outcomes(dist, scenario)
+        for key, w in dist.weights.items()
     ]
     width = max(len(r[0]) for r in rows)
     for name, value in rows:
@@ -174,7 +167,7 @@ def render_table(report: RunReport, scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_json(report: RunReport, scenario: Scenario) -> str:
+def render_json(report: RunReport) -> str:
     dist = report.dist
     doc = {
         "scenario": report.source,
@@ -182,7 +175,7 @@ def render_json(report: RunReport, scenario: Scenario) -> str:
         "engine": report.engine,
         "outcomes": [
             {"tuple": [[agent, label] for agent, label in key], "p": w}
-            for key, w in paths.sorted_outcomes(dist, scenario)
+            for key, w in dist.weights.items()
         ],
         "delta": report.delta,
     }
@@ -256,18 +249,16 @@ def main(argv=None) -> int:
     try:
         report = run(args.source, engine=args.engine, regime=args.regime,
                      queries=tuple(args.query))
-    except (CliError, ScenarioParseError, ScenarioValidationError,
-            RecordErasedError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    scenario = report.scenario
     if args.fmt == "table":
-        rendered = render_table(report, scenario)
+        rendered = render_table(report)
     elif args.fmt == "json":
-        rendered = render_json(report, scenario)
+        rendered = render_json(report)
     else:
-        rendered = dot_source(report.dist, scenario)
+        rendered = dot_source(report.dist, report.scenario)
 
     if args.out:
         Path(args.out).write_text(rendered, "utf-8")

@@ -115,9 +115,6 @@ class Operator:
         eye = np.eye(self.side)
         return float(np.max(np.abs(self.entries.conj().T @ self.entries - eye)))
 
-    def is_unitary(self, atol: float = ATOL_STRUCT) -> bool:
-        return self.unitarity_defect() <= atol
-
     def require_unitary(self, what: str = "operator") -> "Operator":
         defect = self.unitarity_defect()
         if defect > ATOL_STRUCT:
@@ -210,12 +207,6 @@ def inner(a: StateVector, b: StateVector) -> complex:
     if a.dims != b.dims:
         raise HilbertError(f"inner product dims mismatch: {a.dims} vs {b.dims}")
     return complex(np.vdot(a.amps, b.amps))
-
-
-def apply(op: Operator, psi: StateVector) -> StateVector:
-    if op.dims != psi.dims:
-        raise HilbertError(f"apply dims mismatch: {op.dims} vs {psi.dims}")
-    return StateVector(psi.dims, op.entries @ psi.amps)
 
 
 def apply_to_slots(op_entries: np.ndarray, op_dims: Sequence[int],

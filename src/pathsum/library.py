@@ -28,7 +28,6 @@ from .scenario import (
     SubsystemSpec,
     UnitaryEvent,
     parse_scenario,
-    require_valid,
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -84,7 +83,7 @@ def double_slit(alpha=HADAMARD[0], beta=HADAMARD[1], gamma=HADAMARD[2],
     if engage_first_probe:
         events.append(MeasurementEvent(1, "F", ("sys",), _updown_basis(), Record.RETAINED))
     events.append(MeasurementEvent(2, "W", ("sys",), rotated, Record.RETAINED))
-    return require_valid(Scenario((_two_level("sys"),), initial, tuple(events)))
+    return Scenario((_two_level("sys"),), initial, tuple(events))
 
 
 def wfs(case, alpha=HADAMARD[0], beta=HADAMARD[1], gamma=HADAMARD[2],
@@ -108,7 +107,7 @@ def wfs(case, alpha=HADAMARD[0], beta=HADAMARD[1], gamma=HADAMARD[2],
         MeasurementEvent(1, "F", ("sys",), _updown_basis(), record),
         MeasurementEvent(2, "W", ("sys",), rotated, Record.RETAINED),
     )
-    return require_valid(Scenario((_two_level("sys"),), initial, events))
+    return Scenario((_two_level("sys"),), initial, events)
 
 
 def _coin_spin_interaction() -> Operator:
@@ -159,7 +158,7 @@ def two_wigners(regime: RegimeTag) -> Scenario:
         MeasurementEvent(4, "Wbar", ("coin",), wbar_basis, Record.RETAINED),
         MeasurementEvent(5, "W", ("spin",), w_basis, Record.RETAINED),
     )
-    return require_valid(Scenario((coin, spin), initial, events))
+    return Scenario((coin, spin), initial, events)
 
 
 _BUILTINS = {

@@ -40,13 +40,7 @@ import numpy as np
 
 from .hilbert import ATOL_STRUCT, MAX_AMPLITUDES, StateVector, apply_to_slots
 from .paths import OutcomeDistribution, outcome_distribution, retained_keys
-from .scenario import (
-    Record,
-    RecordErasedError,
-    Scenario,
-    UnitaryEvent,
-    require_valid,
-)
+from .scenario import Record, RecordErasedError, Scenario, UnitaryEvent
 
 
 class OracleError(ValueError):
@@ -121,15 +115,9 @@ class EraserRealization:
 class DilatedScenario:
     base: Scenario
     dims: tuple[int, ...]  # base dims followed by ancilla dims, event order
-    ancillas: tuple[AncillaSpec, ...]
+    ancillas: dict[int, AncillaSpec]  # measurement event index -> its pointer
     couplings: tuple[CouplingPlan, ...]
     erasure_map: dict[int, EraserRealization]
-
-    def ancilla_for_event(self, event_index: int) -> AncillaSpec:
-        for a in self.ancillas:
-            if a.event_index == event_index:
-                return a
-        raise ValueError(f"event {event_index} has no ancilla")
 
 
 @dataclass(frozen=True)
@@ -172,22 +160,18 @@ def _coupling_matrix(basis_columns: np.ndarray) -> np.ndarray:
 
 def dilate(s: Scenario) -> DilatedScenario:
     """Attach one pointer ancilla per measurement and plan all couplings."""
-    require_valid(s)
     base_n = len(s.subsystems)
     measurements = s.measurements()
     dims = list(s.dims)
-    ancillas = []
+    ancillas = {}
     for k, (i, e) in enumerate(measurements):
-        ancillas.append(
-            AncillaSpec(i, e.agent, base_n + k, len(e.labels) + 1, e.labels)
-        )
+        ancillas[i] = AncillaSpec(i, e.agent, base_n + k, len(e.labels) + 1, e.labels)
         dims.append(len(e.labels) + 1)
     n_amps = math.prod(dims)
     if n_amps > MAX_AMPLITUDES:
         raise OracleError(
             f"dilated state needs {n_amps} amplitudes, over the budget of {MAX_AMPLITUDES}"
         )
-    anc_by_event = {a.event_index: a for a in ancillas}
 
     couplings = []
     erasure_map: dict[int, EraserRealization] = {}
@@ -203,7 +187,7 @@ def dilate(s: Scenario) -> DilatedScenario:
                     f"subsystem slots {sorted(lift.footprint)} without covering it; "
                     f"no composite-basis erasure exists"
                 )
-        anc = anc_by_event[i]
+        anc = ancillas[i]
         matrix = _coupling_matrix(e.basis.matrix())
         consumed_ops = tuple(op for lift in consumed for op in lift.ops)
         consumed_anc = tuple(sl for lift in consumed for sl in lift.anc_slots)
@@ -228,7 +212,7 @@ def dilate(s: Scenario) -> DilatedScenario:
             )
             active = [lift for lift in active if lift not in consumed] + [new]
 
-    return DilatedScenario(s, tuple(dims), tuple(ancillas), tuple(couplings), erasure_map)
+    return DilatedScenario(s, tuple(dims), ancillas, tuple(couplings), erasure_map)
 
 
 def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
@@ -344,7 +328,7 @@ def _selection_slices(st: DilatedState, selection: dict[str, str]):
         i, e = d.base.agent_event(agent)  # raises on unknown agent
         if e.record is Record.ERASED:
             raise RecordErasedError(agent)
-        anc = d.ancilla_for_event(i)
+        anc = d.ancillas[i]
         pairs.append((anc.slot, anc.pointer_index(label)))
     return pairs
 
@@ -387,7 +371,7 @@ def inspect_record(st: DilatedState, agent: str, pointer_label: str | None,
             f"state at time {st.time_index} has not evolved past the erasing "
             f"measurement at time {eraser_time}"
         )
-    anc = d.ancilla_for_event(i)
+    anc = d.ancillas[i]
     pairs = [(anc.slot, anc.pointer_index(pointer_label))]
     pairs += _selection_slices(st, final_selection or {})
     return _pointer_probability(st, pairs)
@@ -400,7 +384,7 @@ def distribution(s: Scenario) -> OutcomeDistribution:
     |psi|^2 over all other axes, which leaves the tuples in row-major order.
     """
     st = evolve(dilate(s))
-    pointers = [st.dilated.ancilla_for_event(i).slot for i, _ in s.retained()]
+    pointers = [st.dilated.ancillas[i].slot for i, _ in s.retained()]
     psi = st.psi.as_tensor()
     density = psi.real**2 + psi.imag**2
     fired = tuple(slice(1, None) if a in pointers else slice(None) for a in range(psi.ndim))

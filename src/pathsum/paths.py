@@ -45,7 +45,7 @@ from .hilbert import (
     insert_slots,
     project_slots,
 )
-from .scenario import Record, Scenario, UnitaryEvent, require_valid
+from .scenario import Scenario, UnitaryEvent
 
 _MAX_PATHS = 1 << 20  # virtual paths enumerated, retained tuples distributed
 
@@ -206,7 +206,6 @@ def path_amplitude(branches, s: Scenario) -> complex:
     ``branches`` is an iterable of (event index, label) covering every
     measurement event of the scenario.
     """
-    require_valid(s)
     finals = _engine_preconditions(s)
     assignment = dict(branches)
     expected = {i for i, _ in s.measurements()}
@@ -225,7 +224,6 @@ def enumerate_paths(s: Scenario) -> tuple[VirtualPath, ...]:
     Paths come out row-major over the measurement events' labels.  Paths
     with |amplitude| <= 1e-12 are kept and flagged via ``is_zero``.
     """
-    require_valid(s)
     finals = _engine_preconditions(s)
     split = {i: e.labels for i, e in s.measurements()}  # time order, like the batch
     out = []
@@ -285,7 +283,6 @@ def distribution(s: Scenario) -> OutcomeDistribution:
     to 1 within 1e-9.  Equal to ``reduce(enumerate_paths(s), s)`` wherever
     that is defined.
     """
-    require_valid(s)
     states = _branch_states(s, {i: e.labels for i, e in s.retained()})
     norms = np.linalg.norm(states.reshape(len(states), -1), axis=1) ** 2
     return outcome_distribution(dict(zip(retained_keys(s), norms.tolist())), s,
@@ -344,15 +341,3 @@ def real_path_graph(d: OutcomeDistribution, s: Scenario) -> RealPathGraph:
                 edges.append((k, la, lb, w, w == 0.0))
     return RealPathGraph(layers, tuple(edges))
 
-
-def sorted_outcomes(d: OutcomeDistribution, s: Scenario) -> list[tuple[OutcomeTuple, float]]:
-    """Deterministic row order: event time order, then basis label order."""
-    label_order = {
-        e.agent: {label: j for j, label in enumerate(e.labels)}
-        for _, e in s.measurements()
-    }
-
-    def sort_key(key: OutcomeTuple):
-        return tuple(label_order[agent][label] for agent, label in key)
-
-    return sorted(d.weights.items(), key=lambda item: sort_key(item[0]))

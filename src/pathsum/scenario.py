@@ -54,7 +54,14 @@ class ScenarioParseError(ValueError):
 
 
 class ScenarioValidationError(ValueError):
-    """A constructed Scenario violates a structural invariant."""
+    """A constructed Scenario violates a structural invariant.
+
+    ``event`` is the offending event, or None for a scenario-wide rule.
+    """
+
+    def __init__(self, message: str, event: Event | None = None):
+        super().__init__(message)
+        self.event = event
 
 
 class RecordErasedError(ValueError):
@@ -124,6 +131,12 @@ Event = UnitaryEvent | MeasurementEvent
 
 @dataclass(frozen=True)
 class Scenario:
+    """Subsystems, initial state and events, sorted by time on construction.
+
+    Constructing one enforces every scenario rule; a violation raises
+    ScenarioValidationError naming the first rule broken.
+    """
+
     subsystems: tuple[SubsystemSpec, ...]
     initial: StateVector
     events: tuple[Event, ...]
@@ -146,6 +159,7 @@ class Scenario:
             object.__setattr__(
                 self, "final_time", max(e.time_index for e in events)
             )
+        _check(self)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -186,108 +200,81 @@ class Scenario:
         return tuple(e.agent for _, e in self.measurements())
 
 
-def validate(s: Scenario) -> list[str]:
-    """Check all scenario invariants; return violation messages (empty = ok)."""
-    return [msg for msg, _ in _validate_structured(s)]
-
-
-def require_valid(s: Scenario) -> Scenario:
-    violations = validate(s)
-    if violations:
-        raise ScenarioValidationError(violations[0])
-    return s
-
-
-def _validate_structured(s: Scenario) -> list[tuple[str, int | None]]:
-    """Violations as (message, offending event index or None)."""
-    out: list[tuple[str, int | None]] = []
+def _check(s: Scenario) -> None:
+    """Raise ScenarioValidationError for the first violated invariant."""
     if not s.subsystems:
-        out.append(("no subsystems declared", None))
-        return out
+        raise ScenarioValidationError("no subsystems declared")
     names = [sub.name for sub in s.subsystems]
     if len(set(names)) != len(names):
-        out.append(("duplicate subsystem names", None))
+        raise ScenarioValidationError("duplicate subsystem names")
 
     if s.initial.dims != s.dims:
-        out.append(
-            (f"initial state dims {s.initial.dims} do not match subsystems {s.dims}", None)
+        raise ScenarioValidationError(
+            f"initial state dims {s.initial.dims} do not match subsystems {s.dims}"
         )
-    elif not s.initial.is_normalized():
-        out.append((f"initial state norm != 1 (got {s.initial.norm():.6g})", None))
+    if not s.initial.is_normalized():
+        raise ScenarioValidationError(f"initial state norm != 1 (got {s.initial.norm():.6g})")
 
     if not s.events:
-        out.append(("scenario has no events", None))
-        return out
+        raise ScenarioValidationError("scenario has no events")
 
     name_set = set(names)
     for i, e in enumerate(s.events):
         if len(set(e.targets)) != len(e.targets):
-            out.append((f"event {i}: duplicate targets {e.targets}", i))
-            continue
+            raise ScenarioValidationError(f"event {i}: duplicate targets {e.targets}", e)
         unknown = [t for t in e.targets if t not in name_set]
         if unknown:
-            out.append((f"event {i}: unknown subsystem {unknown[0]!r}", i))
-            continue
+            raise ScenarioValidationError(f"event {i}: unknown subsystem {unknown[0]!r}", e)
         tdims = tuple(s.subsystems[s.subsystem_index(t)].dim for t in e.targets)
         obj = e.op if isinstance(e, UnitaryEvent) else e.basis
         if obj.dims != tdims:
-            out.append(
-                (f"event {i}: operator/basis dims {obj.dims} do not match targets {tdims}", i)
+            raise ScenarioValidationError(
+                f"event {i}: operator/basis dims {obj.dims} do not match targets {tdims}", e
             )
         if e.time_index < 0:
-            out.append((f"event {i}: negative time index", i))
+            raise ScenarioValidationError(f"event {i}: negative time index", e)
 
     # strict ordering for events acting on overlapping targets
     for i, a in enumerate(s.events):
         for j in range(i + 1, len(s.events)):
             b = s.events[j]
             if a.time_index == b.time_index and set(a.targets) & set(b.targets):
-                out.append(
-                    (
-                        f"events {i} and {j} share time {a.time_index} "
-                        f"and overlapping targets",
-                        j,
-                    )
+                raise ScenarioValidationError(
+                    f"events {i} and {j} share time {a.time_index} and overlapping targets", b
                 )
 
     measurements = s.measurements()
     if not measurements:
-        out.append(("scenario has no measurements", None))
-        return out
+        raise ScenarioValidationError("scenario has no measurements")
 
     agents = [e.agent for _, e in measurements]
     if len(set(agents)) != len(agents):
-        out.append(("agent names are not unique across measurement events", None))
+        raise ScenarioValidationError("agent names are not unique across measurement events")
 
-    if s.final_time < max(e.time_index for e in s.events):
-        out.append(("final_time is earlier than the last event", None))
+    t_max = max(e.time_index for e in s.events)
+    if s.final_time < t_max:
+        raise ScenarioValidationError("final_time is earlier than the last event")
 
     # rule B: the experiment must end on surviving records
-    t_max = max(e.time_index for e in s.events)
-    for i, e in enumerate(s.events):
-        if e.time_index != t_max:
-            continue
-        if not isinstance(e, MeasurementEvent) or e.record is not Record.RETAINED:
-            out.append(("no surviving final record (last event must be a retained measurement)", i))
+    for e in s.events:
+        if e.time_index == t_max and (
+            not isinstance(e, MeasurementEvent) or e.record is not Record.RETAINED
+        ):
+            raise ScenarioValidationError(
+                "no surviving final record (last event must be a retained measurement)", e
+            )
 
     # rule F: an erased record must actually be destroyed by a later measurement
     for i, e in measurements:
         if e.record is not Record.ERASED:
             continue
         targets = set(e.targets)
-        has_eraser = any(
-            j > i and targets <= set(f.targets) for j, f in measurements
-        )
-        if not has_eraser:
-            out.append(
-                (
-                    f"event {i}: ERASED record of agent {e.agent!r} is never erased "
-                    f"(needs a later measurement covering {e.targets})",
-                    i,
-                )
+        if not any(j > i and targets <= set(f.targets) for j, f in measurements):
+            raise ScenarioValidationError(
+                f"event {i}: ERASED record of agent {e.agent!r} is never erased "
+                f"(needs a later measurement covering {e.targets})",
+                e,
             )
-
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +421,18 @@ def _int(tok: _Tok, what: str) -> int:
     return value
 
 
+def _targets(tok: _Tok, dim_of: dict[str, int]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """An event's comma-separated target list and the targets' dims."""
+    targets = tuple(tok.text.split(","))
+    for t in targets:
+        if not _IDENT_RE.match(t):
+            raise ScenarioParseError(f"invalid target list {tok.text!r}", tok.line, tok.col)
+    for t in targets:
+        if t not in dim_of:
+            raise ScenarioParseError(f"unknown subsystem {t!r}", tok.line, tok.col)
+    return targets, tuple(dim_of[t] for t in targets)
+
+
 def parse_scenario(text: str | bytes) -> Scenario:
     """Parse ``.scn`` source into a validated Scenario.
 
@@ -447,21 +446,12 @@ def parse_scenario(text: str | bytes) -> Scenario:
             raise ScenarioParseError(f"input is not valid UTF-8 ({exc.reason})", 1, 1) from None
 
     subsystems: list[SubsystemSpec] = []
-    sub_names: set[str] = set()
+    dim_of: dict[str, int] = {}
     initial: StateVector | None = None
     state_line = 0
     events: list[Event] = []
     event_lines: list[int] = []
     explicit_final: int | None = None
-
-    def subsystem_dims(targets: list[str], tok: _Tok) -> tuple[int, ...]:
-        dims = []
-        for name in targets:
-            match = [s for s in subsystems if s.name == name]
-            if not match:
-                raise ScenarioParseError(f"unknown subsystem {name!r}", tok.line, tok.col)
-            dims.append(match[0].dim)
-        return tuple(dims)
 
     for toks in _tokenize(text):
         head = toks[0]
@@ -471,7 +461,7 @@ def parse_scenario(text: str | bytes) -> Scenario:
                 raise ScenarioParseError("subsystem needs a name and at least one label",
                                          head.line, head.col)
             name = _ident(rest[0], "subsystem name")
-            if name in sub_names:
+            if name in dim_of:
                 raise ScenarioParseError(f"subsystem {name!r} already declared",
                                          rest[0].line, rest[0].col)
             labels = [_ident(t, "basis label") for t in rest[1:]]
@@ -482,7 +472,7 @@ def parse_scenario(text: str | bytes) -> Scenario:
                 raise ScenarioParseError("subsystem declared after state/events",
                                          head.line, head.col)
             subsystems.append(SubsystemSpec(name, len(labels), tuple(labels)))
-            sub_names.add(name)
+            dim_of[name] = len(labels)
         elif head.text == "state":
             if not subsystems:
                 raise ScenarioParseError("no subsystems declared", head.line, head.col)
@@ -504,12 +494,7 @@ def parse_scenario(text: str | bytes) -> Scenario:
             if len(rest) < 2:
                 raise ScenarioParseError("unitary needs a time and targets", head.line, head.col)
             time = _int(rest[0], "time")
-            targets = rest[1].text.split(",")
-            for t in targets:
-                if not _IDENT_RE.match(t):
-                    raise ScenarioParseError(f"invalid target list {rest[1].text!r}",
-                                             rest[1].line, rest[1].col)
-            dims = subsystem_dims(targets, rest[1])
+            targets, dims = _targets(rest[1], dim_of)
             side = math.prod(dims)
             entry_toks = rest[2:]
             if len(entry_toks) != side * side:
@@ -520,7 +505,7 @@ def parse_scenario(text: str | bytes) -> Scenario:
                 )
             entries = np.array([_complex(t) for t in entry_toks]).reshape(side, side)
             try:
-                events.append(UnitaryEvent(time, tuple(targets), Operator(dims, entries)))
+                events.append(UnitaryEvent(time, targets, Operator(dims, entries)))
             except HilbertError as exc:
                 raise ScenarioParseError(f"non-unitary matrix: {exc}", head.line, head.col) from None
             event_lines.append(head.line)
@@ -532,12 +517,7 @@ def parse_scenario(text: str | bytes) -> Scenario:
                 )
             time = _int(rest[0], "time")
             agent = _ident(rest[1], "agent name")
-            targets = rest[2].text.split(",")
-            for t in targets:
-                if not _IDENT_RE.match(t):
-                    raise ScenarioParseError(f"invalid target list {rest[2].text!r}",
-                                             rest[2].line, rest[2].col)
-            dims = subsystem_dims(targets, rest[2])
+            targets, dims = _targets(rest[2], dim_of)
             record_tok = rest[3]
             try:
                 record = Record[record_tok.text.upper()]
@@ -552,7 +532,7 @@ def parse_scenario(text: str | bytes) -> Scenario:
             except HilbertError as exc:
                 raise ScenarioParseError(f"invalid measurement basis: {exc}",
                                          head.line, head.col) from None
-            events.append(MeasurementEvent(time, agent, tuple(targets), basis, record))
+            events.append(MeasurementEvent(time, agent, targets, basis, record))
             event_lines.append(head.line)
         elif head.text == "final":
             if len(rest) != 1:
@@ -570,21 +550,16 @@ def parse_scenario(text: str | bytes) -> Scenario:
     if not events:
         raise ScenarioParseError("no events declared", 1, 1)
 
-    scenario = Scenario(
-        tuple(subsystems), initial, tuple(events),
-        -1 if explicit_final is None else explicit_final,
-    )
-    problems = _validate_structured(scenario)
-    if problems:
-        msg, event_idx = problems[0]
+    try:
+        return Scenario(
+            tuple(subsystems), initial, tuple(events),
+            -1 if explicit_final is None else explicit_final,
+        )
+    except ScenarioValidationError as exc:
         # events were sorted by time inside Scenario; map back to source lines
-        if event_idx is not None:
-            key = scenario.events[event_idx]
-            for orig_idx, ev in enumerate(events):
-                if ev is key:
-                    raise ScenarioParseError(msg, event_lines[orig_idx], 1)
-        raise ScenarioParseError(msg, state_line or 1, 1)
-    return scenario
+        line = next((ln for ev, ln in zip(events, event_lines) if ev is exc.event),
+                    state_line or 1)
+        raise ScenarioParseError(str(exc), line, 1) from None
 
 
 def _parse_basis_groups(toks, dims, head):
@@ -815,8 +790,7 @@ def scenario_from_json(text: str | bytes) -> Scenario:
                 raise ValueError(f"kind must be 'unitary' or 'measurement', got {d['kind']!r}")
     except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
         raise ScenarioParseError(f"{where}: {exc!r}") from None
-    scenario = Scenario(tuple(subsystems), initial, tuple(events), final_time)
-    violations = validate(scenario)
-    if violations:
-        raise ScenarioParseError(violations[0])
-    return scenario
+    try:
+        return Scenario(tuple(subsystems), initial, tuple(events), final_time)
+    except ScenarioValidationError as exc:
+        raise ScenarioParseError(str(exc)) from None

@@ -31,7 +31,6 @@ from .scenario import (
     Scenario,
     SubsystemSpec,
     UnitaryEvent,
-    require_valid,
 )
 
 
@@ -122,7 +121,7 @@ def random_scenario(seed_or_rng) -> Scenario:
                 Record.RETAINED,
             )
         )
-    return require_valid(Scenario(subsystems, initial, tuple(events)))
+    return Scenario(subsystems, initial, tuple(events))
 
 
 def random_unpinned_scenario(seed: int) -> Scenario:
@@ -178,7 +177,7 @@ def random_unpinned_scenario(seed: int) -> Scenario:
         measure([k], Record.RETAINED)
     if not isinstance(events[-1], MeasurementEvent) or events[-1].record is Record.ERASED:
         measure([int(rng.integers(measured))], Record.RETAINED)
-    return require_valid(Scenario(subsystems, initial, tuple(events)))
+    return Scenario(subsystems, initial, tuple(events))
 
 
 def erased_qubit_chain(n: int) -> Scenario:

@@ -1,10 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from pathsum import cli, library
+from pathsum import cli, library, scenario
 from pathsum.cli import (
     CliError,
     dot_source,
@@ -114,14 +115,14 @@ class TestRendering:
 
     def test_table_is_deterministic(self):
         report = run("2w2f", regime="both_erased")
-        a = render_table(report, report.scenario)
-        b = render_table(run("2w2f", regime="both_erased"), report.scenario)
+        a = render_table(report)
+        b = render_table(run("2w2f", regime="both_erased"))
         assert a == b
         assert "0.75 = 3/4" in a
 
     def test_json_schema_and_round_trip(self):
         report = run("2w2f", regime="both_erased")
-        rendered = render_json(report, report.scenario)
+        rendered = render_json(report)
         assert rendered.count("\n") == 1 and rendered.endswith("\n")
         doc = json.loads(rendered)
         assert set(doc) == {"scenario", "regime", "engine", "outcomes", "delta"}
@@ -134,7 +135,7 @@ class TestRendering:
 
     def test_json_includes_queries_when_asked(self):
         report = run("2w2f", regime="f_preserved", queries=("ok_bar=>Up",))
-        doc = json.loads(render_json(report, report.scenario))
+        doc = json.loads(render_json(report))
         assert doc["queries"][0]["holds"] is True
 
     def test_dot_dashes_vanishing_edges(self):
@@ -180,6 +181,15 @@ class TestMainExitCodes:
         assert code == 0
         doc = json.loads(target.read_text("utf-8"))
         assert doc["scenario"] == "wfs_case2"
+
+    def test_run_validates_the_scenario_once(self, monkeypatch, capsys):
+        # parsing builds the Scenario, which checks itself; neither engine checks again
+        calls = []
+        check = scenario._check
+        monkeypatch.setattr(scenario, "_check", lambda s: calls.append(s) or check(s))
+        shipped = resources.files("pathsum") / "scenarios" / "2w2f_both_erased.scn"
+        assert cli.main(["run", str(shipped), "--engine", "both", "--format", "json"]) == 0
+        assert len(calls) == 1
 
     def test_list(self, capsys):
         assert cli.main(["list"]) == 0

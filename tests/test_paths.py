@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -16,7 +17,7 @@ from pathsum.paths import (
     path_amplitude,
     real_path_graph,
     reduce,
-    sorted_outcomes,
+    retained_keys,
 )
 from pathsum.scenario import (
     MeasurementEvent,
@@ -27,7 +28,7 @@ from pathsum.scenario import (
     parse_scenario,
     serialize_scenario,
 )
-from pathsum.testing import erased_qubit_chain, random_scenario
+from pathsum.testing import erased_qubit_chain, random_scenario, random_unpinned_scenario
 
 SQ12 = 1.0 / math.sqrt(12.0)
 
@@ -436,12 +437,37 @@ def test_engines_leave_no_cyclic_garbage(regime):
         gc.enable()
 
 
+def _sorted_outcomes(d, s):
+    """Row order by definition: event time order, then basis label order."""
+    label_order = {
+        e.agent: {label: j for j, label in enumerate(e.labels)}
+        for _, e in s.measurements()
+    }
+    return sorted(d.weights.items(),
+                  key=lambda item: tuple(label_order[a][label] for a, label in item[0]))
+
+
+def _order_scenarios():
+    """The built-ins, both generators on seeds 0-199, and a 10-chain erased and kept."""
+    yield from (library.builtin(name) for name in library.builtin_names())
+    yield from (random_scenario(seed) for seed in range(200))
+    yield from (random_unpinned_scenario(seed) for seed in range(200))
+    chain = erased_qubit_chain(10)
+    yield chain
+    yield Scenario(chain.subsystems, chain.initial, tuple(
+        dataclasses.replace(e, record=Record.RETAINED) for e in chain.events))
+
+
 class TestDeterminism:
     def test_sorted_outcomes_are_stable(self):
-        s = two_wigners("both_preserved")
-        a = sorted_outcomes(distribution(s), s)
-        b = sorted_outcomes(distribution(s), s)
-        assert a == b
+        # both engines emit their rows row-major over the retained events'
+        # labels, which is the sorted order, so renderers print them as built
+        for s in _order_scenarios():
+            keys = list(retained_keys(s))
+            for engine in (distribution, oracle.distribution):
+                d = engine(s)
+                assert list(d.weights) == keys
+                assert [key for key, _ in _sorted_outcomes(d, s)] == keys
 
     def test_reduce_is_deterministic(self):
         s = two_wigners("both_erased")

@@ -7,20 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathsum import library
-from pathsum.hilbert import Basis, StateVector
+from pathsum.hilbert import Basis, Operator, StateVector
 from pathsum.scenario import (
     MeasurementEvent,
     Record,
     Scenario,
     ScenarioParseError,
+    ScenarioValidationError,
     SubsystemSpec,
+    UnitaryEvent,
     parse_complex_literal,
     parse_scenario,
     scenario_equal,
     scenario_from_json,
     scenario_to_json,
     serialize_scenario,
-    validate,
 )
 from pathsum.testing import random_scenario
 
@@ -80,12 +81,10 @@ class TestParser:
     def test_minimal_scenario(self):
         s = parse_scenario(MINIMAL)
         assert [sub.name for sub in s.subsystems] == ["sys"]
-        assert validate(s) == []
 
     def test_shipped_files_parse(self):
         for name in library.builtin_names():
-            s = library.load_shipped(name)
-            assert validate(s) == []
+            assert isinstance(library.load_shipped(name), Scenario)
 
     def test_empty_input(self):
         with pytest.raises(ScenarioParseError, match="no subsystems declared"):
@@ -184,7 +183,7 @@ class TestParser:
             "measure 1 F a retained x: 1 0 y: 0 1\n"
             "measure 1 W b retained x: 1 0 y: 0 1\n"
         )
-        assert validate(parse_scenario(text)) == []
+        assert isinstance(parse_scenario(text), Scenario)
 
     def test_duplicate_agent_names_rejected(self):
         bad = (
@@ -202,8 +201,7 @@ class TestParser:
             parse_scenario(b"subsystem \xff\xfe sys")
 
     def test_bytes_input_accepted(self):
-        s = parse_scenario(MINIMAL.encode("utf-8"))
-        assert validate(s) == []
+        assert scenario_equal(parse_scenario(MINIMAL.encode("utf-8")), parse_scenario(MINIMAL))
 
 
 class TestRoundTrip:
@@ -293,25 +291,62 @@ class TestRoundTrip:
         assert not scenario_equal(a, b)
 
 
+def _rule_cases():
+    """(rule, scenario parts, expected message, index of the offending event or None).
+
+    The unnormalized initial state is the sixth rule, in its own test below.
+    """
+    sys_ = (SubsystemSpec("sys", 2, ("up", "down")),)
+    ab = (SubsystemSpec("a", 2, ("up", "down")), SubsystemSpec("b", 2, ("up", "down")))
+    basis = Basis((2,), ("up", "down"), (StateVector((2,), [1, 0]), StateVector((2,), [0, 1])))
+    flip = Operator((2,), [[0, 1], [1, 0]])
+
+    def m(time, agent, target, record=Record.RETAINED):
+        return MeasurementEvent(time, agent, (target,), basis, record)
+
+    up, up_a = StateVector((2,), [1, 0]), StateVector((2, 2), [1, 0, 0, 0])
+    return [
+        ("unknown_target", (sys_, up, (m(1, "F", "spin"),)),
+         "event 0: unknown subsystem 'spin'", 0),
+        ("overlap_same_time", (sys_, up, (UnitaryEvent(1, ("sys",), flip), m(1, "F", "sys"))),
+         "events 0 and 1 share time 1 and overlapping targets", 1),
+        ("no_final_retained", (sys_, up, (m(1, "F", "sys"), UnitaryEvent(2, ("sys",), flip))),
+         "no surviving final record (last event must be a retained measurement)", 1),
+        ("erased_never_erased", (ab, up_a, (m(1, "F", "a", Record.ERASED), m(2, "W", "b"))),
+         "event 0: ERASED record of agent 'F' is never erased "
+         "(needs a later measurement covering ('a',))", 0),
+        ("final_before_last_event", (sys_, up, (m(1, "F", "sys"),), 0),
+         "final_time is earlier than the last event", None),
+    ]
+
+
 class TestValidate:
-    def _parts(self):
+    def test_unnormalized_initial_reported(self):
         sub = SubsystemSpec("sys", 2, ("up", "down"))
         basis = Basis((2,), ("up", "down"),
                       (StateVector((2,), [1, 0]), StateVector((2,), [0, 1])))
-        return sub, basis
+        with pytest.raises(ScenarioValidationError) as info:
+            Scenario(
+                (sub,),
+                StateVector((2,), [1, 1]),
+                (MeasurementEvent(1, "F", ("sys",), basis, Record.RETAINED),),
+            )
+        assert str(info.value) == "initial state norm != 1 (got 1.41421)"
+        assert info.value.event is None
 
-    def test_unnormalized_initial_reported(self):
-        sub, basis = self._parts()
-        s = Scenario(
-            (sub,),
-            StateVector((2,), [1, 1]),
-            (MeasurementEvent(1, "F", ("sys",), basis, Record.RETAINED),),
-        )
-        assert any("norm != 1" in v for v in validate(s))
+    @pytest.mark.parametrize("parts, message, index",
+                             [case[1:] for case in _rule_cases()],
+                             ids=[case[0] for case in _rule_cases()])
+    def test_constructor_enforces_rule(self, parts, message, index):
+        with pytest.raises(ScenarioValidationError) as info:
+            Scenario(*parts)
+        assert str(info.value) == message
+        events = parts[2]
+        assert info.value.event is (None if index is None else events[index])
 
     def test_builtin_scenarios_validate(self):
         for name in library.builtin_names():
-            assert validate(library.builtin(name)) == []
+            assert isinstance(library.builtin(name), Scenario)
 
 
 class TestFuzz:

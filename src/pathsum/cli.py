@@ -211,13 +211,6 @@ def dot_source(d: paths.OutcomeDistribution, s: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_graph(d: paths.OutcomeDistribution, s: Scenario, path: str | Path) -> Path:
-    """Write the real-path graph as a DOT file."""
-    path = Path(path)
-    path.write_text(dot_source(d, s), "utf-8")
-    return path
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathsum",

@@ -17,11 +17,20 @@ consumed ancillas must sit back at pointer 0 (population outside <= 1e-12),
 i.e. the record must not have been disturbed between its creation and its
 erasure.
 
-Each coupling is applied once.  ``evolve`` keeps the chains it has not yet
-applied pending, and a chain round trip L L^dagger with nothing on its
-slots in between is the identity: the eraser's L^dagger cancels the pending
-L, so only its own coupling joins the chain.  Pending chains are applied
-when another event touches their slots, and at the end.
+The erased measurement's own ``CouplingPlan`` is the only record of its
+lift L: the plan's ``chain``, its coupling followed by the lifts it
+consumed.  L stays active on the record's targets, and every later
+measurement there is conjugated by it.  A unitary is conjugated by the
+lifts on its targets whose records are already erased, i.e. that some
+measurement has consumed (``DilatedScenario.frames``).  A unitary between
+a record and its eraser is not: it acts on the recorded system, and the
+check above catches it if it disturbs the record.
+
+Each coupling is applied once.  ``evolve`` keeps the plans whose chains it
+has not yet applied pending, and a chain round trip L L^dagger with nothing
+on its slots in between is the identity: the eraser's L^dagger cancels the
+pending L, so only its own coupling joins the chain.  Pending chains are
+applied when another event touches their slots, and at the end.
 
 An untriggered pointer is stored as a size-1 axis: it holds exactly pointer
 0, so psi x |0> needs no zeros.  The axis is widened to its full dimension
@@ -51,23 +60,7 @@ class OracleError(ValueError):
 LiftOp = tuple[tuple[int, ...], np.ndarray]
 
 
-@dataclass(frozen=True)
-class AncillaSpec:
-    event_index: int
-    agent: str
-    slot: int
-    dim: int
-    labels: tuple[str, ...]
-
-    def pointer_index(self, label: str | None) -> int:
-        if label is None or label == "0":
-            return 0
-        if label not in self.labels:
-            raise ValueError(f"unknown outcome label {label!r} for agent {self.agent!r}")
-        return self.labels.index(label) + 1
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared by identity: ``matrix`` is an ndarray
 class CouplingPlan:
     event_index: int
     slots: tuple[int, ...]  # (ancilla slot, *target slots)
@@ -75,49 +68,46 @@ class CouplingPlan:
     consumed_ops: tuple[LiftOp, ...]
     consumed_anc_slots: tuple[int, ...]
 
-
-@dataclass(frozen=True)
-class EraserRealization:
-    """The composite-basis measurement that destroyed an erased record."""
-
-    erased_event: int
-    eraser_event: int
-    anc_slots: tuple[int, ...]  # consumed ancilla slots
-    target_slots: tuple[int, ...]  # eraser target slots
-    labels: tuple[str, ...]
-    dims: tuple[int, ...] = field(repr=False)  # dilated dims
-    chain: tuple[LiftOp, ...] = field(repr=False, compare=False)  # consumed lift ops
-    vectors: tuple[StateVector, ...] = field(repr=False, compare=False)  # eraser basis
-
-    @property
-    def composite_slots(self) -> tuple[int, ...]:
-        return self.anc_slots + self.target_slots
+    @cached_property
+    def chain(self) -> tuple[LiftOp, ...]:
+        """C followed by the consumed ops, in application order; an erased event's lift."""
+        return ((self.slots, self.matrix),) + self.consumed_ops
 
     @cached_property
-    def basis(self) -> np.ndarray:
-        """Columns of the composite basis |E_k> = chain(|0...0> x w_k).
-
-        Built on first access: the run never reads it, only inspection does.
-        """
-        n_anc, n_k = len(self.anc_slots), len(self.vectors)
-        axis = {slot: a + 1 for a, slot in enumerate(self.composite_slots)}  # axis 0 is k
-        cols = np.zeros((n_k,) + tuple(self.dims[sl] for sl in self.composite_slots),
-                        dtype=complex)
-        cols[(slice(None),) + (0,) * n_anc] = np.stack([v.amps for v in self.vectors]).reshape(
-            cols.shape[:1] + cols.shape[1 + n_anc:])
-        for slots, m in self.chain:
-            cols = apply_to_slots(m, tuple(self.dims[sl] for sl in slots),
-                                  tuple(axis[sl] for sl in slots), cols)
-        return cols.reshape(n_k, -1).T
+    def footprint(self) -> frozenset[int]:
+        """Every slot the chain touches."""
+        return frozenset(sl for slots, _ in self.chain for sl in slots)
 
 
 @dataclass(frozen=True)
 class DilatedScenario:
     base: Scenario
     dims: tuple[int, ...]  # base dims followed by ancilla dims, event order
-    ancillas: dict[int, AncillaSpec]  # measurement event index -> its pointer
+    ancillas: dict[int, int]  # measurement event index -> its pointer slot
     couplings: tuple[CouplingPlan, ...]
-    erasure_map: dict[int, EraserRealization]
+    erasure_map: dict[int, int]  # erased event index -> eraser event index
+    frames: dict[int, tuple[CouplingPlan, ...]]  # unitary event index -> erased lifts
+
+    def erasure_basis(self, erased_event: int) -> np.ndarray:
+        """Columns of the composite basis |E_k> = L(|0...0> x w_k) that erased a record.
+
+        L is the chain the eraser consumed and w_k its basis vectors, over
+        the consumed ancilla slots followed by the eraser's target slots.
+        Built on call: the run never reads it, only inspection does.
+        """
+        i = self.erasure_map[erased_event]
+        plan = next(p for p in self.couplings if p.event_index == i)
+        vectors = self.base.events[i].basis.vectors
+        composite = plan.consumed_anc_slots + plan.slots[1:]
+        n_anc, n_k = len(plan.consumed_anc_slots), len(vectors)
+        axis = {slot: a + 1 for a, slot in enumerate(composite)}  # axis 0 is k
+        cols = np.zeros((n_k,) + tuple(self.dims[sl] for sl in composite), dtype=complex)
+        cols[(slice(None),) + (0,) * n_anc] = np.stack([v.amps for v in vectors]).reshape(
+            cols.shape[:1] + cols.shape[1 + n_anc:])
+        for slots, m in plan.consumed_ops:
+            cols = apply_to_slots(m, tuple(self.dims[sl] for sl in slots),
+                                  tuple(axis[sl] for sl in slots), cols)
+        return cols.reshape(n_k, -1).T
 
 
 @dataclass(frozen=True)
@@ -125,14 +115,6 @@ class DilatedState:
     psi: StateVector
     time_index: int
     dilated: DilatedScenario
-
-
-@dataclass(frozen=True)
-class _Lift:
-    footprint: frozenset[int]
-    anc_slots: tuple[int, ...]
-    ops: tuple[LiftOp, ...]  # applied first-to-last, maps |0...0> x v to the composite vector
-    events: tuple[int, ...]  # erased events encoded in this chain
 
 
 def _coupling_matrix(basis_columns: np.ndarray) -> np.ndarray:
@@ -160,13 +142,9 @@ def _coupling_matrix(basis_columns: np.ndarray) -> np.ndarray:
 
 def dilate(s: Scenario) -> DilatedScenario:
     """Attach one pointer ancilla per measurement and plan all couplings."""
-    base_n = len(s.subsystems)
     measurements = s.measurements()
-    dims = list(s.dims)
-    ancillas = {}
-    for k, (i, e) in enumerate(measurements):
-        ancillas[i] = AncillaSpec(i, e.agent, base_n + k, len(e.labels) + 1, e.labels)
-        dims.append(len(e.labels) + 1)
+    ancillas = {i: len(s.dims) + k for k, (i, _) in enumerate(measurements)}
+    dims = s.dims + tuple(len(e.labels) + 1 for _, e in measurements)
     n_amps = math.prod(dims)
     if n_amps > MAX_AMPLITUDES:
         raise OracleError(
@@ -174,56 +152,58 @@ def dilate(s: Scenario) -> DilatedScenario:
         )
 
     couplings = []
-    erasure_map: dict[int, EraserRealization] = {}
-    active: list[_Lift] = []
-    for i, e in measurements:
+    erasure_map: dict[int, int] = {}
+    frames: dict[int, tuple[CouplingPlan, ...]] = {}
+    # erased record's target slots -> its plan; the keys are pairwise disjoint
+    active: dict[frozenset[int], CouplingPlan] = {}
+    # the same keys -> the lifts there whose records are already erased
+    erased: dict[frozenset[int], tuple[CouplingPlan, ...]] = {}
+    for i, e in enumerate(s.events):
         tslots = s.slots(e.targets)
-        tset = set(tslots)
-        consumed = [lift for lift in active if lift.footprint & tset]
-        for lift in consumed:
-            if not lift.footprint <= tset:
+        hit = [key for key in active if key.intersection(tslots)]
+        if isinstance(e, UnitaryEvent):
+            frame = tuple(p for key in hit for p in erased[key])
+            if frame:
+                frames[i] = frame
+            continue
+        for key in hit:
+            if not key.issubset(tslots):
                 raise OracleError(
                     f"measurement by {e.agent!r} overlaps an erased record on "
-                    f"subsystem slots {sorted(lift.footprint)} without covering it; "
+                    f"subsystem slots {sorted(key)} without covering it; "
                     f"no composite-basis erasure exists"
                 )
-        anc = ancillas[i]
-        matrix = _coupling_matrix(e.basis.matrix())
-        consumed_ops = tuple(op for lift in consumed for op in lift.ops)
-        consumed_anc = tuple(sl for lift in consumed for sl in lift.anc_slots)
-        plan = CouplingPlan(i, (anc.slot,) + tslots, matrix, consumed_ops, consumed_anc)
+        consumed = tuple(active[key] for key in hit)
+        plan = CouplingPlan(
+            i, (ancillas[i],) + tslots, _coupling_matrix(e.basis.matrix()),
+            tuple(op for p in consumed for op in p.chain),
+            tuple(sl for p in consumed for sl in p.consumed_anc_slots + p.slots[:1]),
+        )
         couplings.append(plan)
-
-        for lift in consumed:
-            for erased_event in lift.events:
-                # the first consumer is the eraser; later measurements
-                # through the same chain do not destroy anything new
-                erasure_map.setdefault(
-                    erased_event,
-                    EraserRealization(erased_event, i, consumed_anc, tslots, e.labels,
-                                      tuple(dims), consumed_ops, e.basis.vectors),
-                )
+        for key, p in zip(hit, consumed):
+            # the first consumer is the eraser; later measurements through
+            # the same lift do not destroy anything new
+            erasure_map.setdefault(p.event_index, i)
+            erased[key] = (p,)
         if e.record is Record.ERASED:
-            new = _Lift(
-                footprint=frozenset(tset),
-                anc_slots=consumed_anc + (anc.slot,),
-                ops=((plan.slots, matrix),) + consumed_ops,
-                events=tuple(ev for lift in consumed for ev in lift.events) + (i,),
-            )
-            active = [lift for lift in active if lift not in consumed] + [new]
+            for key in hit:
+                del active[key], erased[key]
+            active[frozenset(tslots)], erased[frozenset(tslots)] = plan, consumed
 
-    return DilatedScenario(s, tuple(dims), ancillas, tuple(couplings), erasure_map)
+    return DilatedScenario(s, dims, ancillas, tuple(couplings), erasure_map, frames)
 
 
 def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
     """Apply free unitaries and couplings in time order; norm is conserved.
 
-    Each coupling is applied once.  Chains not yet applied stay pending on
-    pairwise disjoint slots, so the physical state is the pending chains
-    applied to ``state``.  A measurement conjugates its coupling by the chain
-    L it consumes; when L is exactly what is pending on its slots, L^dagger
-    cancels it and the coupling just joins the chain.  Ancilla axes start at
-    size 1 and ``_apply`` widens them when an op first acts on them.
+    Each coupling is applied once.  Plans whose chains are not yet applied
+    stay pending on pairwise disjoint slots, so the physical state is the
+    pending chains applied to ``state``.  A measurement conjugates its
+    coupling by the chain L it consumes, and a unitary by the erased lifts
+    of its frame; when L is exactly what is pending on their slots, L^dagger
+    cancels it.  The coupling then joins the chain, and the frame's plans
+    go back to pending.  Ancilla axes start at size 1 and ``_apply`` widens
+    them when an op first acts on them.
 
     ``upto_time`` stops after the last event with time_index <= upto_time,
     which exposes intermediate states for inspection.
@@ -232,7 +212,7 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
     n_anc = len(d.dims) - len(s.subsystems)
     state = s.initial.as_tensor().reshape(s.dims + (1,) * n_anc)
     plan_by_event = {p.event_index: p for p in d.couplings}
-    pending: list[tuple[frozenset[int], tuple[LiftOp, ...]]] = []
+    pending: list[CouplingPlan] = []
 
     time = -1
     for i, e in enumerate(s.events):
@@ -240,19 +220,22 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
             break
         if isinstance(e, UnitaryEvent):
             slots = s.slots(e.targets)
-            state, pending = _undo_chain(state, pending, frozenset(slots), (), d.dims)
+            frame = d.frames.get(i, ())
+            footprint = frozenset(slots).union(*(p.footprint for p in frame))
+            lift = tuple(op for p in frame for op in p.chain)
+            state, pending = _undo_chain(state, pending, footprint, lift, d.dims)
             state = apply_to_slots(e.op.entries, e.op.dims, slots, state)
+            pending += frame
         else:
             plan = plan_by_event[i]
-            chain = ((plan.slots, plan.matrix),) + plan.consumed_ops
-            footprint = frozenset(sl for slots, _ in chain for sl in slots)
-            state, pending = _undo_chain(state, pending, footprint, plan.consumed_ops, d.dims)
+            state, pending = _undo_chain(state, pending, plan.footprint, plan.consumed_ops,
+                                         d.dims)
             _check_records_intact(state, plan.consumed_anc_slots, e.agent)
-            pending.append((footprint, chain))
+            pending.append(plan)
         _check_norm(state, e.time_index)
         time = e.time_index
-    for _, chain in pending:
-        state = _apply_chain(chain, d.dims, state)
+    for p in pending:
+        state = _apply_chain(p.chain, d.dims, state)
     _check_norm(state, time)
     state = _widen(state, d.dims, range(len(d.dims)))
     return DilatedState(StateVector(d.dims, state.reshape(-1)), time, d)
@@ -261,12 +244,12 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
 def _undo_chain(state, pending, footprint, consumed, dims):
     """Apply ``consumed``^dagger to the physical state on ``footprint``.
 
-    Returns the new stored state and the chains still pending.  If the
+    Returns the new stored state and the plans still pending.  If the
     chains pending on ``footprint`` are exactly ``consumed``, L^dagger L = I
     and nothing is applied; otherwise they are applied, then L^dagger.
     """
-    hit = [op for slots, chain in pending if slots & footprint for op in chain]
-    rest = [(slots, chain) for slots, chain in pending if not slots & footprint]
+    hit = [op for p in pending if p.footprint & footprint for op in p.chain]
+    rest = [p for p in pending if not p.footprint & footprint]
     if len(hit) != len(consumed) or any(a is not b for (_, a), (_, b) in zip(hit, consumed)):
         state = _apply_chain(hit, dims, state)
         for slots, m in reversed(consumed):
@@ -321,6 +304,16 @@ def _check_records_intact(state, anc_slots, agent):
         )
 
 
+def _pointer(d: DilatedScenario, i: int, label: str | None) -> tuple[int, int]:
+    """(slot, index) of measurement ``i``'s pointer at ``label``; None and "0" are pointer 0."""
+    if label is None or label == "0":
+        return d.ancillas[i], 0
+    e = d.base.events[i]
+    if label not in e.labels:
+        raise ValueError(f"unknown outcome label {label!r} for agent {e.agent!r}")
+    return d.ancillas[i], e.labels.index(label) + 1
+
+
 def _selection_slices(st: DilatedState, selection: dict[str, str]):
     d = st.dilated
     pairs = []
@@ -328,8 +321,7 @@ def _selection_slices(st: DilatedState, selection: dict[str, str]):
         i, e = d.base.agent_event(agent)  # raises on unknown agent
         if e.record is Record.ERASED:
             raise RecordErasedError(agent)
-        anc = d.ancillas[i]
-        pairs.append((anc.slot, anc.pointer_index(label)))
+        pairs.append(_pointer(d, i, label))
     return pairs
 
 
@@ -364,16 +356,13 @@ def inspect_record(st: DilatedState, agent: str, pointer_label: str | None,
         raise ValueError(
             f"record of agent {agent!r} is retained; use joint_probability"
         )
-    eraser = d.erasure_map[i]
-    eraser_time = d.base.events[eraser.eraser_event].time_index
+    eraser_time = d.base.events[d.erasure_map[i]].time_index
     if st.time_index < eraser_time:
         raise OracleError(
             f"state at time {st.time_index} has not evolved past the erasing "
             f"measurement at time {eraser_time}"
         )
-    anc = d.ancillas[i]
-    pairs = [(anc.slot, anc.pointer_index(pointer_label))]
-    pairs += _selection_slices(st, final_selection or {})
+    pairs = [_pointer(d, i, pointer_label)] + _selection_slices(st, final_selection or {})
     return _pointer_probability(st, pairs)
 
 
@@ -384,7 +373,7 @@ def distribution(s: Scenario) -> OutcomeDistribution:
     |psi|^2 over all other axes, which leaves the tuples in row-major order.
     """
     st = evolve(dilate(s))
-    pointers = [st.dilated.ancillas[i].slot for i, _ in s.retained()]
+    pointers = [st.dilated.ancillas[i] for i, _ in s.retained()]
     psi = st.psi.as_tensor()
     density = psi.real**2 + psi.imag**2
     fired = tuple(slice(1, None) if a in pointers else slice(None) for a in range(psi.ndim))

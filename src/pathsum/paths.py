@@ -331,13 +331,10 @@ def real_path_graph(d: OutcomeDistribution, s: Scenario) -> RealPathGraph:
     for k in range(len(retained) - 1):
         agent_a, labels_a = layers[k]
         agent_b, labels_b = layers[k + 1]
+        pair = marginal(d, (agent_a, agent_b)).weights
         for la in labels_a:
             for lb in labels_b:
-                w = 0.0
-                for key, weight in d.weights.items():
-                    if (agent_a, la) in key and (agent_b, lb) in key:
-                        w += weight
+                w = pair.get(((agent_a, la), (agent_b, lb)), 0.0)
                 w = 0.0 if w <= ATOL_STRUCT else w
                 edges.append((k, la, lb, w, w == 0.0))
     return RealPathGraph(layers, tuple(edges))
-

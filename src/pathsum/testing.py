@@ -4,9 +4,13 @@ Generated scenarios stay inside the class both engines support and the
 composite-basis erasure can realize:
 
 * every subsystem's last event is a retained measurement (a coverage tail),
-* once a subsystem hosts an erased record, no unitary ever acts on it again
-  (its ancilla stays entangled there; a unitary would disturb the record),
+* once a subsystem hosts an erased record, no unitary ever acts on it again,
 * joint measurements appear only in the tail, where nothing follows them.
+
+The second rule is stricter than the oracle needs: only a unitary between a
+record and its eraser can disturb the record, and the oracle conjugates one
+after the eraser by the erased lift.  The rule is kept so that every seed
+keeps its scenario.
 
 Within that class the generator exercises erasure chains, superset erasers
 (a joint tail measurement erasing a single-subsystem record), interleaved
@@ -83,9 +87,8 @@ def random_scenario(seed_or_rng) -> Scenario:
     n_prefix = int(rng.integers(0, prefix_budget + 1))
 
     events: list = []
-    # a subsystem that ever hosted an erased record keeps its ancilla
-    # entangled forever; a later unitary there would disturb the record and
-    # make the composite-basis erasure unrealizable
+    # no unitary on a subsystem that ever hosted an erased record; kept so
+    # that seeds keep their scenarios (see the module docstring)
     ever_erased: set[int] = set()
     time = 0
     for _ in range(n_prefix):
@@ -129,10 +132,11 @@ def random_unpinned_scenario(seed: int) -> Scenario:
 
     Only the first ``measured`` subsystems are ever measured, joint
     measurements can be followed by anything, and unitaries may come after a
-    subsystem's last measurement.  Two rules keep the oracle able to realize
-    every erasure: erased records sit on one subsystem, and a subsystem that
-    ever hosted one is never touched by a unitary again (the lift of an
-    erased record stays active after a retained eraser, see ``oracle.dilate``).
+    subsystem's last measurement.  Erased records sit on one subsystem, so
+    every eraser covers its record, and a subsystem that ever hosted one is
+    never touched by a unitary again.  The oracle needs the second rule only
+    between a record and its eraser; it is kept so that every seed keeps its
+    scenario.
     """
     rng = np.random.default_rng(seed)
     n_sub = int(rng.integers(1, 4))

@@ -9,14 +9,12 @@ from pathsum import cli, library, scenario
 from pathsum.cli import (
     CliError,
     dot_source,
-    export_graph,
     format_probability,
     parse_query,
     render_json,
     render_table,
     run,
 )
-from pathsum.paths import distribution
 from pathsum.scenario import RecordErasedError, serialize_scenario
 
 
@@ -150,8 +148,9 @@ class TestRendering:
         assert "dashed" not in dot
 
     def test_export_graph_writes_file(self, tmp_path):
-        s = library.two_wigners(library.RegimeTag.BOTH_ERASED)
-        out = export_graph(distribution(s), s, tmp_path / "graph.gv")
+        out = tmp_path / "graph.gv"
+        argv = ["run", "2w2f", "--regime", "both_erased", "--format", "dot", "--out", str(out)]
+        assert cli.main(argv) == 0
         assert out.read_text("utf-8").startswith("digraph real_paths")
 
 

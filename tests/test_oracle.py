@@ -71,15 +71,13 @@ class TestDilate:
         s = library.wfs("II")
         d = dilate(s)
         (erased_event, _), = s.erased()
-        realization = d.erasure_map[erased_event]
-        eraser = s.events[realization.eraser_event]
+        eraser = s.events[d.erasure_map[erased_event]]
         assert eraser.agent == "W"
 
     def test_erasure_basis_entangles_pointer_with_branch(self):
         # composite vectors alpha |D(up)> x |up> + beta |D(down)> x |down>
         d = dilate(library.wfs("II"))
-        realization = next(iter(d.erasure_map.values()))
-        fail_col = realization.basis[:, 0]
+        fail_col = d.erasure_basis(next(iter(d.erasure_map)))[:, 0]
         # axes (ancilla dim 3, system dim 2); pointer up = 1, down = 2
         expected = np.zeros(6, dtype=complex)
         expected[2] = ALPHA  # (ptr=up, sys=up)
@@ -267,13 +265,7 @@ class TestInsertedErasedMeasurement:
     def test_distribution_unchanged_on_both_engines(self, scenario_seed, insert_seed):
         s = random_scenario(scenario_seed)
         rng = np.random.default_rng(insert_seed)
-        # the oracle realizes an erasure only if no unitary acts on the
-        # record's subsystem afterwards (see pathsum.testing)
-        candidates = [
-            (e, target) for i, e in s.measurements() for target in e.targets
-            if not any(isinstance(u, UnitaryEvent) and target in u.targets
-                       for u in s.events[i:])
-        ]
+        candidates = [(e, target) for _, e in s.measurements() for target in e.targets]
         eraser, target = candidates[int(rng.integers(len(candidates)))]
         dim = s.dims[s.slots((target,))[0]]
         inserted = MeasurementEvent(2 * eraser.time_index - 1, "X", (target,),
@@ -539,6 +531,58 @@ class TestErasureTopologies:
         # amplitudes interfere through the erased record: |0.6<k|xx> + 0.8<k|yx>|^2
         assert pd.probability({"Q": "p1"}) == pytest.approx(0.18, abs=1e-9)
         assert pd.probability({"Q": "p3"}) == pytest.approx(0.32, abs=1e-9)
+
+    def test_unitary_after_a_retained_eraser(self):
+        # A erases X's record; the unitary acts after that, so the oracle
+        # conjugates it by X's lift instead of reading it as a disturbance
+        s = parse_scenario(
+            "subsystem sys up down\n"
+            "state 0.6 0.8\n"
+            "measure 1 X sys erased up: 1 0 down: 0 1\n"
+            "measure 2 A sys retained p: 1/sqrt(2) 1/sqrt(2) m: 1/sqrt(2) -1/sqrt(2)\n"
+            "unitary 3 sys 0.6 0.8 -0.8 0.6\n"
+            "measure 4 B sys retained up: 1 0 down: 0 1\n"
+        )
+        pd, od, delta = self._delta(s)
+        assert delta <= 1e-9
+        expected = {("p", "up"): 0.9604, ("p", "down"): 0.0196,
+                    ("m", "up"): 0.0004, ("m", "down"): 0.0196}
+        for dist in (pd, od):
+            for key, w in dist.weights.items():
+                assert w == pytest.approx(expected[tuple(label for _, label in key)], abs=1e-9)
+
+    def test_joint_unitary_over_two_erased_records(self):
+        s = parse_scenario(
+            "subsystem a x y\n"
+            "subsystem b x y\n"
+            "state 0.36 0.48 0.48 0.64\n"
+            "measure 1 P a erased x: 1 0 y: 0 1\n"
+            "measure 2 Q b erased x: 1 0 y: 0 1\n"
+            "measure 3 R a retained f: 1/sqrt(2) 1/sqrt(2) o: 1/sqrt(2) -1/sqrt(2)\n"
+            "measure 4 S b retained f: 1/sqrt(2) 1/sqrt(2) o: 1/sqrt(2) -1/sqrt(2)\n"
+        )
+        rng = np.random.default_rng(5)
+        s = Scenario(s.subsystems, s.initial, s.events + (
+            UnitaryEvent(5, ("a", "b"), Operator((2, 2), random_unitary(rng, 4))),
+            MeasurementEvent(6, "T", ("a", "b"), random_basis(rng, (2, 2)), Record.RETAINED),
+        ))
+        assert [p.event_index for p in dilate(s).frames[4]] == [0, 1]
+        assert self._delta(s)[2] <= 1e-9
+
+    def test_unitary_after_an_erased_eraser(self):
+        # Y erases X's record and keeps its own; the unitary (Pauli X, diagonal
+        # in Y's basis) is conjugated by X's lift and leaves Y's record intact
+        s = parse_scenario(
+            "subsystem sys up down\n"
+            "state 0.6 0.8\n"
+            "measure 1 X sys erased up: 1 0 down: 0 1\n"
+            "measure 2 Y sys erased p: 1/sqrt(2) 1/sqrt(2) m: 1/sqrt(2) -1/sqrt(2)\n"
+            "unitary 3 sys 0 1 1 0\n"
+            "measure 4 B sys retained up: 1 0 down: 0 1\n"
+        )
+        pd, od, delta = self._delta(s)
+        assert delta <= 1e-9
+        assert od.probability({"B": "up"}) == pytest.approx(0.64, abs=1e-9)
 
 
 class TestEngineEquivalence:

@@ -58,7 +58,7 @@ def resolve_scenario(source: str, regime: str | None) -> tuple[Scenario, str]:
     if path.exists():
         if regime is not None:
             raise CliError("--regime only applies to the built-in '2w2f'")
-        return parse_scenario(path.read_text("utf-8")), source
+        return parse_scenario(path.read_bytes()), source
     raise CliError(
         f"unknown scenario {source!r}; built-ins: 2w2f, " + ", ".join(library.builtin_names())
     )
@@ -242,19 +242,19 @@ def main(argv=None) -> int:
     try:
         report = run(args.source, engine=args.engine, regime=args.regime,
                      queries=tuple(args.query))
-    except ValueError as exc:
+        if args.fmt == "table":
+            rendered = render_table(report)
+        elif args.fmt == "json":
+            rendered = render_json(report)
+        else:
+            rendered = dot_source(report.dist, report.scenario)
+        if args.out:
+            Path(args.out).write_text(rendered, "utf-8")
+    except (ValueError, OSError) as exc:  # OSError: unreadable source, unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.fmt == "table":
-        rendered = render_table(report)
-    elif args.fmt == "json":
-        rendered = render_json(report)
-    else:
-        rendered = dot_source(report.dist, report.scenario)
-
     if args.out:
-        Path(args.out).write_text(rendered, "utf-8")
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(rendered)

@@ -7,30 +7,27 @@ basis vector v_k.  Probabilities are never assigned during the run; at the
 end they are expectation values of pointer projectors on the evolved state.
 
 Record erasure is realized the way an observer who measures a whole
-laboratory does: when a later measurement's targets cover a pending erased
-record, its coupling is taken in the composite basis that entangles the
-erased ancilla with the erased event's own basis vectors.  Operationally
-the coupling is conjugated by the erased event's coupling chain L, which
-maps the plain basis onto exactly that composite basis.  The conjugation
-also exposes the realizability condition: after undoing the chain, the
-consumed ancillas must sit back at pointer 0 (population outside <= 1e-12),
-i.e. the record must not have been disturbed between its creation and its
-erasure.
+laboratory does: when a later measurement's targets cover an erased record
+still in place, its coupling is taken in the composite basis that
+entangles the erased ancilla with the erased event's own basis vectors.
+Operationally the coupling is conjugated by the erased event's coupling
+chain L, which maps the plain basis onto exactly that composite basis.
+The conjugation also exposes the realizability condition: after undoing
+the chain, the consumed ancillas must sit back at pointer 0 (population
+outside <= 1e-12), i.e. the record must not have been disturbed between
+its creation and its erasure.
 
 The erased measurement's own ``CouplingPlan`` is the only record of its
-lift L: the plan's ``chain``, its coupling followed by the lifts it
-consumed.  L stays active on the record's targets, and every later
-measurement there is conjugated by it.  A unitary is conjugated by the
-lifts on its targets whose records are already erased, i.e. that some
-measurement has consumed (``DilatedScenario.frames``).  A unitary between
-a record and its eraser is not: it acts on the recorded system, and the
-check above catches it if it disturbs the record.
-
-Each coupling is applied once.  ``evolve`` keeps the plans whose chains it
-has not yet applied pending, and a chain round trip L L^dagger with nothing
-on its slots in between is the identity: the eraser's L^dagger cancels the
-pending L, so only its own coupling joins the chain.  Pending chains are
-applied when another event touches their slots, and at the end.
+lift L = F C: the plan's ``chain``, its coupling C followed by the lifts F
+it consumed.  L stays active on the record's targets until a later erased
+measurement consumes it into its own lift.  ``evolve`` stores the state
+with every active lift factored out, so conjugating by L costs nothing:
+an erased measurement E that consumes L leaves the stored state as it is,
+(L C_E)^dagger (L C_E L^dagger) L = 1; a retained measurement applies
+only its own coupling; a unitary U acts directly once the record is
+erased, and as C^dagger U C before the eraser, so a U that disturbs the
+record shows up in the check above.  Active lifts sit on disjoint slots
+and commute, and each chain is applied once, at the end.
 
 An untriggered pointer is stored as a size-1 axis: it holds exactly pointer
 0, so psi x |0> needs no zeros.  The axis is widened to its full dimension
@@ -73,11 +70,6 @@ class CouplingPlan:
         """C followed by the consumed ops, in application order; an erased event's lift."""
         return ((self.slots, self.matrix),) + self.consumed_ops
 
-    @cached_property
-    def footprint(self) -> frozenset[int]:
-        """Every slot the chain touches."""
-        return frozenset(sl for slots, _ in self.chain for sl in slots)
-
 
 @dataclass(frozen=True)
 class DilatedScenario:
@@ -86,7 +78,7 @@ class DilatedScenario:
     ancillas: dict[int, int]  # measurement event index -> its pointer slot
     couplings: tuple[CouplingPlan, ...]
     erasure_map: dict[int, int]  # erased event index -> eraser event index
-    frames: dict[int, tuple[CouplingPlan, ...]]  # unitary event index -> erased lifts
+    frames: dict[int, tuple[CouplingPlan, ...]]  # unitary event index -> active lifts there
 
     def erasure_basis(self, erased_event: int) -> np.ndarray:
         """Columns of the composite basis |E_k> = L(|0...0> x w_k) that erased a record.
@@ -150,21 +142,24 @@ def dilate(s: Scenario) -> DilatedScenario:
         raise OracleError(
             f"dilated state needs {n_amps} amplitudes, over the budget of {MAX_AMPLITUDES}"
         )
+    # each coupling is a dense matrix on (outcomes + 1) x its targets
+    n_entries = sum(((len(e.labels) + 1) * math.prod(e.basis.dims)) ** 2 for _, e in measurements)
+    if n_entries > MAX_AMPLITUDES:
+        raise OracleError(
+            f"couplings need {n_entries} matrix entries, over the budget of {MAX_AMPLITUDES}"
+        )
 
     couplings = []
     erasure_map: dict[int, int] = {}
     frames: dict[int, tuple[CouplingPlan, ...]] = {}
     # erased record's target slots -> its plan; the keys are pairwise disjoint
     active: dict[frozenset[int], CouplingPlan] = {}
-    # the same keys -> the lifts there whose records are already erased
-    erased: dict[frozenset[int], tuple[CouplingPlan, ...]] = {}
     for i, e in enumerate(s.events):
         tslots = s.slots(e.targets)
         hit = [key for key in active if key.intersection(tslots)]
         if isinstance(e, UnitaryEvent):
-            frame = tuple(p for key in hit for p in erased[key])
-            if frame:
-                frames[i] = frame
+            if hit:
+                frames[i] = tuple(active[key] for key in hit)
             continue
         for key in hit:
             if not key.issubset(tslots):
@@ -180,15 +175,14 @@ def dilate(s: Scenario) -> DilatedScenario:
             tuple(sl for p in consumed for sl in p.consumed_anc_slots + p.slots[:1]),
         )
         couplings.append(plan)
-        for key, p in zip(hit, consumed):
+        for p in consumed:
             # the first consumer is the eraser; later measurements through
             # the same lift do not destroy anything new
             erasure_map.setdefault(p.event_index, i)
-            erased[key] = (p,)
         if e.record is Record.ERASED:
             for key in hit:
-                del active[key], erased[key]
-            active[frozenset(tslots)], erased[frozenset(tslots)] = plan, consumed
+                del active[key]
+            active[frozenset(tslots)] = plan
 
     return DilatedScenario(s, dims, ancillas, tuple(couplings), erasure_map, frames)
 
@@ -196,14 +190,14 @@ def dilate(s: Scenario) -> DilatedScenario:
 def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
     """Apply free unitaries and couplings in time order; norm is conserved.
 
-    Each coupling is applied once.  Plans whose chains are not yet applied
-    stay pending on pairwise disjoint slots, so the physical state is the
-    pending chains applied to ``state``.  A measurement conjugates its
-    coupling by the chain L it consumes, and a unitary by the erased lifts
-    of its frame; when L is exactly what is pending on their slots, L^dagger
-    cancels it.  The coupling then joins the chain, and the frame's plans
-    go back to pending.  Ancilla axes start at size 1 and ``_apply`` widens
-    them when an op first acts on them.
+    The stored state is the physical one with the lift of every active
+    erased record factored out: physical = (product of their chains) stored.
+    An erased measurement therefore applies nothing (its lift replaces the
+    lifts it consumes), a retained one applies its own coupling C, and a
+    unitary acts directly, sandwiched as C^dagger U C by the coupling of each
+    record on its targets whose eraser is still to come.  The active chains
+    are applied once, at the end.  Ancilla axes start at size 1 and
+    ``_apply`` widens them when an op first acts on them.
 
     ``upto_time`` stops after the last event with time_index <= upto_time,
     which exposes intermediate states for inspection.
@@ -212,55 +206,35 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
     n_anc = len(d.dims) - len(s.subsystems)
     state = s.initial.as_tensor().reshape(s.dims + (1,) * n_anc)
     plan_by_event = {p.event_index: p for p in d.couplings}
-    pending: list[CouplingPlan] = []
+    active: list[CouplingPlan] = []  # the lifts factored out of ``state``
 
     time = -1
     for i, e in enumerate(s.events):
         if upto_time is not None and e.time_index > upto_time:
             break
         if isinstance(e, UnitaryEvent):
-            slots = s.slots(e.targets)
-            frame = d.frames.get(i, ())
-            footprint = frozenset(slots).union(*(p.footprint for p in frame))
-            lift = tuple(op for p in frame for op in p.chain)
-            state, pending = _undo_chain(state, pending, footprint, lift, d.dims)
-            state = apply_to_slots(e.op.entries, e.op.dims, slots, state)
-            pending += frame
+            recording = [p for p in d.frames.get(i, ()) if d.erasure_map[p.event_index] > i]
+            for p in recording:
+                state = _apply(p.matrix, p.slots, d.dims, state)
+            state = apply_to_slots(e.op.entries, e.op.dims, s.slots(e.targets), state)
+            for p in recording:
+                state = _apply(p.matrix.conj().T, p.slots, d.dims, state)
         else:
             plan = plan_by_event[i]
-            state, pending = _undo_chain(state, pending, plan.footprint, plan.consumed_ops,
-                                         d.dims)
             _check_records_intact(state, plan.consumed_anc_slots, e.agent)
-            pending.append(plan)
+            if e.record is Record.ERASED:
+                active = [p for p in active if p.slots[0] not in plan.consumed_anc_slots]
+                active.append(plan)
+            else:
+                state = _apply(plan.matrix, plan.slots, d.dims, state)
         _check_norm(state, e.time_index)
         time = e.time_index
-    for p in pending:
-        state = _apply_chain(p.chain, d.dims, state)
+    for p in active:
+        for slots, m in p.chain:
+            state = _apply(m, slots, d.dims, state)
     _check_norm(state, time)
     state = _widen(state, d.dims, range(len(d.dims)))
     return DilatedState(StateVector(d.dims, state.reshape(-1)), time, d)
-
-
-def _undo_chain(state, pending, footprint, consumed, dims):
-    """Apply ``consumed``^dagger to the physical state on ``footprint``.
-
-    Returns the new stored state and the plans still pending.  If the
-    chains pending on ``footprint`` are exactly ``consumed``, L^dagger L = I
-    and nothing is applied; otherwise they are applied, then L^dagger.
-    """
-    hit = [op for p in pending if p.footprint & footprint for op in p.chain]
-    rest = [p for p in pending if not p.footprint & footprint]
-    if len(hit) != len(consumed) or any(a is not b for (_, a), (_, b) in zip(hit, consumed)):
-        state = _apply_chain(hit, dims, state)
-        for slots, m in reversed(consumed):
-            state = _apply(m.conj().T, slots, dims, state)
-    return state, rest
-
-
-def _apply_chain(chain, dims, state):
-    for slots, m in chain:
-        state = _apply(m, slots, dims, state)
-    return state
 
 
 def _apply(matrix, slots, dims, state):
@@ -288,7 +262,7 @@ def _check_norm(state, time_index):
 
 
 def _check_records_intact(state, anc_slots, agent):
-    """After undoing a lift chain, consumed ancillas must read pointer 0."""
+    """With the consumed lifts factored out, their ancillas must read pointer 0."""
     if not anc_slots:
         return
     sl = [slice(None)] * state.ndim

@@ -181,6 +181,25 @@ class TestMainExitCodes:
         doc = json.loads(target.read_text("utf-8"))
         assert doc["scenario"] == "wfs_case2"
 
+    def test_directory_source_exits_2(self, tmp_path, capsys):
+        assert cli.main(["run", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
+
+    def test_out_into_missing_directory_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x"
+        assert cli.main(["run", "wfs_case2", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "No such file" in captured.err
+        assert captured.out == "" and not target.parent.exists()
+
+    def test_invalid_utf8_source_gets_the_parser_diagnostic(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scn"
+        bad.write_bytes(b"subsystem sys up down\n\xff\n")
+        assert cli.main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "not valid UTF-8" in err and "line 1" in err
+
     def test_run_validates_the_scenario_once(self, monkeypatch, capsys):
         # parsing builds the Scenario, which checks itself; neither engine checks again
         calls = []

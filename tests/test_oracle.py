@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathsum import library, oracle, paths
-from pathsum.hilbert import Basis, Operator, StateVector, apply_to_slots
+from pathsum import cli, library, oracle, paths
+from pathsum.hilbert import MAX_AMPLITUDES, Basis, Operator, StateVector, apply_to_slots
 from pathsum.oracle import (
     OracleError,
     dilate,
@@ -21,8 +23,10 @@ from pathsum.scenario import (
     Record,
     RecordErasedError,
     Scenario,
+    SubsystemSpec,
     UnitaryEvent,
     parse_scenario,
+    serialize_scenario,
 )
 from pathsum.testing import (
     erased_qubit_chain,
@@ -122,6 +126,43 @@ class TestEvolve:
         )
         with pytest.raises(OracleError, match="disturbed"):
             evolve(dilate(bad))
+
+
+class TestCouplingBudget:
+    """One 100-level subsystem measured once: 10,100 dilated amplitudes, but a
+    dense coupling of (101 * 100)^2 entries, which is refused before it is built."""
+
+    N = 100
+
+    def _scenario(self):
+        labels = tuple(f"l{k}" for k in range(self.N))
+        eye = np.eye(self.N)
+        basis = Basis((self.N,), labels, tuple(StateVector((self.N,), row) for row in eye))
+        return Scenario((SubsystemSpec("q", self.N, labels),), StateVector((self.N,), eye[0]),
+                        (MeasurementEvent(1, "F", ("q",), basis, Record.RETAINED),))
+
+    def test_oracle_refuses_before_allocating(self):
+        s = self._scenario()
+        assert math.prod(s.dims) * (self.N + 1) <= MAX_AMPLITUDES  # the state fits
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleError, match="couplings need 102010000 matrix entries"):
+                distribution(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cli_paths_answers_and_oracle_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "wide.scn"
+        target.write_text(serialize_scenario(self._scenario()), "utf-8")
+        assert cli.main(["run", str(target), "--engine", "paths", "--format", "json"]) == 0
+        outcomes = json.loads(capsys.readouterr().out)["outcomes"]
+        assert outcomes[0] == {"tuple": [["F", "l0"]], "p": pytest.approx(1.0, abs=1e-12)}
+        for engine in ("both", "oracle"):
+            assert cli.main(["run", str(target), "--engine", engine]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: couplings need") and "Traceback" not in err
 
 
 def eager_evolve(d, upto_time=None):
@@ -245,8 +286,9 @@ class TestCouplingsAppliedOnce:
     def test_unitary_between_record_and_eraser_applies_the_chain_first(
         self, monkeypatch, joint, applies
     ):
-        # F's coupling is applied before the unitary, so W undoes it
-        # explicitly; R's pending coupling is applied before W
+        # W erases F's record after the unitary, so the unitary is sandwiched
+        # between F's coupling and its inverse; W applies its own coupling,
+        # R its own, and F's chain is applied once at the end
         s = self._diagonal_unitary_before_eraser(joint)
         assert self._count_applies(monkeypatch, s) == applies
         _assert_matches_eager(s)
@@ -254,6 +296,29 @@ class TestCouplingsAppliedOnce:
         assert set(pd.weights) == set(od.weights)
         for key, w in pd.weights.items():
             assert od.weights[key] == pytest.approx(w, abs=1e-9), key
+
+    def test_unitary_after_a_retained_eraser_applies_each_coupling_once(self, monkeypatch):
+        # X's lift stays factored out of the stored state: A and B apply their
+        # own couplings, the unitary acts directly, X's chain is applied at the end
+        s = parse_scenario(
+            "subsystem sys up down\n"
+            "state 0.6 0.8\n"
+            "measure 1 X sys erased up: 1 0 down: 0 1\n"
+            "measure 2 A sys retained p: 1/sqrt(2) 1/sqrt(2) m: 1/sqrt(2) -1/sqrt(2)\n"
+            "unitary 3 sys 0.6 0.8 -0.8 0.6\n"
+            "measure 4 B sys retained up: 1 0 down: 0 1\n"
+        )
+        assert self._count_applies(monkeypatch, s) == 3
+
+    @pytest.mark.parametrize("generate", [random_scenario, random_unpinned_scenario])
+    def test_generators_apply_once_per_measurement(self, monkeypatch, generate):
+        real, calls = oracle._apply, []
+        monkeypatch.setattr(oracle, "_apply", lambda *args: calls.append(args) or real(*args))
+        for seed in range(200):
+            s = generate(seed)
+            calls.clear()
+            evolve(dilate(s))
+            assert len(calls) == len(s.measurements()), seed
 
 
 class TestInsertedErasedMeasurement:

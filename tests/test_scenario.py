@@ -23,7 +23,7 @@ from pathsum.scenario import (
     scenario_to_json,
     serialize_scenario,
 )
-from pathsum.testing import random_scenario
+from pathsum.testing import random_scenario, random_unpinned_scenario
 
 MINIMAL = """
 subsystem sys up down
@@ -349,7 +349,46 @@ class TestValidate:
             assert isinstance(library.builtin(name), Scenario)
 
 
+def _json_slots(node):
+    """Every (container, key) pair of a JSON tree, parents first."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = range(len(node))
+    else:
+        return
+    for k in keys:
+        yield node, k
+        yield from _json_slots(node[k])
+
+
 class TestFuzz:
+    # JSON text, so every swap-in is a fresh value
+    JUNK = ("null", "true", "false", "0.5", '"x"', "[]", "[1, 2]", "1" + "0" * 30)
+
+    def test_seeded_json_mutations_never_crash(self):
+        sources = ([library.builtin(name) for name in library.builtin_names()]
+                   + [random_scenario(seed) for seed in range(20)]
+                   + [random_unpinned_scenario(seed) for seed in range(20)])
+        docs = [scenario_to_json(s) for s in sources]
+        rng = random.Random(0)
+        for _ in range(2000):
+            doc = json.loads(rng.choice(docs))
+            for _ in range(rng.randrange(1, 4)):
+                container, key = rng.choice(list(_json_slots(doc)))
+                kind = rng.randrange(3)
+                if kind == 0 and isinstance(container, dict):
+                    del container[key]
+                elif kind == 1 and isinstance(container, list):
+                    del container[key:]
+                else:
+                    container[key] = json.loads(rng.choice(self.JUNK))
+            try:
+                result = scenario_from_json(json.dumps(doc))
+            except ScenarioParseError:
+                continue
+            assert isinstance(result, Scenario)
+
     def test_seeded_random_bytes_never_crash(self):
         rng = random.Random(0)
         for _ in range(2000):

@@ -1,10 +1,8 @@
 """Dense complex linear algebra for small tensor-product Hilbert spaces.
 
-Everything is dense and double precision: states are bounded by
-``MAX_AMPLITUDES`` (2^24) and the shipped workloads stay near 10^5
-amplitudes (a chain of ten retained qubit measurements dilates to
-118,098), so sparsity would be pointless complexity.  All values are immutable after construction and every operation
-is pure.
+Everything is dense and double precision, and states are bounded by
+``MAX_AMPLITUDES`` (2^24).  All values are immutable after construction
+and every operation is pure.
 
 Two tolerances are used throughout the package:
 
@@ -13,7 +11,8 @@ Two tolerances are used throughout the package:
 * ``ATOL_PROB`` (1e-9) for engine-to-engine probability comparisons.
 
 ``MAX_AMPLITUDES`` bounds the path engine's batched branch states and the
-oracle's dilated state; both check it before allocating.
+oracle's dilated state; both check it before allocating.  The oracle
+counts the full dilated dims, although it stores less (see ``oracle``).
 """
 
 from __future__ import annotations
@@ -213,12 +212,14 @@ def apply_to_slots(op_entries: np.ndarray, op_dims: Sequence[int],
                    slots: Sequence[int], state: np.ndarray) -> np.ndarray:
     """Apply a small operator to the given axes of a state tensor.
 
-    ``state`` is the full state reshaped to its dims tuple; the result has the
-    same shape.  Avoids ever materializing the embedded full-space matrix.
+    ``state`` is the full state reshaped to its dims tuple.  The operator's
+    columns run over ``slots`` as they are and its rows over ``op_dims``,
+    which become those axes' lengths in the result (the same, for a square
+    operator).  Avoids ever materializing the embedded full-space matrix.
     """
     op_dims, slots = tuple(op_dims), tuple(slots)
     k = len(op_dims)
-    op_t = np.asarray(op_entries).reshape(op_dims + op_dims)
+    op_t = np.asarray(op_entries).reshape(op_dims + tuple(state.shape[x] for x in slots))
     moved = np.tensordot(op_t, state, axes=(tuple(range(k, 2 * k)), slots))
     # tensordot puts the operator's output axes first; restore positions
     return np.moveaxis(moved, tuple(range(k)), slots)

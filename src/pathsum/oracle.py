@@ -2,7 +2,7 @@
 
 Every measurement event is replaced by a unitary coupling between its
 targets and a fresh pointer ancilla (dimension = outcome count + 1, state 0
-meaning "not yet triggered"): |D(0)> x |v_k>  ->  |D(k)> x |v_k| for each
+meaning "not yet triggered"): |D(0)> x |v_k>  ->  |D(k)> x |v_k> for each
 basis vector v_k.  Probabilities are never assigned during the run; at the
 end they are expectation values of pointer projectors on the evolved state.
 
@@ -29,11 +29,17 @@ erased, and as C^dagger U C before the eraser, so a U that disturbs the
 record shows up in the check above.  Active lifts sit on disjoint slots
 and commute, and each chain is applied once, at the end.
 
-An untriggered pointer is stored as a size-1 axis: it holds exactly pointer
-0, so psi x |0> needs no zeros.  The axis is widened to its full dimension
-when a coupling first acts on it, and whatever is still narrow is widened
-once at the end, so the state ``evolve`` returns always spans the full
-dilated dims.
+Each pointer axis of the stored state holds one of three ranges of
+levels, kept next to the tensor: {0} (untriggered, length 1), {1..n}
+(fired, length n) or {0..n} (full).  A coupling that fires on a {0} axis
+writes the n projections P_k psi onto levels 1..n (``fire_block``, the
+block of C from pointer 0 to pointers 1..n), so level 0 of a fired pointer
+is never stored and a chain of N qubit measurements keeps 2 * 2^N of its
+2 * 3^N dilated amplitudes.  Only a sandwich's C^dagger meets a fired
+axis: it widens the axis to {0..n}, applies the dense coupling, and
+narrows it again when level 0 or levels 1..n come out exactly zero.  The
+readout works on the stored ranges; ``DilatedState.psi`` spans the full
+dilated dims and is built on first access.
 """
 
 from __future__ import annotations
@@ -56,19 +62,40 @@ class OracleError(ValueError):
 # one lift op: (full-space slots, unitary matrix on those slots)
 LiftOp = tuple[tuple[int, ...], np.ndarray]
 
+_UNTRIGGERED = range(1)  # the levels of a pointer no coupling has fired
 
-@dataclass(frozen=True, eq=False)  # compared by identity: ``matrix`` is an ndarray
+
+@dataclass(frozen=True, eq=False)  # compared by identity: ``columns`` is an ndarray
 class CouplingPlan:
     event_index: int
     slots: tuple[int, ...]  # (ancilla slot, *target slots)
-    matrix: np.ndarray = field(repr=False)
-    consumed_ops: tuple[LiftOp, ...]
+    columns: np.ndarray = field(repr=False)  # basis vectors w_k, in label order
+    consumed: tuple[CouplingPlan, ...]  # the consumed lifts' couplings, in application order
     consumed_anc_slots: tuple[int, ...]
 
     @cached_property
-    def chain(self) -> tuple[LiftOp, ...]:
-        """C followed by the consumed ops, in application order; an erased event's lift."""
-        return ((self.slots, self.matrix),) + self.consumed_ops
+    def fire_block(self) -> np.ndarray:
+        """Rows (k, targets), columns targets: the projectors P_k stacked.
+
+        The block of ``matrix`` from pointer 0 to pointers 1..n, all a
+        coupling does to an untriggered pointer.
+        """
+        side, n = self.columns.shape
+        return np.einsum("ik,jk->kij", self.columns, self.columns.conj()).reshape(n * side, side)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense coupling on ancilla x targets; built and checked on first use."""
+        return _coupling_matrix(self.fire_block)
+
+    @property  # not cached: a plan holding a tuple of itself would be a reference cycle
+    def chain(self) -> tuple[CouplingPlan, ...]:
+        """This coupling followed by the consumed ones; an erased event's lift."""
+        return (self,) + self.consumed
+
+    @property
+    def consumed_ops(self) -> tuple[LiftOp, ...]:
+        return tuple((p.slots, p.matrix) for p in self.consumed)
 
 
 @dataclass(frozen=True)
@@ -102,25 +129,34 @@ class DilatedScenario:
         return cols.reshape(n_k, -1).T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DilatedState:
-    psi: StateVector
+    stored: np.ndarray = field(repr=False)  # amplitudes over ``ranges``
+    ranges: tuple[range, ...]  # the levels stored on each axis
     time_index: int
     dilated: DilatedScenario
 
+    @cached_property
+    def psi(self) -> StateVector:
+        """The state over the full dilated dims; levels not stored are zero."""
+        full = np.zeros(self.dilated.dims, dtype=complex)
+        full[tuple(slice(r.start, r.stop) for r in self.ranges)] = self.stored
+        return StateVector(self.dilated.dims, full.reshape(-1))
 
-def _coupling_matrix(basis_columns: np.ndarray) -> np.ndarray:
+
+def _coupling_matrix(fire_block: np.ndarray) -> np.ndarray:
     """Unitary on ancilla x targets sending |0> x w_k to |k+1> x w_k.
 
     Completed involutively: |k+1> x w_k swaps back to |0> x w_k and every
     other sector is left alone.  Any unitary completion works because those
     sectors are never populated; this one is deterministic and exact.
     """
-    side, n_labels = basis_columns.shape
+    side = fire_block.shape[1]
+    n_labels = fire_block.shape[0] // side
     anc_dim = n_labels + 1
     # blocks m[i, :, j, :] on (ancilla pointer i <- j) x targets
     m = np.zeros((anc_dim, side, anc_dim, side), dtype=complex)
-    proj = np.einsum("ik,jk->kij", basis_columns, basis_columns.conj())
+    proj = fire_block.reshape(n_labels, side, side)
     fired = np.arange(1, anc_dim)
     m[fired, :, 0, :] = proj
     m[0, :, fired, :] = proj
@@ -170,8 +206,8 @@ def dilate(s: Scenario) -> DilatedScenario:
                 )
         consumed = tuple(active[key] for key in hit)
         plan = CouplingPlan(
-            i, (ancillas[i],) + tslots, _coupling_matrix(e.basis.matrix()),
-            tuple(op for p in consumed for op in p.chain),
+            i, (ancillas[i],) + tslots, e.basis.matrix(),
+            tuple(q for p in consumed for q in p.chain),
             tuple(sl for p in consumed for sl in p.consumed_anc_slots + p.slots[:1]),
         )
         couplings.append(plan)
@@ -196,8 +232,12 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
     lifts it consumes), a retained one applies its own coupling C, and a
     unitary acts directly, sandwiched as C^dagger U C by the coupling of each
     record on its targets whose eraser is still to come.  The active chains
-    are applied once, at the end.  Ancilla axes start at size 1 and
-    ``_apply`` widens them when an op first acts on them.
+    are applied once, at the end.
+
+    Every pointer starts at {0}.  A coupling fires it to {1..n} (see
+    ``_couple``), and only a sandwich's C^dagger widens a fired pointer to
+    {0..n} and narrows it again where levels come out exactly zero.  The
+    returned state keeps those ranges; its ``psi`` spans the full dims.
 
     ``upto_time`` stops after the last event with time_index <= upto_time,
     which exposes intermediate states for inspection.
@@ -205,6 +245,7 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
     s = d.base
     n_anc = len(d.dims) - len(s.subsystems)
     state = s.initial.as_tensor().reshape(s.dims + (1,) * n_anc)
+    ranges = [range(n) for n in s.dims] + [_UNTRIGGERED] * n_anc
     plan_by_event = {p.event_index: p for p in d.couplings}
     active: list[CouplingPlan] = []  # the lifts factored out of ``state``
 
@@ -215,44 +256,74 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
         if isinstance(e, UnitaryEvent):
             recording = [p for p in d.frames.get(i, ()) if d.erasure_map[p.event_index] > i]
             for p in recording:
-                state = _apply(p.matrix, p.slots, d.dims, state)
+                state = _couple(p, state, ranges, d.dims)
             state = apply_to_slots(e.op.entries, e.op.dims, s.slots(e.targets), state)
             for p in recording:
-                state = _apply(p.matrix.conj().T, p.slots, d.dims, state)
+                state = _couple(p, state, ranges, d.dims, inverse=True)
         else:
             plan = plan_by_event[i]
-            _check_records_intact(state, plan.consumed_anc_slots, e.agent)
+            _check_records_intact(state, plan.consumed_anc_slots, e.agent, ranges)
             if e.record is Record.ERASED:
                 active = [p for p in active if p.slots[0] not in plan.consumed_anc_slots]
                 active.append(plan)
             else:
-                state = _apply(plan.matrix, plan.slots, d.dims, state)
+                state = _couple(plan, state, ranges, d.dims)
         _check_norm(state, e.time_index)
         time = e.time_index
     for p in active:
-        for slots, m in p.chain:
-            state = _apply(m, slots, d.dims, state)
+        for q in p.chain:
+            state = _couple(q, state, ranges, d.dims)
     _check_norm(state, time)
-    state = _widen(state, d.dims, range(len(d.dims)))
-    return DilatedState(StateVector(d.dims, state.reshape(-1)), time, d)
+    return DilatedState(state, tuple(ranges), time, d)
+
+
+def _couple(plan, state, ranges, dims, inverse=False):
+    """Apply ``plan``'s coupling (or its inverse) and update ``ranges`` in place.
+
+    On an untriggered pointer the coupling fires: ``fire_block`` writes
+    P_k psi onto levels 1..n.  Anything else widens the pointer to {0..n},
+    applies the dense matrix, and narrows the pointer to {0} or {1..n} when
+    the other levels hold exactly zero.
+    """
+    a = plan.slots[0]
+    full = range(dims[a])
+    if not inverse and ranges[a] == _UNTRIGGERED:
+        ranges[a] = range(1, full.stop)
+        return _apply(plan.fire_block, plan.slots, [len(r) for r in ranges], state)
+    state = _relevel(state, a, ranges[a], full)
+    ranges[a] = full
+    state = _apply(plan.matrix.conj().T if inverse else plan.matrix, plan.slots, dims, state)
+    levels = np.moveaxis(state, a, 0)
+    for narrow, rest in ((_UNTRIGGERED, levels[1:]), (range(1, full.stop), levels[0])):
+        if not np.any(rest):
+            ranges[a] = narrow
+            return _relevel(state, a, full, narrow)
+    return state
 
 
 def _apply(matrix, slots, dims, state):
-    state = _widen(state, dims, slots)
+    """``matrix`` on the axes ``slots`` as they are, giving them lengths ``dims[slot]``.
+
+    A square coupling on a full-width state, or a ``fire_block`` that maps
+    an untriggered pointer to its fired levels.
+    """
     return apply_to_slots(matrix, tuple(dims[x] for x in slots), slots, state)
 
 
-def _widen(state, dims, slots):
-    """Grow the size-1 (untriggered, pointer 0) axes among ``slots`` to ``dims``.
+def _relevel(state, slot, old: range, new: range):
+    """Store axis ``slot``, which holds levels ``old``, over levels ``new``.
 
-    Exact: the old amplitudes land at pointer 0 and every new entry is zero.
+    One range contains the other.  A wider ``new`` pads zeros; a narrower
+    one is a view that drops levels the caller knows it does not need.
     """
-    shape = tuple(dims[x] if x in slots else n for x, n in enumerate(state.shape))
-    if shape == state.shape:
-        return state
-    wide = np.zeros(shape, dtype=complex)
-    wide[tuple(slice(n) for n in state.shape)] = state
-    return wide
+    idx = [slice(None)] * state.ndim
+    if old.start <= new.start and new.stop <= old.stop:
+        idx[slot] = slice(new.start - old.start, new.stop - old.start)
+        return state[tuple(idx)]
+    out = np.zeros(state.shape[:slot] + (len(new),) + state.shape[slot + 1:], dtype=complex)
+    idx[slot] = slice(old.start - new.start, old.stop - new.start)
+    out[tuple(idx)] = state
+    return out
 
 
 def _check_norm(state, time_index):
@@ -261,14 +332,19 @@ def _check_norm(state, time_index):
         raise OracleError(f"norm drifted by {drift:.3g} at time {time_index}")
 
 
-def _check_records_intact(state, anc_slots, agent):
-    """With the consumed lifts factored out, their ancillas must read pointer 0."""
+def _check_records_intact(state, anc_slots, agent, ranges=None):
+    """With the consumed lifts factored out, their ancillas must read pointer 0.
+
+    ``ranges`` gives the levels stored on each axis (None: every axis is
+    full width); an axis without level 0 puts its whole population outside.
+    """
     if not anc_slots:
         return
     sl = [slice(None)] * state.ndim
     for a in anc_slots:
         sl[a] = 0
-    inside = float(np.linalg.norm(state[tuple(sl)])) ** 2
+    stored_zero = ranges is None or all(ranges[a].start == 0 for a in anc_slots)
+    inside = float(np.linalg.norm(state[tuple(sl)])) ** 2 if stored_zero else 0.0
     leak = float(np.linalg.norm(state)) ** 2 - inside
     if leak > ATOL_STRUCT:
         raise OracleError(
@@ -343,14 +419,16 @@ def inspect_record(st: DilatedState, agent: str, pointer_label: str | None,
 def distribution(s: Scenario) -> OutcomeDistribution:
     """Full retained-outcome distribution from pointer projectors.
 
-    One reduction: keep pointers 1..n of every retained ancilla and sum
-    |psi|^2 over all other axes, which leaves the tuples in row-major order.
+    One reduction over the stored state: keep levels 1..n of every retained
+    pointer and sum |psi|^2 over all other axes, which leaves the tuples in
+    row-major order.
     """
     st = evolve(dilate(s))
     pointers = [st.dilated.ancillas[i] for i, _ in s.retained()]
-    psi = st.psi.as_tensor()
+    psi = st.stored
+    for a in pointers:
+        psi = _relevel(psi, a, st.ranges[a], range(1, st.dilated.dims[a]))
     density = psi.real**2 + psi.imag**2
-    fired = tuple(slice(1, None) if a in pointers else slice(None) for a in range(psi.ndim))
-    weights = np.einsum(density[fired], list(range(psi.ndim)), pointers)
+    weights = np.einsum(density, list(range(psi.ndim)), pointers)
     return outcome_distribution(dict(zip(retained_keys(s), weights.reshape(-1).tolist())), s,
                                 OracleError)

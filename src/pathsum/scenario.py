@@ -282,6 +282,11 @@ def _check(s: Scenario) -> None:
 # ---------------------------------------------------------------------------
 
 _NUMBER_RE = re.compile(r"(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?", re.ASCII)
+# a plain ``a`` or ``a+bi``/``a-bi``, which needs none of the grammar below
+_PLAIN_RE = re.compile(
+    rf"(?P<neg>-?)(?P<re>{_NUMBER_RE.pattern})(?:(?P<sign>[-+])(?P<im>{_NUMBER_RE.pattern})i)?",
+    re.ASCII,
+)
 _MAX_DEPTH = 32
 
 
@@ -367,6 +372,18 @@ def parse_complex_literal(token: str) -> complex:
     """Parse one complex literal, e.g. ``1/sqrt(2)``, ``0.5-0.5i``, ``1i``."""
     if not token:
         raise ValueError("empty literal")
+    m = _PLAIN_RE.fullmatch(token)
+    if m:
+        # the grammar's arithmetic, so every value is bit-identical, -0 included
+        re_part = float(m["re"])
+        if m["neg"]:
+            re_part = -re_part
+        im_part = 0.0
+        if m["sign"]:
+            im_part = (-1.0 if m["sign"] == "-" else 1.0) * float(m["im"])
+        if math.isfinite(re_part) and math.isfinite(im_part):
+            return complex(re_part, im_part)
+    # everything else, and overflow, gets the grammar and its error messages
     return _ExprParser(token).parse_complex()
 
 

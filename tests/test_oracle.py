@@ -321,6 +321,101 @@ class TestCouplingsAppliedOnce:
             assert len(calls) == len(s.measurements()), seed
 
 
+def _fired_block_size(d):
+    """Amplitudes with every pointer fired: base dims times n per pointer."""
+    n_base = len(d.base.subsystems)
+    return math.prod(d.dims[:n_base]) * math.prod(n - 1 for n in d.dims[n_base:])
+
+
+class TestStoredRanges:
+    """A fired pointer is stored without its empty level 0."""
+
+    @staticmethod
+    def _scenarios():
+        yield from (library.builtin(name) for name in library.builtin_names())
+        yield from (library.two_wigners(regime) for regime in library.RegimeTag)
+        for seed in range(200):
+            yield random_scenario(seed)
+            yield random_unpinned_scenario(seed)
+
+    def test_fire_equals_the_dense_coupling(self):
+        rng = np.random.default_rng(3)
+        for s in self._scenarios():
+            for plan in dilate(s).couplings:
+                tdims = tuple(s.dims[x] for x in plan.slots[1:])
+                n = plan.columns.shape[1]
+                psi = rng.normal(size=tdims) + 1j * rng.normal(size=tdims)
+                slots = tuple(range(len(plan.slots)))
+                fired = oracle._apply(plan.fire_block, slots, (n,) + tdims, psi[None])
+                full = np.zeros((n + 1,) + tdims, dtype=complex)
+                full[0] = psi
+                dense = oracle._apply(plan.matrix, slots, (n + 1,) + tdims, full)
+                np.testing.assert_allclose(dense[0], 0, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(fired, dense[1:], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    @pytest.mark.parametrize("retain_all", [False, True], ids=["erased", "retained"])
+    def test_stored_amplitudes_stay_in_the_fired_block(self, monkeypatch, n, retain_all):
+        s = erased_qubit_chain(n)
+        if retain_all:
+            s = _all_retained(s)
+        d = dilate(s)
+        real, sizes = oracle._apply, []
+
+        def spy(*args):
+            out = real(*args)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(oracle, "_apply", spy)
+        sizes.append(evolve(d).stored.size)
+        assert max(sizes) <= 2 * _fired_block_size(d)
+
+    @pytest.mark.parametrize("text", [
+        "subsystem a x\nstate 1\nmeasure 1 W a retained only: 1\n",
+        "subsystem a x\nsubsystem b up down\nstate 0.6 0.8\n"
+        "measure 1 E a erased only: 1\nmeasure 2 W a,b retained u: 1 0 v: 0 1\n",
+    ], ids=["retained", "erased"])
+    def test_one_outcome_measurement(self, text):
+        # a fired pointer {1..1} has the length of an untriggered one {0}
+        s = parse_scenario(text)
+        pd, od = paths.distribution(s), distribution(s)
+        assert set(pd.weights) == set(od.weights)
+        for key, w in pd.weights.items():
+            assert od.weights[key] == pytest.approx(w, abs=1e-9), key
+        st = evolve(dilate(s))
+        assert st.ranges[st.dilated.ancillas[0]] == range(1, 2)
+        if s.events[0].record is Record.RETAINED:
+            assert joint_probability(st, {"W": "only"}) == pytest.approx(1.0, abs=1e-12)
+        else:
+            assert inspect_record(st, "E", "only") == pytest.approx(1.0, abs=1e-12)
+
+    def test_record_check_counts_a_fired_axis_as_leak(self):
+        # a base axis and a pointer; 1/2 of the population on each stored level
+        psi = np.full((2, 2), 0.5, dtype=complex)
+        with pytest.raises(OracleError, match="population 0.5 outside"):
+            oracle._check_records_intact(psi, (1,), "W")  # full width: levels 0..1
+        with pytest.raises(OracleError, match="population 1 outside"):
+            oracle._check_records_intact(psi, (1,), "W", (range(2), range(1, 3)))
+        untriggered = np.full((2, 1), SQ2, dtype=complex)
+        oracle._check_records_intact(untriggered, (1,), "W", (range(2), range(1)))
+
+    def test_one_wide_measurement_builds_no_dense_coupling(self):
+        # 40 levels measured once: the dense coupling alone would be 41 MiB
+        n = 40
+        basis = random_basis(np.random.default_rng(0), (n,), prefix="l")
+        s = Scenario((SubsystemSpec("q", n, basis.labels),), basis.vectors[0],
+                     (MeasurementEvent(1, "F", ("q",), basis, Record.RETAINED),))
+        tracemalloc.start()
+        try:
+            od = distribution(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert od.weights[(("F", "l0"),)] == pytest.approx(1.0, abs=1e-12)
+
+
 class TestInsertedErasedMeasurement:
     """The paper's claim: a record erased by the very next measurement of its
     subsystem leaves no trace in the retained statistics."""

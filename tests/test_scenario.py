@@ -16,6 +16,7 @@ from pathsum.scenario import (
     ScenarioValidationError,
     SubsystemSpec,
     UnitaryEvent,
+    _ExprParser,
     parse_complex_literal,
     parse_scenario,
     scenario_equal,
@@ -75,6 +76,51 @@ class TestComplexLiterals:
     def test_rejected_without_crash(self, text):
         with pytest.raises(ValueError):
             parse_complex_literal(text)
+
+
+def _outcome(parse, text):
+    """Bit pattern of the parsed value, or the error message."""
+    try:
+        z = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return z.real.hex(), z.imag.hex()
+
+
+def _grammar(text):
+    return _ExprParser(text).parse_complex()
+
+
+class TestPlainLiteralFastPath:
+    """Plain ``a`` and ``a+bi`` literals skip the grammar; the grammar stays
+    the definition of their values and of every error message."""
+
+    def test_every_token_of_the_shipped_files(self):
+        for name in library.builtin_names():
+            for tok in library.shipped_source(name).split():
+                assert _outcome(parse_complex_literal, tok) == _outcome(_grammar, tok), tok
+
+    def test_seeded_floats_and_complex_forms(self):
+        rng = random.Random(11)
+        for _ in range(10_000):
+            x = rng.choice([rng.uniform(-2, 2), rng.lognormvariate(0, 40), 0.0, -0.0])
+            y = rng.choice([rng.uniform(0, 2), rng.lognormvariate(0, 40), 0.0])
+            for text in (repr(x), f"{x!r}+{y!r}i", f"{x!r}-{y!r}i", f"{x:.3e}-{y:.17g}i"):
+                assert _outcome(parse_complex_literal, text) == _outcome(_grammar, text), text
+
+    @pytest.mark.parametrize("text,outcome", [
+        ("-0", ((-0.0).hex(), (0.0).hex())),
+        ("0-0i", ((0.0).hex(), (-0.0).hex())),
+        ("--1", ((1.0).hex(), (0.0).hex())),
+        ("1e400", "numeric literal overflows in literal '1e400'"),
+        ("1+1e400i", "numeric literal overflows in literal '1+1e400i'"),
+        ("inf", "expected a number at position 0 in literal 'inf'"),
+        ("nan", "expected a number at position 0 in literal 'nan'"),
+        ("1_0", "unexpected character '_' in literal '1_0'"),
+    ])
+    def test_edge_cases_keep_their_outcome(self, text, outcome):
+        assert _outcome(parse_complex_literal, text) == outcome
+        assert _outcome(_grammar, text) == outcome
 
 
 class TestParser:

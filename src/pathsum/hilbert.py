@@ -209,17 +209,20 @@ def inner(a: StateVector, b: StateVector) -> complex:
 
 
 def apply_to_slots(op_entries: np.ndarray, op_dims: Sequence[int],
-                   slots: Sequence[int], state: np.ndarray) -> np.ndarray:
+                   slots: Sequence[int], state: np.ndarray,
+                   in_dims: Sequence[int] | None = None) -> np.ndarray:
     """Apply a small operator to the given axes of a state tensor.
 
     ``state`` is the full state reshaped to its dims tuple.  The operator's
-    columns run over ``slots`` as they are and its rows over ``op_dims``,
-    which become those axes' lengths in the result (the same, for a square
-    operator).  Avoids ever materializing the embedded full-space matrix.
+    rows run over ``op_dims``, which become those axes' lengths in the
+    result, and its columns over ``in_dims`` (default ``op_dims``, a square
+    operator), which must be their lengths in ``state``.  Avoids ever
+    materializing the embedded full-space matrix.
     """
     op_dims, slots = tuple(op_dims), tuple(slots)
+    in_dims = op_dims if in_dims is None else tuple(in_dims)
     k = len(op_dims)
-    op_t = np.asarray(op_entries).reshape(op_dims + tuple(state.shape[x] for x in slots))
+    op_t = np.asarray(op_entries).reshape(op_dims + in_dims)
     moved = np.tensordot(op_t, state, axes=(tuple(range(k, 2 * k)), slots))
     # tensordot puts the operator's output axes first; restore positions
     return np.moveaxis(moved, tuple(range(k)), slots)

@@ -36,10 +36,10 @@ writes the n projections P_k psi onto levels 1..n (``fire_block``, the
 block of C from pointer 0 to pointers 1..n), so level 0 of a fired pointer
 is never stored and a chain of N qubit measurements keeps 2 * 2^N of its
 2 * 3^N dilated amplitudes.  Only a sandwich's C^dagger meets a fired
-axis: it widens the axis to {0..n}, applies the dense coupling, and
-narrows it again when level 0 or levels 1..n come out exactly zero.  The
-readout works on the stored ranges; ``DilatedState.psi`` spans the full
-dilated dims and is built on first access.
+axis: it widens the axis to {0..n} and applies the dense coupling, and
+the axis stays full from then on.  The readout works on the stored
+ranges; ``DilatedState.psi`` spans the full dilated dims and is built on
+first access.
 """
 
 from __future__ import annotations
@@ -235,9 +235,9 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
     are applied once, at the end.
 
     Every pointer starts at {0}.  A coupling fires it to {1..n} (see
-    ``_couple``), and only a sandwich's C^dagger widens a fired pointer to
-    {0..n} and narrows it again where levels come out exactly zero.  The
-    returned state keeps those ranges; its ``psi`` spans the full dims.
+    ``_couple``), and only a sandwich's C^dagger widens a fired pointer, to
+    {0..n}.  The returned state keeps those ranges; its ``psi`` spans the
+    full dims.
 
     ``upto_time`` stops after the last event with time_index <= upto_time,
     which exposes intermediate states for inspection.
@@ -262,7 +262,8 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
                 state = _couple(p, state, ranges, d.dims, inverse=True)
         else:
             plan = plan_by_event[i]
-            _check_records_intact(state, plan.consumed_anc_slots, e.agent, ranges)
+            # consumed pointers are erased ones: stored at {0} or {0..n}
+            _check_records_intact(state, plan.consumed_anc_slots, e.agent)
             if e.record is Record.ERASED:
                 active = [p for p in active if p.slots[0] not in plan.consumed_anc_slots]
                 active.append(plan)
@@ -281,33 +282,28 @@ def _couple(plan, state, ranges, dims, inverse=False):
     """Apply ``plan``'s coupling (or its inverse) and update ``ranges`` in place.
 
     On an untriggered pointer the coupling fires: ``fire_block`` writes
-    P_k psi onto levels 1..n.  Anything else widens the pointer to {0..n},
-    applies the dense matrix, and narrows the pointer to {0} or {1..n} when
-    the other levels hold exactly zero.
+    P_k psi onto levels 1..n.  Anything else widens the pointer to {0..n}
+    and applies the dense matrix.
     """
     a = plan.slots[0]
-    full = range(dims[a])
     if not inverse and ranges[a] == _UNTRIGGERED:
-        ranges[a] = range(1, full.stop)
+        ranges[a] = range(1, dims[a])
         return _apply(plan.fire_block, plan.slots, [len(r) for r in ranges], state)
-    state = _relevel(state, a, ranges[a], full)
-    ranges[a] = full
-    state = _apply(plan.matrix.conj().T if inverse else plan.matrix, plan.slots, dims, state)
-    levels = np.moveaxis(state, a, 0)
-    for narrow, rest in ((_UNTRIGGERED, levels[1:]), (range(1, full.stop), levels[0])):
-        if not np.any(rest):
-            ranges[a] = narrow
-            return _relevel(state, a, full, narrow)
-    return state
+    state = _relevel(state, a, ranges[a], range(dims[a]))
+    ranges[a] = range(dims[a])
+    return _apply(plan.matrix.conj().T if inverse else plan.matrix, plan.slots, dims, state)
 
 
 def _apply(matrix, slots, dims, state):
-    """``matrix`` on the axes ``slots`` as they are, giving them lengths ``dims[slot]``.
+    """``matrix`` on the axes ``slots``, giving them lengths ``dims[slot]``.
 
-    A square coupling on a full-width state, or a ``fire_block`` that maps
-    an untriggered pointer to its fired levels.
+    ``slots`` are a pointer and its targets.  A dense coupling maps the
+    full pointer to itself; a ``fire_block`` maps an untriggered pointer
+    (length 1) to its fired levels.  The matrix's column count tells which.
     """
-    return apply_to_slots(matrix, tuple(dims[x] for x in slots), slots, state)
+    out = tuple(dims[x] for x in slots)
+    in_dims = (matrix.shape[1] // math.prod(out[1:]),) + out[1:]
+    return apply_to_slots(matrix, out, slots, state, in_dims)
 
 
 def _relevel(state, slot, old: range, new: range):
@@ -332,19 +328,17 @@ def _check_norm(state, time_index):
         raise OracleError(f"norm drifted by {drift:.3g} at time {time_index}")
 
 
-def _check_records_intact(state, anc_slots, agent, ranges=None):
+def _check_records_intact(state, anc_slots, agent):
     """With the consumed lifts factored out, their ancillas must read pointer 0.
 
-    ``ranges`` gives the levels stored on each axis (None: every axis is
-    full width); an axis without level 0 puts its whole population outside.
+    Each of ``anc_slots`` must store its level 0 first: {0} or {0..n}.
     """
     if not anc_slots:
         return
     sl = [slice(None)] * state.ndim
     for a in anc_slots:
         sl[a] = 0
-    stored_zero = ranges is None or all(ranges[a].start == 0 for a in anc_slots)
-    inside = float(np.linalg.norm(state[tuple(sl)])) ** 2 if stored_zero else 0.0
+    inside = float(np.linalg.norm(state[tuple(sl)])) ** 2
     leak = float(np.linalg.norm(state)) ** 2 - inside
     if leak > ATOL_STRUCT:
         raise OracleError(

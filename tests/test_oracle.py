@@ -390,16 +390,6 @@ class TestStoredRanges:
         else:
             assert inspect_record(st, "E", "only") == pytest.approx(1.0, abs=1e-12)
 
-    def test_record_check_counts_a_fired_axis_as_leak(self):
-        # a base axis and a pointer; 1/2 of the population on each stored level
-        psi = np.full((2, 2), 0.5, dtype=complex)
-        with pytest.raises(OracleError, match="population 0.5 outside"):
-            oracle._check_records_intact(psi, (1,), "W")  # full width: levels 0..1
-        with pytest.raises(OracleError, match="population 1 outside"):
-            oracle._check_records_intact(psi, (1,), "W", (range(2), range(1, 3)))
-        untriggered = np.full((2, 1), SQ2, dtype=complex)
-        oracle._check_records_intact(untriggered, (1,), "W", (range(2), range(1)))
-
     def test_one_wide_measurement_builds_no_dense_coupling(self):
         # 40 levels measured once: the dense coupling alone would be 41 MiB
         n = 40

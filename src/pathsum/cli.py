@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,8 +95,15 @@ def parse_query(s: Scenario, text: str) -> tuple[tuple[str, str], tuple[str, str
 
 
 def equivalence_delta(a: paths.OutcomeDistribution, b: paths.OutcomeDistribution) -> float:
-    keys = set(a.weights) | set(b.weights)
-    return max(abs(a.weights.get(k, 0.0) - b.weights.get(k, 0.0)) for k in keys)
+    """Max entrywise |a - b|, or inf when the two list different outcome tuples.
+
+    Both engines build their weights in ``paths.retained_keys`` order, so the
+    same outcome set comes as the same key sequence and the values pair up;
+    any other key sequence, a reordering included, is a disagreement.
+    """
+    if list(a.weights) != list(b.weights):
+        return math.inf
+    return max(map(abs, map(operator.sub, a.weights.values(), b.weights.values())))
 
 
 def run(source: str, engine: str = "both", regime: str | None = None,
@@ -167,20 +176,32 @@ def render_table(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _JsonFragments(dict):
+    """(agent, label) -> its JSON text, encoded on first lookup."""
+
+    def __missing__(self, pair):
+        self[pair] = text = json.dumps(pair)
+        return text
+
+
 def render_json(report: RunReport) -> str:
-    dist = report.dist
-    doc = {
-        "scenario": report.source,
-        "regime": report.regime,
-        "engine": report.engine,
-        "outcomes": [
-            {"tuple": [[agent, label] for agent, label in key], "p": w}
-            for key, w in dist.weights.items()
-        ],
-        "delta": report.delta,
-    }
+    """One line, byte for byte ``json.dumps`` of the document
+
+        {"scenario", "regime", "engine",
+         "outcomes": [{"tuple": [[agent, label], ...], "p": w}, ...],
+         "delta", "queries" (only when asked)}
+
+    The outcome rows are spliced in as text: each distinct (agent, label)
+    pair is encoded once, and each weight is written with ``float.__repr__``,
+    which is what the encoder writes for a finite float.
+    ``paths.outcome_distribution`` has checked that the weights sum to 1, so
+    none is NaN or infinite.
+    """
+    head = json.dumps({"scenario": report.source, "regime": report.regime,
+                       "engine": report.engine})
+    tail = {"delta": report.delta}
     if report.queries:
-        doc["queries"] = [
+        tail["queries"] = [
             {
                 "query": q.text,
                 "given": list(q.given),
@@ -190,8 +211,12 @@ def render_json(report: RunReport) -> str:
             }
             for q in report.queries
         ]
-    # compact: any indent makes the json module fall back to its pure-Python encoder
-    return json.dumps(doc) + "\n"
+    fragment = _JsonFragments().__getitem__
+    rows = ", ".join(
+        '{"tuple": [' + ", ".join(map(fragment, key)) + '], "p": ' + float.__repr__(w) + "}"
+        for key, w in report.dist.weights.items()
+    )
+    return head[:-1] + ', "outcomes": [' + rows + "], " + json.dumps(tail)[1:] + "\n"
 
 
 def dot_source(d: paths.OutcomeDistribution, s: Scenario) -> str:
@@ -232,8 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.command == "list":
         print("2w2f  (--regime both_erased | fbar_preserved | f_preserved | both_preserved)")
         for name in library.builtin_names():

@@ -1,21 +1,136 @@
+import dataclasses
 import json
+import math
 import random
 from fractions import Fraction
 from importlib import resources
 
+import numpy as np
 import pytest
 
-from pathsum import cli, library, scenario
+from pathsum import cli, library, oracle, paths, scenario
 from pathsum.cli import (
     CliError,
     dot_source,
+    equivalence_delta,
     format_probability,
     parse_query,
     render_json,
     render_table,
     run,
 )
-from pathsum.scenario import RecordErasedError, serialize_scenario
+from pathsum.hilbert import Basis, StateVector
+from pathsum.scenario import (
+    MeasurementEvent,
+    Record,
+    RecordErasedError,
+    Scenario,
+    SubsystemSpec,
+    serialize_scenario,
+)
+from pathsum.testing import (
+    erased_qubit_chain,
+    random_basis,
+    random_scenario,
+    random_unpinned_scenario,
+)
+
+
+def _reference_render_json(report):
+    """The definition of the JSON output: ``json.dumps`` of the whole document."""
+    doc = {
+        "scenario": report.source,
+        "regime": report.regime,
+        "engine": report.engine,
+        "outcomes": [
+            {"tuple": [[agent, label] for agent, label in key], "p": w}
+            for key, w in report.dist.weights.items()
+        ],
+        "delta": report.delta,
+    }
+    if report.queries:
+        doc["queries"] = [
+            {
+                "query": q.text,
+                "given": list(q.given),
+                "then": list(q.then),
+                "holds": q.holds,
+                "counter_probability": q.counter_probability,
+            }
+            for q in report.queries
+        ]
+    return json.dumps(doc) + "\n"
+
+
+def _reference_delta(a, b):
+    """The definition of the engine delta: max over the union of outcome tuples."""
+    keys = set(a.weights) | set(b.weights)
+    return max(abs(a.weights.get(k, 0.0) - b.weights.get(k, 0.0)) for k in keys)
+
+
+def _queries(s):
+    """Two qualified queries between the first and the last retained outcome."""
+    retained = [e for _, e in s.retained()]
+    first, last = retained[0], retained[-1]
+    a = f"{first.agent}.{first.labels[0]}"
+    b = f"{last.agent}.{last.labels[-1]}"
+    return (f"{a}=>{b}", f"{b}=>{a}")
+
+
+def _escaped_names_scenario():
+    """Agent and labels that JSON must escape: a quote, a backslash, non-ASCII
+    letters and control characters (the .scn parser admits none of them)."""
+    rng = np.random.default_rng(3)
+    labels = ('"up"', "d\\own\x1f", "\u00f1\U0001f600")
+    psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+    first = random_basis(rng, (3,))
+    second = random_basis(rng, (3,))
+    return Scenario(
+        (SubsystemSpec("q", 3, labels),),
+        StateVector((3,), psi / np.linalg.norm(psi)),
+        (MeasurementEvent(1, 'Fr"\\i\u00e9nd\x07', ("q",),
+                          Basis((3,), labels, first.vectors), Record.RETAINED),
+         MeasurementEvent(2, "W\u00f8\t", ("q",),
+                          Basis((3,), ("a", "b", "c"), second.vectors), Record.RETAINED)),
+    )
+
+
+def _builtin_reports():
+    """The built-ins by name and as 2w2f with each --regime, with and without
+    queries, plus single-engine runs whose delta is None."""
+    for name in library.builtin_names():
+        s = library.builtin(name)
+        yield run(name)
+        yield run(name, queries=_queries(s))
+    for regime in library.RegimeTag:
+        yield run("2w2f", regime=regime.value)
+        yield run("2w2f", regime=regime.value,
+                  queries=_queries(library.builtin("2w2f", regime.value)))
+    for engine in ("paths", "oracle"):
+        yield run("2w2f", regime="fbar_preserved", engine=engine)
+        yield run("wfs_case2", engine=engine, queries=("W.ok=>W.ok",))
+
+
+@pytest.fixture(scope="module")
+def code_reports():
+    """``run`` on scenarios built in code: both generators on seeds 0-199, the
+    10-chain erased and kept, and names that JSON must escape."""
+    chain = erased_qubit_chain(10)
+    kept = Scenario(chain.subsystems, chain.initial, tuple(
+        dataclasses.replace(e, record=Record.RETAINED) for e in chain.events))
+    escaped = _escaped_names_scenario()
+    runs = [(f"random_{seed}", random_scenario(seed), {}) for seed in range(200)]
+    runs += [(f"unpinned_{seed}", random_unpinned_scenario(seed), {}) for seed in range(200)]
+    runs += [("chain_erased", chain, {}), ("chain_retained", kept, {}),
+             ("esc\u00e4ped\\", escaped, {}),
+             ("esc\u00e4ped\\", escaped, {"queries": _queries(escaped)}),
+             ("esc\u00e4ped\\", escaped, {"engine": "oracle"})]
+    reports = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name, s, kwargs in runs:
+            mp.setattr(cli, "resolve_scenario", lambda source, regime, s=s: (s, source))
+            reports.append(run(name, **kwargs))
+    return reports
 
 
 class TestRun:
@@ -131,6 +246,16 @@ class TestRendering:
         for key, w in report.dist.weights.items():
             assert rebuilt[key] == pytest.approx(w, abs=1e-12)
 
+    def test_json_is_byte_identical_to_json_dumps(self, code_reports):
+        rendered = []
+        for report in [*_builtin_reports(), *code_reports]:
+            rendered.append(render_json(report))
+            assert rendered[-1] == _reference_render_json(report), report.source
+        # the inputs reach escaped names in rows and in a queries tail, and a null delta
+        assert any('["Fr\\"\\\\i\\u00e9nd\\u0007", "\\"up\\""]' in text
+                   and '"queries"' in text for text in rendered)
+        assert sum('"delta": null' in text for text in rendered) == 5
+
     def test_json_includes_queries_when_asked(self):
         report = run("2w2f", regime="f_preserved", queries=("ok_bar=>Up",))
         doc = json.loads(render_json(report))
@@ -152,6 +277,30 @@ class TestRendering:
         argv = ["run", "2w2f", "--regime", "both_erased", "--format", "dot", "--out", str(out)]
         assert cli.main(argv) == 0
         assert out.read_text("utf-8").startswith("digraph real_paths")
+
+
+class TestEquivalenceDelta:
+    def test_matches_the_set_union_definition(self, code_reports):
+        reports = [r for r in [*_builtin_reports(), *code_reports] if r.engine == "both"]
+        assert len(reports) > 400
+        for report in reports:
+            a, b = report.paths_dist, report.oracle_dist
+            assert equivalence_delta(a, b) == _reference_delta(a, b), report.source
+            assert report.delta == _reference_delta(a, b)
+
+    def test_different_key_sequences_give_inf(self):
+        # both engines list retained_keys in order, so any other sequence,
+        # even a reordering of the same tuples, is a disagreement
+        d = paths.distribution(library.builtin("2w2f", "fbar_preserved"))
+        items = list(d.weights.items())
+        dropped = type(d)(dict(items[1:]), d.regime_tag)
+        renamed = type(d)({(("X", "y"),) + items[0][0][1:]: items[0][1], **dict(items[1:])},
+                          d.regime_tag)
+        reordered = type(d)(dict(reversed(items)), d.regime_tag)
+        for other in (dropped, renamed, reordered):
+            assert equivalence_delta(d, other) == math.inf
+            assert equivalence_delta(other, d) == math.inf
+        assert equivalence_delta(d, d) == 0.0
 
 
 class TestMainExitCodes:
@@ -208,6 +357,35 @@ class TestMainExitCodes:
         shipped = resources.files("pathsum") / "scenarios" / "2w2f_both_erased.scn"
         assert cli.main(["run", str(shipped), "--engine", "both", "--format", "json"]) == 0
         assert len(calls) == 1
+
+    def test_engine_dropping_a_zero_row_is_a_hard_failure(self, capsys, monkeypatch):
+        true_distribution = oracle.distribution
+
+        def dropping(s):
+            dist = true_distribution(s)
+            weights = dict(dist.weights)
+            zero = next(key for key, w in weights.items() if w == 0.0)
+            del weights[zero]
+            return type(dist)(weights, dist.regime_tag)
+
+        s = library.builtin("2w2f", "fbar_preserved")
+        # the union definition reads the missing row as 0 and sees no disagreement
+        assert _reference_delta(paths.distribution(s), dropping(s)) == 0.0
+        monkeypatch.setattr(cli.oracle, "distribution", dropping)
+        code = cli.main(["run", "2w2f", "--regime", "fbar_preserved", "--format", "json"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["delta"] == math.inf
+        assert "engines disagree (max entrywise delta = inf)" in captured.err
+
+    def test_parser_is_reused_without_carrying_queries_over(self, capsys):
+        argv = ["run", "2w2f", "--regime", "fbar_preserved", "--format", "json"]
+        assert cli.main([*argv, "--query", "Ok=>Heads"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert cli.main(argv) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert [q["query"] for q in first["queries"]] == ["Ok=>Heads"]
+        assert "queries" not in second
 
     def test_list(self, capsys):
         assert cli.main(["list"]) == 0

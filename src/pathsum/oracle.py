@@ -12,10 +12,8 @@ still in place, its coupling is taken in the composite basis that
 entangles the erased ancilla with the erased event's own basis vectors.
 Operationally the coupling is conjugated by the erased event's coupling
 chain L, which maps the plain basis onto exactly that composite basis.
-The conjugation also exposes the realizability condition: after undoing
-the chain, the consumed ancillas must sit back at pointer 0 (population
-outside <= 1e-12), i.e. the record must not have been disturbed between
-its creation and its erasure.
+This is realizable only if the record is not disturbed between its
+creation and its erasure.
 
 The erased measurement's own ``CouplingPlan`` is the only record of its
 lift L = F C: the plan's ``chain``, its coupling C followed by the lifts F
@@ -25,27 +23,26 @@ with every active lift factored out, so conjugating by L costs nothing:
 an erased measurement E that consumes L leaves the stored state as it is,
 (L C_E)^dagger (L C_E L^dagger) L = 1; a retained measurement applies
 only its own coupling; a unitary U acts directly once the record is
-erased, and as C^dagger U C before the eraser, so a U that disturbs the
-record shows up in the check above.  Active lifts sit on disjoint slots
-and commute, and each chain is applied once, at the end.
+erased, and as C^dagger U C before the eraser.  Active lifts sit on
+disjoint slots and commute, and each chain is applied once, at the end.
 
-Each pointer axis of the stored state holds one of three ranges of
-levels, kept next to the tensor: {0} (untriggered, length 1), {1..n}
-(fired, length n) or {0..n} (full).  A coupling that fires on a {0} axis
-writes the n projections P_k psi onto levels 1..n (``fire_block``, the
-block of C from pointer 0 to pointers 1..n), so level 0 of a fired pointer
-is never stored and a chain of N qubit measurements keeps 2 * 2^N of its
-2 * 3^N dilated amplitudes.  Only a sandwich's C^dagger meets a fired
-axis: it widens the axis to {0..n} and applies the dense coupling, and
-the axis stays full from then on.  The readout works on the stored
-ranges; ``DilatedState.psi`` spans the full dilated dims and is built on
-first access.
+Each pointer axis of the stored state holds one of two ranges of levels,
+kept next to the tensor: {0} (untriggered, length 1) or {1..n} (fired,
+length n).  A coupling fires a {0} axis by writing the n projections
+P_k psi onto levels 1..n (``fire_block``, the block of C from pointer 0 to
+pointers 1..n), so a chain of N qubit measurements keeps 2 * 2^N of its
+2 * 3^N dilated amplitudes.  C is completed involutively, so a sandwich's
+C^dagger un-fires the pointer through ``fire_block``^dagger, back to {0},
+and leaves (1 - P_k) psi_k on level k: the population U moved out of the
+record's branch.  Above 1e-12 that is a disturbed record, refused at the
+unitary.  After a full run every pointer is fired.  ``DilatedState.psi``
+spans the full dilated dims and is built on first access.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -58,9 +55,6 @@ from .scenario import Record, RecordErasedError, Scenario, UnitaryEvent
 class OracleError(ValueError):
     """Dilation cannot realize the scenario, or the run left its hypotheses."""
 
-
-# one lift op: (full-space slots, unitary matrix on those slots)
-LiftOp = tuple[tuple[int, ...], np.ndarray]
 
 _UNTRIGGERED = range(1)  # the levels of a pointer no coupling has fired
 
@@ -77,16 +71,14 @@ class CouplingPlan:
     def fire_block(self) -> np.ndarray:
         """Rows (k, targets), columns targets: the projectors P_k stacked.
 
-        The block of ``matrix`` from pointer 0 to pointers 1..n, all a
-        coupling does to an untriggered pointer.
+        The block of the coupling C from pointer 0 to pointers 1..n, all C
+        does to an untriggered pointer.  C is completed involutively
+        (|k> x w_k swaps back to |0> x w_k, every other sector is left
+        alone), so its block from pointers 1..n to pointer 0 is the
+        conjugate transpose.
         """
         side, n = self.columns.shape
         return np.einsum("ik,jk->kij", self.columns, self.columns.conj()).reshape(n * side, side)
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """The dense coupling on ancilla x targets; built and checked on first use."""
-        return _coupling_matrix(self.fire_block)
 
     @property  # not cached: a plan holding a tuple of itself would be a reference cycle
     def chain(self) -> tuple[CouplingPlan, ...]:
@@ -94,8 +86,9 @@ class CouplingPlan:
         return (self,) + self.consumed
 
     @property
-    def consumed_ops(self) -> tuple[LiftOp, ...]:
-        return tuple((p.slots, p.matrix) for p in self.consumed)
+    def consumed_ops(self) -> tuple[tuple[int, ...], ...]:
+        """The slots of the consumed couplings, in application order."""
+        return tuple(p.slots for p in self.consumed)
 
 
 @dataclass(frozen=True)
@@ -116,17 +109,15 @@ class DilatedScenario:
         """
         i = self.erasure_map[erased_event]
         plan = next(p for p in self.couplings if p.event_index == i)
-        vectors = self.base.events[i].basis.vectors
         composite = plan.consumed_anc_slots + plan.slots[1:]
-        n_anc, n_k = len(plan.consumed_anc_slots), len(vectors)
-        axis = {slot: a + 1 for a, slot in enumerate(composite)}  # axis 0 is k
-        cols = np.zeros((n_k,) + tuple(self.dims[sl] for sl in composite), dtype=complex)
-        cols[(slice(None),) + (0,) * n_anc] = np.stack([v.amps for v in vectors]).reshape(
-            cols.shape[:1] + cols.shape[1 + n_anc:])
-        for slots, m in plan.consumed_ops:
-            cols = apply_to_slots(m, tuple(self.dims[sl] for sl in slots),
-                                  tuple(axis[sl] for sl in slots), cols)
-        return cols.reshape(n_k, -1).T
+        axis = {slot: a for a, slot in enumerate(composite)}  # the last axis is k
+        dims = tuple(self.dims[sl] for sl in composite) + plan.columns.shape[1:]
+        n_anc = len(plan.consumed_anc_slots)
+        ranges = [_UNTRIGGERED] * n_anc + [range(n) for n in dims[n_anc:]]
+        cols = plan.columns.reshape((1,) * n_anc + dims[n_anc:])
+        for q in plan.consumed:
+            cols = _couple(replace(q, slots=tuple(axis[sl] for sl in q.slots)), cols, ranges, dims)
+        return _embed(cols, ranges, dims).reshape(-1, dims[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,33 +130,15 @@ class DilatedState:
     @cached_property
     def psi(self) -> StateVector:
         """The state over the full dilated dims; levels not stored are zero."""
-        full = np.zeros(self.dilated.dims, dtype=complex)
-        full[tuple(slice(r.start, r.stop) for r in self.ranges)] = self.stored
-        return StateVector(self.dilated.dims, full.reshape(-1))
+        dims = self.dilated.dims
+        return StateVector(dims, _embed(self.stored, self.ranges, dims).reshape(-1))
 
 
-def _coupling_matrix(fire_block: np.ndarray) -> np.ndarray:
-    """Unitary on ancilla x targets sending |0> x w_k to |k+1> x w_k.
-
-    Completed involutively: |k+1> x w_k swaps back to |0> x w_k and every
-    other sector is left alone.  Any unitary completion works because those
-    sectors are never populated; this one is deterministic and exact.
-    """
-    side = fire_block.shape[1]
-    n_labels = fire_block.shape[0] // side
-    anc_dim = n_labels + 1
-    # blocks m[i, :, j, :] on (ancilla pointer i <- j) x targets
-    m = np.zeros((anc_dim, side, anc_dim, side), dtype=complex)
-    proj = fire_block.reshape(n_labels, side, side)
-    fired = np.arange(1, anc_dim)
-    m[fired, :, 0, :] = proj
-    m[0, :, fired, :] = proj
-    m[fired, :, fired, :] = np.eye(side) - proj
-    m = m.reshape(anc_dim * side, anc_dim * side)
-    defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-    if defect > ATOL_STRUCT:
-        raise OracleError(f"coupling completion is not unitary (defect {defect:.3g})")
-    return m
+def _embed(stored, ranges, dims):
+    """``stored``, which holds levels ``ranges``, zero-padded to ``dims``."""
+    full = np.zeros(dims, dtype=complex)
+    full[tuple(slice(r.start, r.stop) for r in ranges)] = stored
+    return full
 
 
 def dilate(s: Scenario) -> DilatedScenario:
@@ -178,8 +151,8 @@ def dilate(s: Scenario) -> DilatedScenario:
         raise OracleError(
             f"dilated state needs {n_amps} amplitudes, over the budget of {MAX_AMPLITUDES}"
         )
-    # each coupling is a dense matrix on (outcomes + 1) x its targets
-    n_entries = sum(((len(e.labels) + 1) * math.prod(e.basis.dims)) ** 2 for _, e in measurements)
+    # each coupling is built as its fire block: outcomes x target dimension^2
+    n_entries = sum(len(e.labels) * math.prod(e.basis.dims) ** 2 for _, e in measurements)
     if n_entries > MAX_AMPLITUDES:
         raise OracleError(
             f"couplings need {n_entries} matrix entries, over the budget of {MAX_AMPLITUDES}"
@@ -235,9 +208,9 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
     are applied once, at the end.
 
     Every pointer starts at {0}.  A coupling fires it to {1..n} (see
-    ``_couple``), and only a sandwich's C^dagger widens a fired pointer, to
-    {0..n}.  The returned state keeps those ranges; its ``psi`` spans the
-    full dims.
+    ``_couple``), and a sandwich's C^dagger takes it back to {0} (see
+    ``_unfire``), so after a full run every pointer is fired.  The returned
+    state keeps those ranges; its ``psi`` spans the full dims.
 
     ``upto_time`` stops after the last event with time_index <= upto_time,
     which exposes intermediate states for inspection.
@@ -259,11 +232,9 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
                 state = _couple(p, state, ranges, d.dims)
             state = apply_to_slots(e.op.entries, e.op.dims, s.slots(e.targets), state)
             for p in recording:
-                state = _couple(p, state, ranges, d.dims, inverse=True)
+                state = _unfire(p, state, ranges, s.events[d.erasure_map[p.event_index]].agent)
         else:
             plan = plan_by_event[i]
-            # consumed pointers are erased ones: stored at {0} or {0..n}
-            _check_records_intact(state, plan.consumed_anc_slots, e.agent)
             if e.record is Record.ERASED:
                 active = [p for p in active if p.slots[0] not in plan.consumed_anc_slots]
                 active.append(plan)
@@ -278,74 +249,52 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
     return DilatedState(state, tuple(ranges), time, d)
 
 
-def _couple(plan, state, ranges, dims, inverse=False):
-    """Apply ``plan``'s coupling (or its inverse) and update ``ranges`` in place.
-
-    On an untriggered pointer the coupling fires: ``fire_block`` writes
-    P_k psi onto levels 1..n.  Anything else widens the pointer to {0..n}
-    and applies the dense matrix.
-    """
+def _couple(plan, state, ranges, dims):
+    """Fire ``plan``'s untriggered pointer and update ``ranges`` in place:
+    ``fire_block`` writes P_k psi onto levels 1..n."""
     a = plan.slots[0]
-    if not inverse and ranges[a] == _UNTRIGGERED:
-        ranges[a] = range(1, dims[a])
-        return _apply(plan.fire_block, plan.slots, [len(r) for r in ranges], state)
-    state = _relevel(state, a, ranges[a], range(dims[a]))
-    ranges[a] = range(dims[a])
-    return _apply(plan.matrix.conj().T if inverse else plan.matrix, plan.slots, dims, state)
+    ranges[a] = range(1, dims[a])
+    return _apply(plan.fire_block, plan.slots, [len(r) for r in ranges], state)
 
 
-def _apply(matrix, slots, dims, state):
-    """``matrix`` on the axes ``slots``, giving them lengths ``dims[slot]``.
+def _unfire(plan, state, ranges, agent):
+    """Apply C^dagger to ``plan``'s fired pointer, taking it back to {0}.
 
-    ``slots`` are a pointer and its targets.  A dense coupling maps the
-    full pointer to itself; a ``fire_block`` maps an untriggered pointer
-    (length 1) to its fired levels.  The matrix's column count tells which.
+    The block of C^dagger from levels 1..n to level 0 is ``fire_block``
+    conjugate-transposed; what C^dagger leaves on level k is (1 - P_k) psi_k,
+    the record's population outside the composite-basis block, which the
+    eraser ``agent`` cannot realize.
     """
-    out = tuple(dims[x] for x in slots)
-    in_dims = (matrix.shape[1] // math.prod(out[1:]),) + out[1:]
-    return apply_to_slots(matrix, out, slots, state, in_dims)
-
-
-def _relevel(state, slot, old: range, new: range):
-    """Store axis ``slot``, which holds levels ``old``, over levels ``new``.
-
-    One range contains the other.  A wider ``new`` pads zeros; a narrower
-    one is a view that drops levels the caller knows it does not need.
-    """
-    idx = [slice(None)] * state.ndim
-    if old.start <= new.start and new.stop <= old.stop:
-        idx[slot] = slice(new.start - old.start, new.stop - old.start)
-        return state[tuple(idx)]
-    out = np.zeros(state.shape[:slot] + (len(new),) + state.shape[slot + 1:], dtype=complex)
-    idx[slot] = slice(old.start - new.start, old.stop - new.start)
-    out[tuple(idx)] = state
-    return out
-
-
-def _check_norm(state, time_index):
-    drift = abs(float(np.linalg.norm(state)) - 1.0)
-    if drift > ATOL_STRUCT:
-        raise OracleError(f"norm drifted by {drift:.3g} at time {time_index}")
-
-
-def _check_records_intact(state, anc_slots, agent):
-    """With the consumed lifts factored out, their ancillas must read pointer 0.
-
-    Each of ``anc_slots`` must store its level 0 first: {0} or {0..n}.
-    """
-    if not anc_slots:
-        return
-    sl = [slice(None)] * state.ndim
-    for a in anc_slots:
-        sl[a] = 0
-    inside = float(np.linalg.norm(state[tuple(sl)])) ** 2
-    leak = float(np.linalg.norm(state)) ** 2 - inside
+    before = float(np.linalg.norm(state)) ** 2
+    ranges[plan.slots[0]] = _UNTRIGGERED
+    state = _apply(plan.fire_block.conj().T, plan.slots, [len(r) for r in ranges], state)
+    leak = before - float(np.linalg.norm(state)) ** 2
     if leak > ATOL_STRUCT:
         raise OracleError(
             f"erased record was disturbed before {agent!r}'s measurement "
             f"(population {leak:.3g} outside the composite-basis block); "
             f"this erasure is not realizable"
         )
+    return state
+
+
+def _apply(matrix, slots, dims, state):
+    """``matrix`` on the axes ``slots``, giving them lengths ``dims[slot]``.
+
+    ``slots`` are a pointer and its targets.  The matrix's column count
+    gives the pointer's length before: a ``fire_block`` maps an untriggered
+    pointer (length 1) to its fired levels, its conjugate transpose maps
+    them back.
+    """
+    out = tuple(dims[x] for x in slots)
+    in_dims = (matrix.shape[1] // math.prod(out[1:]),) + out[1:]
+    return apply_to_slots(matrix, out, slots, state, in_dims)
+
+
+def _check_norm(state, time_index):
+    drift = abs(float(np.linalg.norm(state)) - 1.0)
+    if drift > ATOL_STRUCT:
+        raise OracleError(f"norm drifted by {drift:.3g} at time {time_index}")
 
 
 def _pointer(d: DilatedScenario, i: int, label: str | None) -> tuple[int, int]:
@@ -413,15 +362,13 @@ def inspect_record(st: DilatedState, agent: str, pointer_label: str | None,
 def distribution(s: Scenario) -> OutcomeDistribution:
     """Full retained-outcome distribution from pointer projectors.
 
-    One reduction over the stored state: keep levels 1..n of every retained
-    pointer and sum |psi|^2 over all other axes, which leaves the tuples in
-    row-major order.
+    One reduction over the stored state: every pointer is fired, so its
+    stored levels are 1..n; sum |psi|^2 over all axes but the retained
+    pointers, which leaves the tuples in row-major order.
     """
     st = evolve(dilate(s))
     pointers = [st.dilated.ancillas[i] for i, _ in s.retained()]
     psi = st.stored
-    for a in pointers:
-        psi = _relevel(psi, a, st.ranges[a], range(1, st.dilated.dims[a]))
     density = psi.real**2 + psi.imag**2
     weights = np.einsum(density, list(range(psi.ndim)), pointers)
     return outcome_distribution(dict(zip(retained_keys(s), weights.reshape(-1).tolist())), s,

@@ -242,25 +242,24 @@ def retained_keys(s: Scenario):
 
 def outcome_distribution(weights: dict[OutcomeTuple, float], s: Scenario,
                          error: type[ValueError]) -> OutcomeDistribution:
-    """Both engines' result: weights <= 1e-12 clamped to exact 0, total 1 within
-    1e-9 or ``error`` is raised."""
+    """Both engines' result: the weights as given must total 1 within 1e-9 or
+    ``error`` is raised; then weights <= 1e-12 are clamped to exact 0."""
+    total = float(sum(weights.values()))
+    if abs(total - 1.0) > ATOL_PROB:
+        raise error(f"probabilities sum to {total!r}, expected 1")
     retained = ",".join(e.agent for _, e in s.retained())
     erased = ",".join(e.agent for _, e in s.erased())
-    dist = OutcomeDistribution(
+    return OutcomeDistribution(
         {key: 0.0 if w <= ATOL_STRUCT else w for key, w in weights.items()},
         f"retained={retained}" + (f"; erased={erased}" if erased else ""),
     )
-    total = dist.total()
-    if abs(total - 1.0) > ATOL_PROB:
-        raise error(f"probabilities sum to {total!r}, expected 1")
-    return dist
 
 
 def reduce(paths, s: Scenario) -> OutcomeDistribution:
     """Group by retained outcomes, add amplitudes over erased branches, square.
 
-    Weights below 1e-12 are clamped to exact 0 so vanishing outcomes print
-    as 0.  The result sums to 1 within 1e-9.
+    The weights sum to 1 within 1e-9; then weights below 1e-12 are clamped
+    to exact 0 so vanishing outcomes print as 0.
     """
     retained = {i for i, e in s.retained()}
     sums: dict[OutcomeTuple, complex] = {}
@@ -279,8 +278,8 @@ def distribution(s: Scenario) -> OutcomeDistribution:
 
     The branch states are split on the retained events only, so there is
     one batch entry per retained outcome tuple and its weight is the
-    entry's squared norm, clamped to exact 0 below 1e-12; the weights sum
-    to 1 within 1e-9.  Equal to ``reduce(enumerate_paths(s), s)`` wherever
+    entry's squared norm; the weights sum to 1 within 1e-9 and are then
+    clamped to exact 0 below 1e-12.  Equal to ``reduce(enumerate_paths(s), s)`` wherever
     that is defined.
     """
     states = _branch_states(s, {i: e.labels for i, e in s.retained()})

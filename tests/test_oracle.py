@@ -67,8 +67,8 @@ class TestDilate:
     def test_couplings_are_unitary(self):
         d = dilate(library.two_wigners(library.RegimeTag.F_PRESERVED))
         for plan in d.couplings:
-            side = plan.matrix.shape[0]
-            defect = np.max(np.abs(plan.matrix.conj().T @ plan.matrix - np.eye(side)))
+            m = dense_coupling(plan)
+            defect = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
             assert defect <= 1e-12
 
     def test_erasure_map_points_at_the_eraser(self):
@@ -127,12 +127,30 @@ class TestEvolve:
         with pytest.raises(OracleError, match="disturbed"):
             evolve(dilate(bad))
 
+    def test_disturbed_record_raises_at_the_unitary(self):
+        # the Hadamard leaves half of F's branch population outside the
+        # composite basis; C^dagger after it finds that before W measures
+        bad = parse_scenario(
+            "subsystem sys up down\n"
+            "state 0.6 0.8\n"
+            "measure 1 F sys erased up: 1 0 down: 0 1\n"
+            "unitary 2 sys 1/sqrt(2) 1/sqrt(2) 1/sqrt(2) -1/sqrt(2)\n"
+            "measure 3 W sys retained fail: 1/sqrt(2) 1/sqrt(2) ok: 1/sqrt(2) -1/sqrt(2)\n"
+        )
+        message = ("erased record was disturbed before 'W''s measurement (population 0.5 "
+                   "outside the composite-basis block); this erasure is not realizable")
+        d = dilate(bad)
+        for t in (2, None):
+            with pytest.raises(OracleError) as info:
+                evolve(d, upto_time=t)
+            assert str(info.value) == message
+
 
 class TestCouplingBudget:
-    """One 100-level subsystem measured once: 10,100 dilated amplitudes, but a
-    dense coupling of (101 * 100)^2 entries, which is refused before it is built."""
+    """One 257-level subsystem measured once: 66,306 dilated amplitudes, but a
+    fire block of 257 * 257^2 entries, which is refused before it is built."""
 
-    N = 100
+    N = 257
 
     def _scenario(self):
         labels = tuple(f"l{k}" for k in range(self.N))
@@ -146,7 +164,7 @@ class TestCouplingBudget:
         assert math.prod(s.dims) * (self.N + 1) <= MAX_AMPLITUDES  # the state fits
         tracemalloc.start()
         try:
-            with pytest.raises(OracleError, match="couplings need 102010000 matrix entries"):
+            with pytest.raises(OracleError, match="couplings need 16974593 matrix entries"):
                 distribution(s)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -165,6 +183,23 @@ class TestCouplingBudget:
             assert err.startswith("error: couplings need") and "Traceback" not in err
 
 
+def dense_coupling(plan):
+    """The coupling C on ancilla x targets: |0> x w_k -> |k> x w_k.
+
+    Completed involutively: |k> x w_k swaps back to |0> x w_k and every
+    other sector is left alone.  ``fire_block`` is its block from pointer 0
+    to pointers 1..n, and ``fire_block``^dagger its block back.
+    """
+    side, n = plan.columns.shape
+    proj = np.einsum("ik,jk->kij", plan.columns, plan.columns.conj())
+    m = np.zeros((n + 1, side, n + 1, side), dtype=complex)  # (pointer i <- j) x targets
+    fired = np.arange(1, n + 1)
+    m[fired, :, 0, :] = proj
+    m[0, :, fired, :] = proj
+    m[fired, :, fired, :] = np.eye(side) - proj
+    return m.reshape((n + 1) * side, (n + 1) * side)
+
+
 def eager_evolve(d, upto_time=None):
     """The definition ``evolve`` must reproduce: every measurement applies
     its consumed chain's L^dagger, checks the records, then C, then L."""
@@ -180,12 +215,14 @@ def eager_evolve(d, upto_time=None):
             state = apply_to_slots(e.op.entries, e.op.dims, s.slots(e.targets), state)
             continue
         plan = plan_by_event[i]
-        for slots, m in reversed(plan.consumed_ops):
-            state = oracle._apply(m.conj().T, slots, d.dims, state)
-        oracle._check_records_intact(state, plan.consumed_anc_slots, e.agent)
-        state = oracle._apply(plan.matrix, plan.slots, d.dims, state)
-        for slots, m in plan.consumed_ops:
-            state = oracle._apply(m, slots, d.dims, state)
+        for q in reversed(plan.consumed):
+            state = oracle._apply(dense_coupling(q).conj().T, q.slots, d.dims, state)
+        at_zero = tuple(0 if x in plan.consumed_anc_slots else slice(None)
+                        for x in range(state.ndim))
+        assert np.linalg.norm(state) ** 2 - np.linalg.norm(state[at_zero]) ** 2 <= 1e-12, e.agent
+        state = oracle._apply(dense_coupling(plan), plan.slots, d.dims, state)
+        for q in plan.consumed:
+            state = oracle._apply(dense_coupling(q), q.slots, d.dims, state)
     return state
 
 
@@ -349,9 +386,25 @@ class TestStoredRanges:
                 fired = oracle._apply(plan.fire_block, slots, (n,) + tdims, psi[None])
                 full = np.zeros((n + 1,) + tdims, dtype=complex)
                 full[0] = psi
-                dense = oracle._apply(plan.matrix, slots, (n + 1,) + tdims, full)
+                m = dense_coupling(plan)
+                dense = oracle._apply(m, slots, (n + 1,) + tdims, full)
                 np.testing.assert_allclose(dense[0], 0, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(fired, dense[1:], rtol=0, atol=1e-12)
+                # C^dagger from pointers 1..n to pointer 0
+                side = math.prod(tdims)
+                np.testing.assert_allclose(plan.fire_block.conj().T, m.conj().T[:side, side:],
+                                           rtol=0, atol=1e-12)
+
+    def test_pointers_are_untriggered_or_fired(self):
+        for s in self._scenarios():
+            d = dilate(s)
+            n_base = len(s.subsystems)
+            for t in sorted({0} | {e.time_index for e in s.events}) + [None]:
+                ranges = evolve(d, upto_time=t).ranges
+                for a, dim in enumerate(d.dims[n_base:], n_base):
+                    fired = range(1, dim)
+                    # after a full run every pointer is fired
+                    assert ranges[a] == fired or (t is not None and ranges[a] == range(1)), (t, a)
 
     @pytest.mark.parametrize("n", [6, 9, 12])
     @pytest.mark.parametrize("retain_all", [False, True], ids=["erased", "retained"])
@@ -391,19 +444,20 @@ class TestStoredRanges:
             assert inspect_record(st, "E", "only") == pytest.approx(1.0, abs=1e-12)
 
     def test_one_wide_measurement_builds_no_dense_coupling(self):
-        # 40 levels measured once: the dense coupling alone would be 41 MiB
-        n = 40
-        basis = random_basis(np.random.default_rng(0), (n,), prefix="l")
-        s = Scenario((SubsystemSpec("q", n, basis.labels),), basis.vectors[0],
-                     (MeasurementEvent(1, "F", ("q",), basis, Record.RETAINED),))
-        tracemalloc.start()
-        try:
-            od = distribution(s)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 << 20
-        assert od.weights[(("F", "l0"),)] == pytest.approx(1.0, abs=1e-12)
+        # measured once: the dense coupling alone would be 41 MiB at 40
+        # levels and 1.52 GiB at 100; the fire block is 16 n^3 bytes
+        for n in (40, 100):
+            basis = random_basis(np.random.default_rng(0), (n,), prefix="l")
+            s = Scenario((SubsystemSpec("q", n, basis.labels),), basis.vectors[0],
+                         (MeasurementEvent(1, "F", ("q",), basis, Record.RETAINED),))
+            tracemalloc.start()
+            try:
+                od = distribution(s)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < (8 << 20) * (n / 40) ** 3, n
+            assert od.weights[(("F", "l0"),)] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestInsertedErasedMeasurement:

@@ -188,6 +188,17 @@ class TestReduce:
         assert dist.total() == pytest.approx(1.0, abs=1e-9)
         assert all(w >= 0.0 for w in dist.weights.values())
 
+    def test_total_is_checked_before_the_clamp(self):
+        # 2^18 retained tuples; the 3,353 weights clamped to 0 held about
+        # 1.6e-9, more than the total's tolerance
+        chain = erased_qubit_chain(18)
+        s = Scenario(chain.subsystems, chain.initial, tuple(
+            dataclasses.replace(e, record=Record.RETAINED) for e in chain.events))
+        dist = distribution(s)
+        assert len(dist.weights) == 2**18
+        assert abs(dist.total() - 1.0) > 1e-9
+        assert 0.0 in dist.weights.values()
+
 
 class TestMarginal:
     def test_friend_pair_marginal(self):

@@ -95,15 +95,15 @@ def parse_query(s: Scenario, text: str) -> tuple[tuple[str, str], tuple[str, str
 
 
 def equivalence_delta(a: paths.OutcomeDistribution, b: paths.OutcomeDistribution) -> float:
-    """Max entrywise |a - b|, or inf when the two list different outcome tuples.
+    """Max entrywise |a - b|, or inf when the two tables have different axes.
 
-    Both engines build their weights in ``paths.retained_keys`` order, so the
-    same outcome set comes as the same key sequence and the values pair up;
-    any other key sequence, a reordering included, is a disagreement.
+    Both engines give their probabilities row-major over the retained events'
+    labels, so equal axes mean the rows pair up; any other axes, a reordered
+    axis or label included, are a disagreement.
     """
-    if list(a.weights) != list(b.weights):
+    if a.axes != b.axes:
         return math.inf
-    return max(map(abs, map(operator.sub, a.weights.values(), b.weights.values())))
+    return max(map(abs, map(operator.sub, a.probs, b.probs)))
 
 
 def run(source: str, engine: str = "both", regime: str | None = None,
@@ -162,7 +162,7 @@ def render_table(report: RunReport) -> str:
     lines.append("")
     rows = [
         (" ".join(f"{agent}={label}" for agent, label in key), format_probability(w))
-        for key, w in dist.weights.items()
+        for key, w in zip(dist.keys, dist.probs)
     ]
     width = max(len(r[0]) for r in rows)
     for name, value in rows:
@@ -176,14 +176,6 @@ def render_table(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _JsonFragments(dict):
-    """(agent, label) -> its JSON text, encoded on first lookup."""
-
-    def __missing__(self, pair):
-        self[pair] = text = json.dumps(pair)
-        return text
-
-
 def render_json(report: RunReport) -> str:
     """One line, byte for byte ``json.dumps`` of the document
 
@@ -191,11 +183,13 @@ def render_json(report: RunReport) -> str:
          "outcomes": [{"tuple": [[agent, label], ...], "p": w}, ...],
          "delta", "queries" (only when asked)}
 
-    The outcome rows are spliced in as text: each distinct (agent, label)
-    pair is encoded once, and each weight is written with ``float.__repr__``,
-    which is what the encoder writes for a finite float.
-    ``paths.outcome_distribution`` has checked that the weights sum to 1, so
-    none is NaN or infinite.
+    The outcome rows are spliced in as text.  Their heads, everything up to
+    the weight, are built by a prefix product over the table's axes, which
+    encodes each (agent, label) pair once; every valid scenario has a
+    retained event, so there is at least one axis.  Each weight is written
+    with ``float.__repr__``, which is what the encoder writes for a finite
+    float.  ``paths.outcome_distribution`` has checked that the weights sum
+    to 1, so none is NaN or infinite.
     """
     head = json.dumps({"scenario": report.source, "regime": report.regime,
                        "engine": report.engine})
@@ -211,12 +205,15 @@ def render_json(report: RunReport) -> str:
             }
             for q in report.queries
         ]
-    fragment = _JsonFragments().__getitem__
-    rows = ", ".join(
-        '{"tuple": [' + ", ".join(map(fragment, key)) + '], "p": ' + float.__repr__(w) + "}"
-        for key, w in report.dist.weights.items()
-    )
-    return head[:-1] + ', "outcomes": [' + rows + "], " + json.dumps(tail)[1:] + "\n"
+    axes = report.dist.axes
+    heads = [""]
+    for k, axis in enumerate(axes):
+        start = ", " if k else '{"tuple": ['
+        end = '], "p": ' if k == len(axes) - 1 else ""
+        fragments = [start + json.dumps(pair) + end for pair in axis]
+        heads = [prefix + fragment for prefix in heads for fragment in fragments]
+    rows = "}, ".join(map(operator.add, heads, map(float.__repr__, report.dist.probs)))
+    return head[:-1] + ', "outcomes": [' + rows + "}], " + json.dumps(tail)[1:] + "\n"
 
 
 def dot_source(d: paths.OutcomeDistribution, s: Scenario) -> str:

@@ -11,8 +11,9 @@ Two tolerances are used throughout the package:
 * ``ATOL_PROB`` (1e-9) for engine-to-engine probability comparisons.
 
 ``MAX_AMPLITUDES`` bounds the path engine's batched branch states and the
-oracle's dilated state; both check it before allocating.  The oracle
-counts the full dilated dims, although it stores less (see ``oracle``).
+oracle's stored state; both check it before allocating.  The oracle
+checks the full dilated dims only when a state is embedded in them (see
+``oracle``).
 """
 
 from __future__ import annotations

@@ -35,8 +35,10 @@ pointers 1..n), so a chain of N qubit measurements keeps 2 * 2^N of its
 C^dagger un-fires the pointer through ``fire_block``^dagger, back to {0},
 and leaves (1 - P_k) psi_k on level k: the population U moved out of the
 record's branch.  Above 1e-12 that is a disturbed record, refused at the
-unitary.  After a full run every pointer is fired.  ``DilatedState.psi``
-spans the full dilated dims and is built on first access.
+unitary.  After a full run every pointer is fired.  ``dilate`` budgets
+that stored size, the base dims times every measurement's outcome count.
+``DilatedState.psi`` spans the full dilated dims; it is built on first
+access, and its own budget check is made then.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .hilbert import ATOL_STRUCT, MAX_AMPLITUDES, StateVector, apply_to_slots
-from .paths import OutcomeDistribution, outcome_distribution, retained_keys
+from .paths import OutcomeDistribution, outcome_distribution
 from .scenario import Record, RecordErasedError, Scenario, UnitaryEvent
 
 
@@ -105,13 +107,15 @@ class DilatedScenario:
 
         L is the chain the eraser consumed and w_k its basis vectors, over
         the consumed ancilla slots followed by the eraser's target slots.
-        Built on call: the run never reads it, only inspection does.
+        Built on call: the run never reads it, only inspection does.  The
+        composite dims are checked against the amplitude budget first.
         """
         i = self.erasure_map[erased_event]
         plan = next(p for p in self.couplings if p.event_index == i)
         composite = plan.consumed_anc_slots + plan.slots[1:]
         axis = {slot: a for a, slot in enumerate(composite)}  # the last axis is k
         dims = tuple(self.dims[sl] for sl in composite) + plan.columns.shape[1:]
+        _check_dims(dims)
         n_anc = len(plan.consumed_anc_slots)
         ranges = [_UNTRIGGERED] * n_anc + [range(n) for n in dims[n_anc:]]
         cols = plan.columns.reshape((1,) * n_anc + dims[n_anc:])
@@ -129,9 +133,20 @@ class DilatedState:
 
     @cached_property
     def psi(self) -> StateVector:
-        """The state over the full dilated dims; levels not stored are zero."""
+        """The state over the full dilated dims; levels not stored are zero.
+
+        The full dims are checked against the amplitude budget first."""
         dims = self.dilated.dims
+        _check_dims(dims)
         return StateVector(dims, _embed(self.stored, self.ranges, dims).reshape(-1))
+
+
+def _check_dims(dims):
+    n_amps = math.prod(dims)
+    if n_amps > MAX_AMPLITUDES:
+        raise OracleError(
+            f"dilated state needs {n_amps} amplitudes, over the budget of {MAX_AMPLITUDES}"
+        )
 
 
 def _embed(stored, ranges, dims):
@@ -146,10 +161,11 @@ def dilate(s: Scenario) -> DilatedScenario:
     measurements = s.measurements()
     ancillas = {i: len(s.dims) + k for k, (i, _) in enumerate(measurements)}
     dims = s.dims + tuple(len(e.labels) + 1 for _, e in measurements)
-    n_amps = math.prod(dims)
+    # the most a run stores: every pointer fired, at its n levels 1..n
+    n_amps = math.prod(s.dims) * math.prod(len(e.labels) for _, e in measurements)
     if n_amps > MAX_AMPLITUDES:
         raise OracleError(
-            f"dilated state needs {n_amps} amplitudes, over the budget of {MAX_AMPLITUDES}"
+            f"stored state needs {n_amps} amplitudes, over the budget of {MAX_AMPLITUDES}"
         )
     # each coupling is built as its fire block: outcomes x target dimension^2
     n_entries = sum(len(e.labels) * math.prod(e.basis.dims) ** 2 for _, e in measurements)
@@ -371,5 +387,4 @@ def distribution(s: Scenario) -> OutcomeDistribution:
     psi = st.stored
     density = psi.real**2 + psi.imag**2
     weights = np.einsum(density, list(range(psi.ndim)), pointers)
-    return outcome_distribution(dict(zip(retained_keys(s), weights.reshape(-1).tolist())), s,
-                                OracleError)
+    return outcome_distribution(weights.reshape(-1), s, OracleError)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,14 +72,33 @@ class VirtualPath:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Probabilities over the retained-record outcome tuples."""
+    """Probabilities over the retained-record outcome tuples, as one table.
 
-    weights: dict[OutcomeTuple, float] = field(repr=False)
+    ``axes`` holds one tuple of (agent, label) pairs per retained event, in
+    time order, and ``probs`` the probabilities row-major over ``axes``, so
+    the outcome tuple of row r is ``keys[r]``.  ``keys`` and ``weights``
+    (outcome tuple -> probability) are built on first read.
+    """
+
+    axes: tuple[tuple[tuple[str, str], ...], ...]
+    probs: list[float] = field(repr=False)
     regime_tag: str = ""
 
+    def __post_init__(self):
+        rows = math.prod(len(axis) for axis in self.axes)
+        if len(self.probs) != rows:
+            raise ValueError(f"{len(self.probs)} probabilities for a table of {rows} rows")
+
+    @cached_property
+    def keys(self) -> tuple[OutcomeTuple, ...]:
+        return tuple(itertools.product(*self.axes))
+
+    @cached_property
+    def weights(self) -> dict[OutcomeTuple, float]:
+        return dict(zip(self.keys, self.probs))
+
     def agents(self) -> tuple[str, ...]:
-        key = next(iter(self.weights))
-        return tuple(agent for agent, _ in key)
+        return tuple(axis[0][0] for axis in self.axes)
 
     def probability(self, selection: dict[str, str]) -> float:
         """Marginal probability of a partial agent -> label selection."""
@@ -86,16 +106,20 @@ class OutcomeDistribution:
         if unknown:
             raise ValueError(f"unknown agent {sorted(unknown)[0]!r} in distribution")
         for agent, label in selection.items():
-            if not any((agent, label) in key for key in self.weights):
-                raise ValueError(f"unknown label {label!r} for agent {agent!r}")
+            _check_label(self, agent, label)
         total = 0.0
-        for key, w in self.weights.items():
+        for key, w in zip(self.keys, self.probs):
             if all((agent, selection[agent]) in key for agent in selection):
                 total += w
         return total
 
     def total(self) -> float:
-        return float(sum(self.weights.values()))
+        return float(sum(self.probs))
+
+
+def _check_label(d: OutcomeDistribution, agent: str, label: str) -> None:
+    if not any((agent, label) in axis for axis in d.axes):
+        raise ValueError(f"unknown label {label!r} for agent {agent!r}")
 
 
 @dataclass(frozen=True)
@@ -234,23 +258,30 @@ def enumerate_paths(s: Scenario) -> tuple[VirtualPath, ...]:
     return tuple(out)
 
 
+def retained_axes(s: Scenario) -> tuple[tuple[tuple[str, str], ...], ...]:
+    """The (agent, label) pairs of each retained event, in time order."""
+    return tuple(tuple((e.agent, label) for label in e.labels) for _, e in s.retained())
+
+
 def retained_keys(s: Scenario):
     """Outcome tuples of the retained events, row-major over their labels."""
-    return itertools.product(*(tuple((e.agent, label) for label in e.labels)
-                               for _, e in s.retained()))
+    return itertools.product(*retained_axes(s))
 
 
-def outcome_distribution(weights: dict[OutcomeTuple, float], s: Scenario,
+def outcome_distribution(weights: np.ndarray, s: Scenario,
                          error: type[ValueError]) -> OutcomeDistribution:
-    """Both engines' result: the weights as given must total 1 within 1e-9 or
+    """Both engines' result from their weights, row-major over the retained
+    events' labels: the weights as given must total 1 within 1e-9 or
     ``error`` is raised; then weights <= 1e-12 are clamped to exact 0."""
-    total = float(sum(weights.values()))
+    w = np.asarray(weights, dtype=float)
+    total = float(sum(w.tolist()))
     if abs(total - 1.0) > ATOL_PROB:
         raise error(f"probabilities sum to {total!r}, expected 1")
     retained = ",".join(e.agent for _, e in s.retained())
     erased = ",".join(e.agent for _, e in s.erased())
     return OutcomeDistribution(
-        {key: 0.0 if w <= ATOL_STRUCT else w for key, w in weights.items()},
+        retained_axes(s),
+        np.where(w <= ATOL_STRUCT, 0.0, w).tolist(),
         f"retained={retained}" + (f"; erased={erased}" if erased else ""),
     )
 
@@ -268,9 +299,8 @@ def reduce(paths, s: Scenario) -> OutcomeDistribution:
             (s.events[i].agent, label) for i, label in p.branches if i in retained
         )
         sums[key] = sums.get(key, 0.0) + p.amplitude
-    return outcome_distribution(
-        {key: abs(amp) ** 2 for key, amp in sums.items()}, s, PathEngineError
-    )
+    return outcome_distribution([abs(sums[key]) ** 2 for key in retained_keys(s)], s,
+                                PathEngineError)
 
 
 def distribution(s: Scenario) -> OutcomeDistribution:
@@ -284,8 +314,7 @@ def distribution(s: Scenario) -> OutcomeDistribution:
     """
     states = _branch_states(s, {i: e.labels for i, e in s.retained()})
     norms = np.linalg.norm(states.reshape(len(states), -1), axis=1) ** 2
-    return outcome_distribution(dict(zip(retained_keys(s), norms.tolist())), s,
-                                PathEngineError)
+    return outcome_distribution(norms, s, PathEngineError)
 
 
 def marginal(d: OutcomeDistribution, keep) -> OutcomeDistribution:
@@ -295,12 +324,15 @@ def marginal(d: OutcomeDistribution, keep) -> OutcomeDistribution:
     unknown = keep - set(agents)
     if unknown:
         raise ValueError(f"unknown agent {sorted(unknown)[0]!r} in distribution")
+    # rows come in row-major order, so the kept tuples first appear in
+    # row-major order over the kept axes
     weights: dict[OutcomeTuple, float] = {}
-    for key, w in d.weights.items():
+    for key, w in zip(d.keys, d.probs):
         sub = tuple(entry for entry in key if entry[0] in keep)
         weights[sub] = weights.get(sub, 0.0) + w
     kept = ",".join(a for a in agents if a in keep)
-    return OutcomeDistribution(weights, f"marginal[{kept}] of ({d.regime_tag})")
+    return OutcomeDistribution(tuple(axis for axis in d.axes if axis[0][0] in keep),
+                               list(weights.values()), f"marginal[{kept}] of ({d.regime_tag})")
 
 
 def implication(d: OutcomeDistribution, given: tuple[str, str],
@@ -310,10 +342,9 @@ def implication(d: OutcomeDistribution, given: tuple[str, str],
     for agent, label in (given, then):
         if agent not in agents:
             raise ValueError(f"unknown agent {agent!r} in distribution")
-        if not any((agent, label) in key for key in d.weights):
-            raise ValueError(f"unknown label {label!r} for agent {agent!r}")
+        _check_label(d, agent, label)
     counter = 0.0
-    for key, w in d.weights.items():
+    for key, w in zip(d.keys, d.probs):
         if given in key and then not in key:
             counter += w
     return ImplicationResult(given, then, counter <= ATOL_PROB, counter)

@@ -278,6 +278,26 @@ class TestRendering:
         assert cli.main(argv) == 0
         assert out.read_text("utf-8").startswith("digraph real_paths")
 
+    def test_json_run_builds_no_per_row_keys(self, tmp_path, monkeypatch, capsys):
+        # engines, delta and render all read the table's axes and probs;
+        # the per-row keys and the weights dict are built only when read
+        chain = erased_qubit_chain(10)
+        kept = dataclasses.replace(chain, events=tuple(
+            dataclasses.replace(e, record=Record.RETAINED) for e in chain.events))
+        target = tmp_path / "chain.scn"
+        target.write_text(serialize_scenario(kept), "utf-8")
+        dists = []
+        for module in (paths, oracle):
+            monkeypatch.setattr(module, "distribution",
+                                lambda s, engine=module.distribution: dists.append(engine(s))
+                                or dists[-1])
+        assert cli.main(["run", str(target), "--engine", "both", "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["outcomes"]) == 1024
+        assert len(dists) == 2
+        for dist in dists:
+            assert len(dist.probs) == 1024
+            assert "keys" not in vars(dist) and "weights" not in vars(dist)
+
 
 class TestEquivalenceDelta:
     def test_matches_the_set_union_definition(self, code_reports):
@@ -289,15 +309,16 @@ class TestEquivalenceDelta:
             assert report.delta == _reference_delta(a, b)
 
     def test_different_key_sequences_give_inf(self):
-        # both engines list retained_keys in order, so any other sequence,
-        # even a reordering of the same tuples, is a disagreement
+        # both engines give their rows row-major over the retained events'
+        # labels, so any other axes, even a reordering of the same labels,
+        # are a disagreement
         d = paths.distribution(library.builtin("2w2f", "fbar_preserved"))
-        items = list(d.weights.items())
-        dropped = type(d)(dict(items[1:]), d.regime_tag)
-        renamed = type(d)({(("X", "y"),) + items[0][0][1:]: items[0][1], **dict(items[1:])},
-                          d.regime_tag)
-        reordered = type(d)(dict(reversed(items)), d.regime_tag)
-        for other in (dropped, renamed, reordered):
+        first, second, *rest = d.axes
+        renamed = (((first[0][0], "y"),) + first[1:], second, *rest)
+        reversed_axis = (first[::-1], second, *rest)
+        swapped = (second, first, *rest)
+        for axes in (renamed, reversed_axis, swapped):
+            other = type(d)(axes, d.probs, d.regime_tag)
             assert equivalence_delta(d, other) == math.inf
             assert equivalence_delta(other, d) == math.inf
         assert equivalence_delta(d, d) == 0.0
@@ -360,18 +381,24 @@ class TestMainExitCodes:
 
     def test_engine_dropping_a_zero_row_is_a_hard_failure(self, capsys, monkeypatch):
         true_distribution = oracle.distribution
-
-        def dropping(s):
-            dist = true_distribution(s)
-            weights = dict(dist.weights)
-            zero = next(key for key, w in weights.items() if w == 0.0)
-            del weights[zero]
-            return type(dist)(weights, dist.regime_tag)
-
         s = library.builtin("2w2f", "fbar_preserved")
-        # the union definition reads the missing row as 0 and sees no disagreement
-        assert _reference_delta(paths.distribution(s), dropping(s)) == 0.0
-        monkeypatch.setattr(cli.oracle, "distribution", dropping)
+        dist = true_distribution(s)
+        zero = dist.probs.index(0.0)
+        # a table has a row for every outcome tuple, so a dropped row cannot be built
+        with pytest.raises(ValueError, match="7 probabilities for a table of 8 rows"):
+            type(dist)(dist.axes, dist.probs[:zero] + dist.probs[zero + 1:], dist.regime_tag)
+
+        def reordered(s):
+            # the same rows under the last axis reversed: only the axes differ
+            dist = true_distribution(s)
+            *front, last = dist.axes
+            n = len(last)
+            probs = [p for r in range(0, len(dist.probs), n) for p in dist.probs[r:r + n][::-1]]
+            return type(dist)((*front, last[::-1]), probs, dist.regime_tag)
+
+        # the union definition pairs rows by outcome tuple and sees no disagreement
+        assert _reference_delta(paths.distribution(s), reordered(s)) == 0.0
+        monkeypatch.setattr(cli.oracle, "distribution", reordered)
         code = cli.main(["run", "2w2f", "--regime", "fbar_preserved", "--format", "json"])
         assert code == 3
         captured = capsys.readouterr()
@@ -403,10 +430,9 @@ class TestMainExitCodes:
 
         def skewed(scenario):
             dist = true_distribution(scenario)
-            weights = dict(dist.weights)
-            key = next(iter(weights))
-            weights[key] += 1e-6
-            return type(dist)(weights, dist.regime_tag)
+            probs = list(dist.probs)
+            probs[0] += 1e-6
+            return type(dist)(dist.axes, probs, dist.regime_tag)
 
         monkeypatch.setattr(cli.oracle, "distribution", skewed)
         code = cli.main(["run", "2w2f", "--regime", "both_erased"])

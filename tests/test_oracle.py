@@ -183,6 +183,49 @@ class TestCouplingBudget:
             assert err.startswith("error: couplings need") and "Traceback" not in err
 
 
+class TestStoredBudget:
+    """The 16-chain, erased or all retained, stores 2 * 2^16 amplitudes, within
+    budget, of its 2 * 3^16 dilated ones, which are over it."""
+
+    N = 16
+
+    def _chains(self):
+        chain = erased_qubit_chain(self.N)
+        kept = replace(chain, events=tuple(replace(e, record=Record.RETAINED)
+                                           for e in chain.events))
+        return chain, kept
+
+    def test_both_engines_answer(self):
+        for s in self._chains():
+            pd, od = paths.distribution(s), distribution(s)
+            assert pd.axes == od.axes
+            assert max(abs(a - b) for a, b in zip(pd.probs, od.probs)) <= 1e-9
+
+    def test_full_state_is_refused_before_allocating(self):
+        for s in self._chains():
+            st = evolve(dilate(s))
+            tracemalloc.start()
+            try:
+                with pytest.raises(OracleError, match="dilated state needs 86093442 amplitudes"):
+                    st.psi
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+    def test_erasure_basis_is_refused_before_allocating(self):
+        # A16's composite basis spans the 15 consumed pointers: 3^15 * 2 * 2
+        d = dilate(erased_qubit_chain(self.N))
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleError, match="dilated state needs 57395628 amplitudes"):
+                d.erasure_basis(self.N - 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 def dense_coupling(plan):
     """The coupling C on ancilla x targets: |0> x w_k -> |k> x w_k.
 

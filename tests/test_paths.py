@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ import pytest
 from pathsum import cli, library, oracle
 from pathsum.hilbert import Basis, Operator, StateVector
 from pathsum.paths import (
+    OutcomeDistribution,
     PathEngineError,
     distribution,
     enumerate_paths,
@@ -237,6 +239,55 @@ class TestMarginal:
         dist = distribution(random_scenario(77))
         keep = set(list(dist.agents())[:1])
         assert marginal(dist, keep).total() == pytest.approx(dist.total(), abs=1e-12)
+
+
+def _dict_marginal(d, keep):
+    """The marginal by definition: sum the weights dict over each kept sub-tuple."""
+    weights = {}
+    for key, w in d.weights.items():
+        sub = tuple(entry for entry in key if entry[0] in keep)
+        weights[sub] = weights.get(sub, 0.0) + w
+    return weights
+
+
+class TestTable:
+    def test_probs_must_cover_the_table(self):
+        d = distribution(two_wigners("both_preserved"))
+        for probs in (d.probs[:-1], d.probs + [0.0], []):
+            with pytest.raises(ValueError, match=f"{len(probs)} probabilities for a table of 16 rows"):
+                OutcomeDistribution(d.axes, probs, d.regime_tag)
+
+    def test_marginal_matches_the_dict_accumulation(self):
+        scenarios = [library.builtin(name) for name in library.builtin_names()]
+        scenarios += [two_wigners(regime.value) for regime in library.RegimeTag]
+        scenarios += [random_scenario(seed) for seed in range(200)]
+        for s in scenarios:
+            d = distribution(s)
+            agents = d.agents()
+            for r in range(len(agents) + 1):
+                for keep in itertools.combinations(agents, r):
+                    want = _dict_marginal(d, set(keep))
+                    got = marginal(d, keep).weights
+                    # same rows in the same order, with the same floats
+                    assert list(got.items()) == list(want.items()), (s, keep)
+
+    def test_unknown_agent_and_label_messages(self):
+        d = distribution(two_wigners("fbar_preserved"))
+        cases = [
+            (lambda: d.probability({"nobody": "ok"}), "unknown agent 'nobody' in distribution"),
+            (lambda: d.probability({"W": "maybe"}), "unknown label 'maybe' for agent 'W'"),
+            (lambda: d.probability({"W": "heads"}), "unknown label 'heads' for agent 'W'"),
+            (lambda: implication(d, ("nobody", "ok"), ("W", "ok")),
+             "unknown agent 'nobody' in distribution"),
+            (lambda: implication(d, ("W", "ok"), ("Fbar", "edge")),
+             "unknown label 'edge' for agent 'Fbar'"),
+            (lambda: implication(d, ("Fbar", "ok"), ("W", "ok")),
+             "unknown label 'ok' for agent 'Fbar'"),
+        ]
+        for call, message in cases:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
 
 
 class TestImplication:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -473,3 +474,56 @@ class TestFuzz:
             parse_scenario("".join(chars))
         except ScenarioParseError:
             pass
+
+
+# single characters swapped into the shipped files: printable ASCII, and
+# characters that ``str.isspace`` calls whitespace but ``"\n"`` does not end
+# a line on, plus digits and signs that ``int()`` would accept in a time
+_ODD_CHARS = "\t\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0    　_+٣３"
+
+
+def _parse_error_corpus():
+    """Fixed inputs for the parse-error digest, in a fixed order."""
+    rng = random.Random(0)
+    for _ in range(2000):
+        yield bytes(rng.randrange(256) for _ in range(rng.randrange(120)))
+    for seed in range(200):
+        source = serialize_scenario(random_scenario(seed))
+        for _ in range(3):
+            chars = list(source)
+            for _ in range(rng.randrange(1, 5)):
+                chars[rng.randrange(len(chars))] = chr(rng.randrange(32, 127))
+            yield "".join(chars)
+    alphabet = [chr(c) for c in range(32, 127)] + list(_ODD_CHARS) * 4
+    for name in library.builtin_names():
+        source = library.shipped_source(name)
+        for _ in range(120):
+            pos, ch = rng.randrange(len(source)), rng.choice(alphabet)
+            yield source[:pos] + ch + source[pos + 1:]  # replace
+            yield source[:pos] + ch + source[pos:]  # insert
+
+
+def _parse_outcomes():
+    """(line, col, message) of every ScenarioParseError over the corpus;
+    None where the input parses."""
+    out = []
+    for text in _parse_error_corpus():
+        try:
+            parse_scenario(text)
+        except ScenarioParseError as exc:
+            out.append((exc.line, exc.col, exc.message))
+        else:
+            out.append(None)
+    return out
+
+
+class TestParseErrorDigest:
+    """Every parse outcome over a fixed corpus, pinned by one sha256: a
+    parser rewrite must report the same first error at the same place."""
+
+    DIGEST = "4ac7fd067d8cc18bd8929d63629ddac9e977e1d2d6d4fc970258b33e6d8fa267"
+
+    def test_outcomes_match_the_pinned_digest(self):
+        outcomes = _parse_outcomes()
+        digest = hashlib.sha256(repr(outcomes).encode("utf-8")).hexdigest()
+        assert digest == self.DIGEST

@@ -14,6 +14,7 @@ The ``.scn`` format is line oriented (UTF-8, ``#`` comments)::
     measure TIME AGENT TARGETS RECORD (LABEL: COMPLEX...)...
     final TIME                            # optional, defaults to last event
 
+    TIME    := [0-9]+                     # ASCII digits only
     TARGETS := NAME[,NAME...]             # coordinate order as written
     RECORD  := retained | erased
     COMPLEX := REAL | REALi | REAL+REALi | REAL-REALi
@@ -392,6 +393,7 @@ def parse_complex_literal(token: str) -> complex:
 # ---------------------------------------------------------------------------
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z", re.ASCII)
+_TIME_RE = re.compile(r"[0-9]+")
 
 
 class _Tok:
@@ -428,14 +430,11 @@ def _complex(tok: _Tok) -> complex:
 
 
 def _int(tok: _Tok, what: str) -> int:
-    try:
-        value = int(tok.text)
-    except ValueError:
-        raise ScenarioParseError(f"{what} must be an integer, got {tok.text!r}",
-                                 tok.line, tok.col) from None
-    if value < 0:
+    if _TIME_RE.fullmatch(tok.text):
+        return int(tok.text)
+    if tok.text.startswith("-") and _TIME_RE.fullmatch(tok.text, 1):
         raise ScenarioParseError(f"{what} must be non-negative", tok.line, tok.col)
-    return value
+    raise ScenarioParseError(f"{what} must be an integer, got {tok.text!r}", tok.line, tok.col)
 
 
 def _targets(tok: _Tok, dim_of: dict[str, int]) -> tuple[tuple[str, ...], tuple[int, ...]]:

@@ -243,6 +243,22 @@ class TestParser:
         with pytest.raises(ScenarioParseError, match="not unique"):
             parse_scenario(bad)
 
+    @pytest.mark.parametrize("time", ["1_0", "٣", "+3", "３", "1٣"])
+    def test_time_is_ascii_digits_only(self, time):
+        # int() accepts every one of these
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(MINIMAL.replace("measure 1", f"measure {time}"))
+        assert (err.value.line, err.value.col) == (4, 9)
+        assert err.value.message == f"time must be an integer, got {time!r}"
+
+    def test_final_time_is_ascii_digits_only(self):
+        with pytest.raises(ScenarioParseError, match="final time must be an integer, got '1_0'"):
+            parse_scenario(MINIMAL + "final 1_0\n")
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ScenarioParseError, match="time must be non-negative"):
+            parse_scenario(MINIMAL.replace("measure 1", "measure -3"))
+
     def test_invalid_utf8_bytes(self):
         with pytest.raises(ScenarioParseError, match="UTF-8"):
             parse_scenario(b"subsystem \xff\xfe sys")
@@ -521,7 +537,9 @@ class TestParseErrorDigest:
     """Every parse outcome over a fixed corpus, pinned by one sha256: a
     parser rewrite must report the same first error at the same place."""
 
-    DIGEST = "4ac7fd067d8cc18bd8929d63629ddac9e977e1d2d6d4fc970258b33e6d8fa267"
+    # moved once, when times became ASCII digits only: two shipped-file
+    # mutants with a time of '٣' (parsed as 3) and '٣3' (33) now stop there
+    DIGEST = "6edefd085d1f27b4e3334ed1774a74e1a85cbb79d5b6255bd1540dc39bb964ad"
 
     def test_outcomes_match_the_pinned_digest(self):
         outcomes = _parse_outcomes()

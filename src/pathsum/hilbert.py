@@ -10,6 +10,11 @@ Two tolerances are used throughout the package:
   normalization),
 * ``ATOL_PROB`` (1e-9) for engine-to-engine probability comparisons.
 
+A measurement basis is ``Basis(dims, labels, matrix)``: one frozen
+side x side matrix whose columns are the vectors in label order.  Building
+one checks orthonormality with a single Gram product; only a basis that
+fails it is checked again vector by vector, to name the first violation.
+
 ``MAX_AMPLITUDES`` bounds the path engine's batched branch states and the
 oracle's stored state; both check it before allocating.  The oracle
 checks the full dilated dims only when a state is embedded in them (see
@@ -35,12 +40,12 @@ class HilbertError(ValueError):
 
 def _frozen_array(data, shape=None) -> np.ndarray:
     try:
-        arr = np.array(data, dtype=complex)
+        arr = np.array(data, dtype=complex, order="C")
         if shape is not None:
             arr = arr.reshape(shape)
     except (TypeError, ValueError) as exc:
         raise HilbertError(f"bad amplitude data: {exc}") from None
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr).all():
         raise HilbertError("non-finite amplitude (NaN or Inf)")
     arr.setflags(write=False)
     return arr
@@ -126,61 +131,69 @@ class Operator:
 class Basis:
     """Complete orthonormal measurement basis with one label per vector.
 
-    A partial basis (fewer vectors than the space dimension) is a
-    constructor error; degenerate measurements are not modeled.
+    ``matrix`` is side x side, its columns the vectors in label order, each
+    row-major over ``dims``.  A partial basis (fewer vectors than the space
+    dimension) is a constructor error; degenerate measurements are not
+    modeled.
     """
 
     dims: tuple[int, ...]
     labels: tuple[str, ...]
-    vectors: tuple[StateVector, ...]
+    matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _dims_tuple(self.dims))
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "vectors", tuple(self.vectors))
+        matrix = _frozen_array(self.matrix)
+        object.__setattr__(self, "matrix", matrix)
         side = math.prod(self.dims)
-        if len(self.labels) != len(self.vectors):
+        if matrix.ndim != 2 or matrix.shape[0] != side:
+            raise HilbertError(
+                f"basis matrix has shape {matrix.shape}, expected {side} rows for dims {self.dims}"
+            )
+        n = matrix.shape[1]
+        if len(self.labels) != n:
             raise HilbertError("basis needs one vector per label")
         if len(set(self.labels)) != len(self.labels):
             raise HilbertError(f"duplicate basis labels in {self.labels!r}")
-        if len(self.vectors) != side:
-            raise HilbertError(
-                f"partial basis: {len(self.vectors)} vectors for dimension {side}"
-            )
-        for v in self.vectors:
-            if v.dims != self.dims:
-                raise HilbertError(
-                    f"basis vector dims {v.dims} do not match basis dims {self.dims}"
-                )
-        report = validate_basis(self)
+        if n != side:
+            raise HilbertError(f"partial basis: {n} vectors for dimension {side}")
+        report = validate_basis(matrix)
         if report:
             raise HilbertError(report[0])
 
-    def matrix(self) -> np.ndarray:
-        """Vectors as columns, in label order."""
-        return np.column_stack([v.amps for v in self.vectors])
-
     def vector(self, label: str) -> StateVector:
         try:
-            return self.vectors[self.labels.index(label)]
+            k = self.labels.index(label)
         except ValueError:
             raise HilbertError(f"unknown basis label {label!r}") from None
+        return StateVector(self.dims, self.matrix[:, k])
 
 
-def validate_basis(b: Basis | Sequence[StateVector]) -> list[str]:
-    """Check pairwise orthonormality to 1e-12; return violations (empty if ok).
+def validate_basis(matrix: np.ndarray) -> list[str]:
+    """Check the columns of ``matrix`` for orthonormality to 1e-12; return
+    violations (empty if ok).
 
-    Each violation names the offending pair and the inner product magnitude.
+    One Gram product M^H M decides.  Its test is half the tolerance, so a
+    basis it passes also passes the per-vector checks, however the two round;
+    a NaN fails it.  Only a failed basis is checked vector by vector, norms
+    first and then pairs i < j, each violation naming the offending vector
+    or pair and the norm or inner product magnitude.
     """
-    vectors = b.vectors if isinstance(b, Basis) else tuple(b)
+    m = np.asarray(matrix)
+    gram = m.conj().T @ m
+    gram.flat[:: m.shape[1] + 1] -= 1.0
+    if np.abs(gram).max(initial=0.0) <= ATOL_STRUCT / 2:
+        return []
+    vectors = m.T.copy()  # contiguous: BLAS may sum a strided vector in another order
     report = []
     for i, v in enumerate(vectors):
-        n = v.norm()
+        n = float(np.linalg.norm(v))
         if abs(n - 1.0) > ATOL_STRUCT:
             report.append(f"basis vector {i} has norm {n:.12g}, expected 1")
     for i in range(len(vectors)):
         for j in range(i + 1, len(vectors)):
-            ov = abs(inner(vectors[i], vectors[j]))
+            ov = abs(complex(np.vdot(vectors[i], vectors[j])))
             if ov > ATOL_STRUCT:
                 report.append(
                     f"basis vectors {i} and {j} are not orthogonal (|overlap| = {ov:.12g})"

@@ -58,15 +58,11 @@ def _rotated_basis(alpha, beta, gamma, delta, labels=("fail", "ok")) -> Basis:
         coeffs.require_unitary("coefficient matrix")
     except HilbertError as exc:
         raise HilbertError(f"non-unitary coefficient matrix: {exc}") from None
-    return Basis(
-        (2,),
-        tuple(labels),
-        (StateVector((2,), [alpha, beta]), StateVector((2,), [gamma, delta])),
-    )
+    return Basis((2,), tuple(labels), [[alpha, gamma], [beta, delta]])
 
 
 def _updown_basis() -> Basis:
-    return Basis((2,), ("up", "down"), (StateVector((2,), [1, 0]), StateVector((2,), [0, 1])))
+    return Basis((2,), ("up", "down"), [[1, 0], [0, 1]])
 
 
 def double_slit(alpha=HADAMARD[0], beta=HADAMARD[1], gamma=HADAMARD[2],
@@ -146,9 +142,7 @@ def two_wigners(regime: RegimeTag) -> Scenario:
     spin = SubsystemSpec("spin", 2, ("up", "down"))
     sq3 = math.sqrt(3.0)
     initial = StateVector((2, 2), [0.0, 1.0 / sq3, 0.0, math.sqrt(2.0) / sq3])
-    coin_basis = Basis(
-        (2,), ("heads", "tails"), (StateVector((2,), [1, 0]), StateVector((2,), [0, 1]))
-    )
+    coin_basis = Basis((2,), ("heads", "tails"), [[1, 0], [0, 1]])
     wbar_basis = _rotated_basis(SQ2, SQ2, SQ2, -SQ2, labels=("fail_bar", "ok_bar"))
     w_basis = _rotated_basis(SQ2, SQ2, SQ2, -SQ2, labels=("fail", "ok"))
     events = (

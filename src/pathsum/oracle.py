@@ -195,7 +195,7 @@ def dilate(s: Scenario) -> DilatedScenario:
                 )
         consumed = tuple(active[key] for key in hit)
         plan = CouplingPlan(
-            i, (ancillas[i],) + tslots, e.basis.matrix(),
+            i, (ancillas[i],) + tslots, e.basis.matrix,
             tuple(q for p in consumed for q in p.chain),
             tuple(sl for p in consumed for sl in p.consumed_anc_slots + p.slots[:1]),
         )

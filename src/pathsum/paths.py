@@ -195,9 +195,9 @@ def _branch_states(s: Scenario, split: dict[int, tuple[str, ...]]) -> np.ndarray
         elif i in split:
             parts = []
             for label in split[i]:
-                v = e.basis.vector(label)
-                rem = project_slots(v.amps, v.dims, slots, state)
-                parts.append(insert_slots(v.amps, v.dims, slots, rem))
+                v = e.basis.matrix[:, e.labels.index(label)]
+                rem = project_slots(v, e.basis.dims, slots, state)
+                parts.append(insert_slots(v, e.basis.dims, slots, rem))
             state = np.stack(parts, axis=1).reshape((-1,) + state.shape[1:])
     return state
 
@@ -210,8 +210,8 @@ def _scalarize(s: Scenario, finals: tuple[int, ...], assignment: dict[int, str],
     slot_order: list[int] = []
     for i in finals:
         e = s.events[i]
-        v = e.basis.vector(assignment[i])
-        ref = np.multiply.outer(ref, v.amps.reshape(v.dims))
+        v = e.basis.matrix[:, e.labels.index(assignment[i])]
+        ref = np.multiply.outer(ref, v.reshape(e.basis.dims))
         slot_order.extend(s.slots(e.targets))
     ref = np.moveaxis(ref, range(len(slot_order)), slot_order)
     amp = complex(np.vdot(ref, state))

@@ -27,7 +27,9 @@ carrying a line and column.
 
 from __future__ import annotations
 
+import cmath
 import enum
+import itertools
 import json
 import math
 import re
@@ -235,14 +237,22 @@ def _check(s: Scenario) -> None:
         if e.time_index < 0:
             raise ScenarioValidationError(f"event {i}: negative time index", e)
 
-    # strict ordering for events acting on overlapping targets
-    for i, a in enumerate(s.events):
-        for j in range(i + 1, len(s.events)):
-            b = s.events[j]
-            if a.time_index == b.time_index and set(a.targets) & set(b.targets):
-                raise ScenarioValidationError(
-                    f"events {i} and {j} share time {a.time_index} and overlapping targets", b
-                )
+    # strict ordering for events acting on overlapping targets, in one pass:
+    # each event is paired with the first event at each of its (time, target)
+    # slots, and the least pair (i, j) is the first a scan over all pairs finds
+    first: dict[tuple[int, str], int] = {}
+    clash: tuple[int, int] | None = None
+    for j, e in enumerate(s.events):
+        for t in e.targets:
+            i = first.setdefault((e.time_index, t), j)
+            if i != j and (clash is None or (i, j) < clash):
+                clash = (i, j)
+    if clash is not None:
+        i, j = clash
+        raise ScenarioValidationError(
+            f"events {i} and {j} share time {s.events[i].time_index} and overlapping targets",
+            s.events[j],
+        )
 
     measurements = s.measurements()
     if not measurements:
@@ -282,12 +292,11 @@ def _check(s: Scenario) -> None:
 # constant-expression grammar for complex literals
 # ---------------------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?", re.ASCII)
-# a plain ``a`` or ``a+bi``/``a-bi``, which needs none of the grammar below
-_PLAIN_RE = re.compile(
-    rf"(?P<neg>-?)(?P<re>{_NUMBER_RE.pattern})(?:(?P<sign>[-+])(?P<im>{_NUMBER_RE.pattern})i)?",
-    re.ASCII,
-)
+_NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?", re.ASCII)
+# a run of plain ``a`` or ``a+bi``/``a-bi`` literals, one space apart, which
+# needs none of the grammar below
+_PLAIN = rf"-?{_NUMBER_RE.pattern}(?:[-+]{_NUMBER_RE.pattern}i)?"
+_PLAIN_RUN_RE = re.compile(rf"{_PLAIN}(?: {_PLAIN})*", re.ASCII)
 _MAX_DEPTH = 32
 
 
@@ -369,23 +378,43 @@ class _ExprParser:
         return value
 
 
+class _BadLiteral(ValueError):
+    """A literal the grammar rejects; ``index`` is its place in the run."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def _literals(tokens: list[str]) -> list[complex]:
+    """The values of a run of whitespace-free literals, in order.
+
+    A run of plain literals is checked by one match of the joined run, and
+    each token is converted by complex(), which rounds each part as the
+    grammar's float() does, so every value is bit-identical, -0 included.
+    Any other run, and one that overflows, goes through the grammar token
+    by token, and the first bad token raises _BadLiteral.
+    """
+    run = " ".join(tokens)
+    if _PLAIN_RUN_RE.fullmatch(run):
+        values = [complex(t) for t in run.replace("i", "j").split(" ")]
+        # a token with a space in it splits in two and takes the grammar
+        if len(values) == len(tokens) and all(map(cmath.isfinite, values)):
+            return values
+    values = []
+    for k, tok in enumerate(tokens):
+        try:
+            values.append(_ExprParser(tok).parse_complex())
+        except ValueError as exc:
+            raise _BadLiteral(k, str(exc)) from None
+    return values
+
+
 def parse_complex_literal(token: str) -> complex:
     """Parse one complex literal, e.g. ``1/sqrt(2)``, ``0.5-0.5i``, ``1i``."""
     if not token:
         raise ValueError("empty literal")
-    m = _PLAIN_RE.fullmatch(token)
-    if m:
-        # the grammar's arithmetic, so every value is bit-identical, -0 included
-        re_part = float(m["re"])
-        if m["neg"]:
-            re_part = -re_part
-        im_part = 0.0
-        if m["sign"]:
-            im_part = (-1.0 if m["sign"] == "-" else 1.0) * float(m["im"])
-        if math.isfinite(re_part) and math.isfinite(im_part):
-            return complex(re_part, im_part)
-    # everything else, and overflow, gets the grammar and its error messages
-    return _ExprParser(token).parse_complex()
+    return _literals([token])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -394,58 +423,68 @@ def parse_complex_literal(token: str) -> complex:
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z", re.ASCII)
 _TIME_RE = re.compile(r"[0-9]+")
+_TOKEN_RE = re.compile(r"\S+")
 
 
-class _Tok:
-    __slots__ = ("text", "line", "col")
+class _Line:
+    """One source line with tokens: its number, its text before any ``#``,
+    and its tokens, which ``str.split`` and ``\\S+`` both cut at the
+    characters ``str.isspace`` accepts."""
 
-    def __init__(self, text: str, line: int, col: int):
-        self.text = text
-        self.line = line
-        self.col = col
+    __slots__ = ("number", "body", "toks")
+
+    def __init__(self, number: int, body: str, toks: list[str]):
+        self.number = number
+        self.body = body
+        self.toks = toks
+
+    def error(self, k: int, message: str) -> ScenarioParseError:
+        """An error at token ``k``; its column is looked up only now."""
+        match = next(itertools.islice(_TOKEN_RE.finditer(self.body), k, None))
+        return ScenarioParseError(message, self.number, match.start() + 1)
 
 
-def _tokenize(text: str):
-    for lineno, line in enumerate(text.split("\n"), start=1):
+def _lines(text: str):
+    for number, line in enumerate(text.split("\n"), start=1):
         body = line.split("#", 1)[0]
-        toks = [
-            _Tok(m.group(0), lineno, m.start() + 1)
-            for m in re.finditer(r"\S+", body)
-        ]
+        toks = body.split()
         if toks:
-            yield toks
+            yield _Line(number, body, toks)
 
 
-def _ident(tok: _Tok, what: str) -> str:
-    if not _IDENT_RE.match(tok.text):
-        raise ScenarioParseError(f"invalid {what} {tok.text!r}", tok.line, tok.col)
-    return tok.text
+def _ident(ln: _Line, k: int, what: str) -> str:
+    if not _IDENT_RE.match(ln.toks[k]):
+        raise ln.error(k, f"invalid {what} {ln.toks[k]!r}")
+    return ln.toks[k]
 
 
-def _complex(tok: _Tok) -> complex:
+def _amplitudes(ln: _Line, start: int, stop: int) -> list[complex]:
+    """The literals ``toks[start:stop]`` of a line, converted as one run."""
     try:
-        return parse_complex_literal(tok.text)
-    except ValueError as exc:
-        raise ScenarioParseError(str(exc), tok.line, tok.col) from None
+        return _literals(ln.toks[start:stop])
+    except _BadLiteral as exc:
+        raise ln.error(start + exc.index, str(exc)) from None
 
 
-def _int(tok: _Tok, what: str) -> int:
-    if _TIME_RE.fullmatch(tok.text):
-        return int(tok.text)
-    if tok.text.startswith("-") and _TIME_RE.fullmatch(tok.text, 1):
-        raise ScenarioParseError(f"{what} must be non-negative", tok.line, tok.col)
-    raise ScenarioParseError(f"{what} must be an integer, got {tok.text!r}", tok.line, tok.col)
+def _int(ln: _Line, k: int, what: str) -> int:
+    text = ln.toks[k]
+    if _TIME_RE.fullmatch(text):
+        return int(text)
+    if text.startswith("-") and _TIME_RE.fullmatch(text, 1):
+        raise ln.error(k, f"{what} must be non-negative")
+    raise ln.error(k, f"{what} must be an integer, got {text!r}")
 
 
-def _targets(tok: _Tok, dim_of: dict[str, int]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+def _targets(ln: _Line, k: int,
+             dim_of: dict[str, int]) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """An event's comma-separated target list and the targets' dims."""
-    targets = tuple(tok.text.split(","))
+    targets = tuple(ln.toks[k].split(","))
     for t in targets:
         if not _IDENT_RE.match(t):
-            raise ScenarioParseError(f"invalid target list {tok.text!r}", tok.line, tok.col)
+            raise ln.error(k, f"invalid target list {ln.toks[k]!r}")
     for t in targets:
         if t not in dim_of:
-            raise ScenarioParseError(f"unknown subsystem {t!r}", tok.line, tok.col)
+            raise ln.error(k, f"unknown subsystem {t!r}")
     return targets, tuple(dim_of[t] for t in targets)
 
 
@@ -469,95 +508,74 @@ def parse_scenario(text: str | bytes) -> Scenario:
     event_lines: list[int] = []
     explicit_final: int | None = None
 
-    for toks in _tokenize(text):
-        head = toks[0]
-        rest = toks[1:]
-        if head.text == "subsystem":
-            if len(rest) < 2:
-                raise ScenarioParseError("subsystem needs a name and at least one label",
-                                         head.line, head.col)
-            name = _ident(rest[0], "subsystem name")
+    for ln in _lines(text):
+        head, n_rest = ln.toks[0], len(ln.toks) - 1
+        if head == "subsystem":
+            if n_rest < 2:
+                raise ln.error(0, "subsystem needs a name and at least one label")
+            name = _ident(ln, 1, "subsystem name")
             if name in dim_of:
-                raise ScenarioParseError(f"subsystem {name!r} already declared",
-                                         rest[0].line, rest[0].col)
-            labels = [_ident(t, "basis label") for t in rest[1:]]
+                raise ln.error(1, f"subsystem {name!r} already declared")
+            labels = [_ident(ln, k, "basis label") for k in range(2, len(ln.toks))]
             if len(set(labels)) != len(labels):
-                raise ScenarioParseError(f"duplicate basis labels for subsystem {name!r}",
-                                         head.line, head.col)
+                raise ln.error(0, f"duplicate basis labels for subsystem {name!r}")
             if initial is not None or events:
-                raise ScenarioParseError("subsystem declared after state/events",
-                                         head.line, head.col)
+                raise ln.error(0, "subsystem declared after state/events")
             subsystems.append(SubsystemSpec(name, len(labels), tuple(labels)))
             dim_of[name] = len(labels)
-        elif head.text == "state":
+        elif head == "state":
             if not subsystems:
-                raise ScenarioParseError("no subsystems declared", head.line, head.col)
+                raise ln.error(0, "no subsystems declared")
             if initial is not None:
-                raise ScenarioParseError("state already declared", head.line, head.col)
+                raise ln.error(0, "state already declared")
             dims = tuple(s.dim for s in subsystems)
             need = math.prod(dims)
-            if len(rest) != need:
-                raise ScenarioParseError(
-                    f"state needs {need} amplitudes, got {len(rest)}", head.line, head.col
-                )
-            amps = [_complex(t) for t in rest]
+            if n_rest != need:
+                raise ln.error(0, f"state needs {need} amplitudes, got {n_rest}")
+            amps = _amplitudes(ln, 1, len(ln.toks))
             try:
                 initial = StateVector(dims, amps).require_normalized("initial state")
             except HilbertError as exc:
-                raise ScenarioParseError(str(exc), head.line, head.col) from None
-            state_line = head.line
-        elif head.text == "unitary":
-            if len(rest) < 2:
-                raise ScenarioParseError("unitary needs a time and targets", head.line, head.col)
-            time = _int(rest[0], "time")
-            targets, dims = _targets(rest[1], dim_of)
+                raise ln.error(0, str(exc)) from None
+            state_line = ln.number
+        elif head == "unitary":
+            if n_rest < 2:
+                raise ln.error(0, "unitary needs a time and targets")
+            time = _int(ln, 1, "time")
+            targets, dims = _targets(ln, 2, dim_of)
             side = math.prod(dims)
-            entry_toks = rest[2:]
-            if len(entry_toks) != side * side:
-                raise ScenarioParseError(
-                    f"unitary on {rest[1].text} needs {side * side} entries, "
-                    f"got {len(entry_toks)}",
-                    head.line, head.col,
-                )
-            entries = np.array([_complex(t) for t in entry_toks]).reshape(side, side)
+            if n_rest - 2 != side * side:
+                raise ln.error(0, f"unitary on {ln.toks[2]} needs {side * side} entries, "
+                                  f"got {n_rest - 2}")
+            entries = np.array(_amplitudes(ln, 3, len(ln.toks))).reshape(side, side)
             try:
                 events.append(UnitaryEvent(time, targets, Operator(dims, entries)))
             except HilbertError as exc:
-                raise ScenarioParseError(f"non-unitary matrix: {exc}", head.line, head.col) from None
-            event_lines.append(head.line)
-        elif head.text == "measure":
-            if len(rest) < 4:
-                raise ScenarioParseError(
-                    "measure needs time, agent, targets and a record policy",
-                    head.line, head.col,
-                )
-            time = _int(rest[0], "time")
-            agent = _ident(rest[1], "agent name")
-            targets, dims = _targets(rest[2], dim_of)
-            record_tok = rest[3]
+                raise ln.error(0, f"non-unitary matrix: {exc}") from None
+            event_lines.append(ln.number)
+        elif head == "measure":
+            if n_rest < 4:
+                raise ln.error(0, "measure needs time, agent, targets and a record policy")
+            time = _int(ln, 1, "time")
+            agent = _ident(ln, 2, "agent name")
+            targets, dims = _targets(ln, 3, dim_of)
             try:
-                record = Record[record_tok.text.upper()]
+                record = Record[ln.toks[4].upper()]
             except KeyError:
-                raise ScenarioParseError(
-                    f"record policy must be 'retained' or 'erased', got {record_tok.text!r}",
-                    record_tok.line, record_tok.col,
+                raise ln.error(
+                    4, f"record policy must be 'retained' or 'erased', got {ln.toks[4]!r}"
                 ) from None
-            labels, vectors = _parse_basis_groups(rest[4:], dims, head)
-            try:
-                basis = Basis(dims, tuple(labels), tuple(vectors))
-            except HilbertError as exc:
-                raise ScenarioParseError(f"invalid measurement basis: {exc}",
-                                         head.line, head.col) from None
+            basis = _basis(ln, 5, dims)
             events.append(MeasurementEvent(time, agent, targets, basis, record))
-            event_lines.append(head.line)
-        elif head.text == "final":
-            if len(rest) != 1:
-                raise ScenarioParseError("final takes one time index", head.line, head.col)
+            event_lines.append(ln.number)
+        elif head == "final":
+            if n_rest != 1:
+                raise ln.error(0, "final takes one time index")
             if explicit_final is not None:
-                raise ScenarioParseError("final already declared", head.line, head.col)
-            explicit_final = _int(rest[0], "final time")
+                raise ln.error(0, "final already declared")
+            explicit_final = _int(ln, 1, "final time")
         else:
-            raise ScenarioParseError(f"unknown directive {head.text!r}", head.line, head.col)
+            raise ln.error(0, f"unknown directive {head!r}")
 
     if not subsystems:
         raise ScenarioParseError("no subsystems declared", 1, 1)
@@ -578,40 +596,34 @@ def parse_scenario(text: str | bytes) -> Scenario:
         raise ScenarioParseError(str(exc), line, 1) from None
 
 
-def _parse_basis_groups(toks, dims, head):
+def _basis(ln: _Line, start: int, dims: tuple[int, ...]) -> Basis:
+    """The ``label: COMPLEX...`` groups from token ``start`` on, as one
+    matrix whose columns are the groups' vectors."""
+    toks = ln.toks
     need = math.prod(dims)
     labels: list[str] = []
-    vectors: list[StateVector] = []
-    i = 0
-    while i < len(toks):
-        label_tok = toks[i]
-        if not label_tok.text.endswith(":"):
-            raise ScenarioParseError(
-                f"expected 'label:' before basis vector, got {label_tok.text!r}",
-                label_tok.line, label_tok.col,
-            )
-        label = label_tok.text[:-1]
+    amps: list[complex] = []
+    k = start
+    while k < len(toks):
+        if not toks[k].endswith(":"):
+            raise ln.error(k, f"expected 'label:' before basis vector, got {toks[k]!r}")
+        label = toks[k][:-1]
         if not _IDENT_RE.match(label):
-            raise ScenarioParseError(f"invalid outcome label {label!r}",
-                                     label_tok.line, label_tok.col)
-        if len(toks) - (i + 1) < need:
-            raise ScenarioParseError(
-                f"basis vector {label!r} needs {need} amplitudes",
-                label_tok.line, label_tok.col,
-            )
-        amps = [_complex(t) for t in toks[i + 1 : i + 1 + need]]
-        try:
-            vectors.append(StateVector(dims, amps))
-        except HilbertError as exc:
-            raise ScenarioParseError(str(exc), label_tok.line, label_tok.col) from None
+            raise ln.error(k, f"invalid outcome label {label!r}")
+        if len(toks) - (k + 1) < need:
+            raise ln.error(k, f"basis vector {label!r} needs {need} amplitudes")
+        vector = _amplitudes(ln, k + 1, k + 1 + need)
+        if not all(map(cmath.isfinite, vector)):
+            raise ln.error(k, "non-finite amplitude (NaN or Inf)")
+        amps += vector
         labels.append(label)
-        i += 1 + need
+        k += 1 + need
     if len(labels) != need:
-        raise ScenarioParseError(
-            f"measurement basis needs {need} vectors, got {len(labels)}",
-            head.line, head.col,
-        )
-    return labels, vectors
+        raise ln.error(0, f"measurement basis needs {need} vectors, got {len(labels)}")
+    try:
+        return Basis(dims, tuple(labels), np.array(amps).reshape(need, need).T)
+    except HilbertError as exc:
+        raise ln.error(0, f"invalid measurement basis: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -623,12 +635,14 @@ def _fmt_real(x: float) -> str:
 
 
 def format_complex(z: complex) -> str:
+    """Text that parses back to ``z`` bit for bit; a part is left out only
+    if it is +0.0, so a -0.0 keeps its sign."""
     z = complex(z)
-    if z.imag == 0.0:
+    if z.imag == 0.0 and math.copysign(1.0, z.imag) > 0:
         return _fmt_real(z.real)
-    if z.real == 0.0:
+    if z.real == 0.0 and math.copysign(1.0, z.real) > 0:
         return _fmt_real(z.imag) + "i"
-    sign = "+" if z.imag > 0 else "-"
+    sign = "+" if math.copysign(1.0, z.imag) > 0 else "-"
     return f"{_fmt_real(z.real)}{sign}{_fmt_real(abs(z.imag))}i"
 
 
@@ -647,8 +661,8 @@ def serialize_scenario(s: Scenario) -> str:
             lines.append(f"unitary {e.time_index} {targets} {entries}")
         else:
             groups = " ".join(
-                f"{label}: " + " ".join(format_complex(a) for a in vec.amps)
-                for label, vec in zip(e.basis.labels, e.basis.vectors)
+                f"{label}: " + " ".join(format_complex(a) for a in vec)
+                for label, vec in zip(e.basis.labels, e.basis.matrix.T)
             )
             lines.append(
                 f"measure {e.time_index} {e.agent} {targets} {e.record.value.lower()} {groups}"
@@ -676,11 +690,11 @@ def scenario_equal(a: Scenario, b: Scenario, atol: float = ATOL_STRUCT) -> bool:
             if not np.allclose(ea.op.entries, eb.op.entries, rtol=0.0, atol=atol):
                 return False
         else:
-            if (ea.agent, ea.record, ea.basis.labels) != (eb.agent, eb.record, eb.basis.labels):
+            if (ea.agent, ea.record, ea.basis.labels, ea.basis.dims) != \
+               (eb.agent, eb.record, eb.basis.labels, eb.basis.dims):
                 return False
-            for va, vb in zip(ea.basis.vectors, eb.basis.vectors):
-                if not va.allclose(vb, atol=atol):
-                    return False
+            if not np.allclose(ea.basis.matrix, eb.basis.matrix, rtol=0.0, atol=atol):
+                return False
     return a.final_time == b.final_time
 
 
@@ -733,7 +747,7 @@ def scenario_to_json(s: Scenario) -> str:
                     "basis": {
                         "dims": list(e.basis.dims),
                         "labels": list(e.basis.labels),
-                        "vectors": [[_c2j(a) for a in v.amps] for v in e.basis.vectors],
+                        "vectors": [[_c2j(a) for a in v] for v in e.basis.matrix.T],
                     },
                 }
             )
@@ -792,13 +806,9 @@ def scenario_from_json(text: str | bytes) -> Scenario:
                 )
                 events.append(UnitaryEvent(time, targets, op))
             elif d["kind"] == "measurement":
-                dims = _dims(d["basis"]["dims"])
-                basis = Basis(
-                    dims,
-                    _strings(d["basis"]["labels"]),
-                    tuple(StateVector(dims, [_j2c(p) for p in vec])
-                          for vec in d["basis"]["vectors"]),
-                )
+                vectors = [[_j2c(p) for p in vec] for vec in d["basis"]["vectors"]]
+                basis = Basis(_dims(d["basis"]["dims"]), _strings(d["basis"]["labels"]),
+                              np.array(vectors, dtype=complex).T)
                 (agent,) = _strings([d["agent"]])
                 events.append(MeasurementEvent(time, agent, targets, basis,
                                                Record(d["record"])))

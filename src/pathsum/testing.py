@@ -53,9 +53,7 @@ def random_basis(rng: np.random.Generator, dims: tuple[int, ...],
                  prefix: str = "m") -> Basis:
     side = math.prod(dims)
     u = random_unitary(rng, side)
-    labels = tuple(f"{prefix}{j}" for j in range(side))
-    vectors = tuple(StateVector(dims, u[:, j]) for j in range(side))
-    return Basis(dims, labels, vectors)
+    return Basis(dims, tuple(f"{prefix}{j}" for j in range(side)), u)
 
 
 def random_scenario(seed_or_rng) -> Scenario:

@@ -89,9 +89,9 @@ def _escaped_names_scenario():
         (SubsystemSpec("q", 3, labels),),
         StateVector((3,), psi / np.linalg.norm(psi)),
         (MeasurementEvent(1, 'Fr"\\i\u00e9nd\x07', ("q",),
-                          Basis((3,), labels, first.vectors), Record.RETAINED),
+                          Basis((3,), labels, first.matrix), Record.RETAINED),
          MeasurementEvent(2, "W\u00f8\t", ("q",),
-                          Basis((3,), ("a", "b", "c"), second.vectors), Record.RETAINED)),
+                          Basis((3,), ("a", "b", "c"), second.matrix), Record.RETAINED)),
     )
 
 

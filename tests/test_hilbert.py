@@ -40,6 +40,11 @@ def q(*amps):
     return StateVector((2,), list(amps))
 
 
+def columns(*vectors):
+    """The basis matrix whose columns are ``vectors``."""
+    return np.column_stack([v.amps for v in vectors])
+
+
 def coin_spin_u():
     return Operator(
         (2, 2),
@@ -193,26 +198,26 @@ class TestApplyEmbed:
 
 class TestBasisValidation:
     def test_up_down_ok(self):
-        assert validate_basis([q(1, 0), q(0, 1)]) == []
+        assert validate_basis(columns(q(1, 0), q(0, 1))) == []
 
     def test_half_sum_half_difference_ok(self):
-        assert validate_basis([q(SQ2, SQ2), q(SQ2, -SQ2)]) == []
+        assert validate_basis(columns(q(SQ2, SQ2), q(SQ2, -SQ2))) == []
 
     def test_duplicate_vector_reports_pair_and_overlap(self):
-        report = validate_basis([q(1, 0), q(1, 0)])
+        report = validate_basis(columns(q(1, 0), q(1, 0)))
         assert any("0 and 1" in line and "1" in line for line in report)
 
     def test_unnormalized_vector_reported(self):
-        report = validate_basis([q(1, 1), q(0, 1)])
+        report = validate_basis(columns(q(1, 1), q(0, 1)))
         assert any("norm" in line for line in report)
 
     def test_partial_basis_is_constructor_error(self):
         with pytest.raises(HilbertError, match="partial"):
-            Basis((2,), ("only",), (q(1, 0),))
+            Basis((2,), ("only",), columns(q(1, 0)))
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(HilbertError, match="duplicate"):
-            Basis((2,), ("a", "a"), (q(1, 0), q(0, 1)))
+            Basis((2,), ("a", "a"), columns(q(1, 0), q(0, 1)))
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.05, math.pi / 2 - 0.05), st.floats(0, 2 * math.pi),
@@ -223,10 +228,10 @@ class TestBasisValidation:
         beta = math.sin(theta) * np.exp(1j * p2)
         gamma, delta = np.conj(beta), -np.conj(alpha)
         assert alpha * np.conj(gamma) + beta * np.conj(delta) == pytest.approx(0.0, abs=1e-12)
-        assert validate_basis([q(alpha, beta), q(gamma, delta)]) == []
+        assert validate_basis(columns(q(alpha, beta), q(gamma, delta))) == []
 
     def test_non_orthogonal_rotated_pair_rejected(self):
-        report = validate_basis([q(0.6, 0.8), q(0.8, 0.6)])
+        report = validate_basis(columns(q(0.6, 0.8), q(0.8, 0.6)))
         assert report and "orthogonal" in report[0]
 
 

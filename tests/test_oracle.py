@@ -155,7 +155,7 @@ class TestCouplingBudget:
     def _scenario(self):
         labels = tuple(f"l{k}" for k in range(self.N))
         eye = np.eye(self.N)
-        basis = Basis((self.N,), labels, tuple(StateVector((self.N,), row) for row in eye))
+        basis = Basis((self.N,), labels, eye)
         return Scenario((SubsystemSpec("q", self.N, labels),), StateVector((self.N,), eye[0]),
                         (MeasurementEvent(1, "F", ("q",), basis, Record.RETAINED),))
 
@@ -224,6 +224,39 @@ class TestStoredBudget:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestBudgetEdge:
+    """The all-retained 24-chain is just over both engines' budgets: 2^24
+    branches against the path engine's enumeration cap, and 2 * 2^24 stored
+    amplitudes against the oracle's.  Each refuses before allocating."""
+
+    N = 24
+
+    def _kept(self):
+        return _all_retained(erased_qubit_chain(self.N))
+
+    @pytest.mark.parametrize("engine, error, message", [
+        (paths.distribution, paths.PathEngineError,
+         "16777216 branches exceed the enumeration cap"),
+        (distribution, OracleError, "stored state needs 33554432 amplitudes"),
+    ], ids=["paths", "oracle"])
+    def test_engine_refuses_before_allocating(self, engine, error, message):
+        s = self._kept()
+        tracemalloc.start()
+        try:
+            with pytest.raises(error, match=message):
+                engine(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cli_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "chain24.scn"
+        target.write_text(serialize_scenario(self._kept()), "utf-8")
+        assert cli.main(["run", str(target), "--engine", "both"]) == 2
+        assert "exceed the enumeration cap" in capsys.readouterr().err
 
 
 def dense_coupling(plan):
@@ -491,7 +524,7 @@ class TestStoredRanges:
         # levels and 1.52 GiB at 100; the fire block is 16 n^3 bytes
         for n in (40, 100):
             basis = random_basis(np.random.default_rng(0), (n,), prefix="l")
-            s = Scenario((SubsystemSpec("q", n, basis.labels),), basis.vectors[0],
+            s = Scenario((SubsystemSpec("q", n, basis.labels),), basis.vector(basis.labels[0]),
                          (MeasurementEvent(1, "F", ("q",), basis, Record.RETAINED),))
             tracemalloc.start()
             try:
@@ -555,10 +588,10 @@ class TestInvariances:
         rng = np.random.default_rng(pick_seed)
         i, e = s.measurements()[int(rng.integers(len(s.measurements())))]
         j = int(rng.integers(len(e.labels)))
-        vectors = list(e.basis.vectors)
-        vectors[j] = StateVector(e.basis.dims, vectors[j].amps * np.exp(1j * rng.uniform(0, 7)))
+        matrix = e.basis.matrix.copy()
+        matrix[:, j] = matrix[:, j] * np.exp(1j * rng.uniform(0, 7))
         events = list(s.events)
-        events[i] = replace(e, basis=Basis(e.basis.dims, e.labels, tuple(vectors)))
+        events[i] = replace(e, basis=Basis(e.basis.dims, e.labels, matrix))
         _assert_same_distribution(s, Scenario(s.subsystems, s.initial, tuple(events)))
 
     @settings(max_examples=40, deadline=None)

@@ -362,7 +362,7 @@ class TestEnginePreconditions:
         return SubsystemSpec(name, 2, ("u", "d"))
 
     def _basis(self):
-        return Basis((2,), ("u", "d"), (StateVector((2,), [1, 0]), StateVector((2,), [0, 1])))
+        return Basis((2,), ("u", "d"), [[1, 0], [0, 1]])
 
     def _unmeasured_subsystem(self):
         return Scenario(
@@ -434,8 +434,8 @@ class TestLongErasedChain:
         last = s.events[-1].basis
         dist = distribution(s)
         assert len(dist.weights) == 2
-        for label, v in zip(last.labels, last.vectors):
-            born = abs(np.vdot(v.amps, s.initial.amps)) ** 2
+        for label, v in zip(last.labels, last.matrix.T):
+            born = abs(np.vdot(v, s.initial.amps)) ** 2
             assert dist.weights[((f"A{self.N}", label),)] == pytest.approx(born, abs=1e-12)
 
     def test_enumeration_hits_its_cap(self):
@@ -464,7 +464,7 @@ class TestLongErasedChain:
 def test_distribution_refuses_oversized_batch_before_allocating(engine):
     # 13 qubits each measured once: 2**13 tuples (and paths) of 2**13 amplitudes each
     n = 13
-    basis = Basis((2,), ("0", "1"), (StateVector((2,), [1, 0]), StateVector((2,), [0, 1])))
+    basis = Basis((2,), ("0", "1"), [[1, 0], [0, 1]])
     initial = np.zeros(2**n)
     initial[0] = 1.0
     s = Scenario(

@@ -3,6 +3,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from pathsum.scenario import (
     scenario_to_json,
     serialize_scenario,
 )
-from pathsum.testing import random_scenario, random_unpinned_scenario
+from pathsum.testing import erased_qubit_chain, random_scenario, random_unpinned_scenario
 
 MINIMAL = """
 subsystem sys up down
@@ -354,6 +355,52 @@ class TestRoundTrip:
         assert not scenario_equal(a, b)
 
 
+def _amplitude_arrays(s):
+    """The initial state, then each event's unitary entries or basis matrix."""
+    yield s.initial.amps
+    for e in s.events:
+        yield e.op.entries if isinstance(e, UnitaryEvent) else e.basis.matrix
+
+
+# X with signed zeros, measured in a basis with signed zeros
+SIGNED_ZEROS = """
+subsystem sys up down
+state 1 -0
+unitary 1 sys -0-0i 1 1 0-0i
+measure 2 F sys retained up: 1 -0 down: -0-0i -1
+"""
+
+
+def _round_trip_sources():
+    yield parse_scenario(SIGNED_ZEROS)
+    yield from (library.builtin(name) for name in library.builtin_names())
+    yield from (library.load_shipped(name) for name in library.builtin_names())
+    yield from (library.builtin("2w2f", regime) for regime in library.RegimeTag)
+    for seed in range(200):
+        yield random_scenario(seed)
+        yield random_unpinned_scenario(seed)
+    yield erased_qubit_chain(9)
+    yield erased_qubit_chain(10)
+
+
+class TestBitwiseRoundTrip:
+    """Both text forms give back every amplitude bit for bit, the sign of
+    zero included; TestRoundTrip compares only within a tolerance."""
+
+    @pytest.mark.parametrize("load, dump", [(parse_scenario, serialize_scenario),
+                                            (scenario_from_json, scenario_to_json)],
+                             ids=["scn", "json"])
+    def test_every_amplitude_survives(self, load, dump):
+        n_negative_zero = 0
+        for s in _round_trip_sources():
+            again = load(dump(s))
+            assert scenario_equal(s, again)
+            for a, b in zip(_amplitude_arrays(s), _amplitude_arrays(again), strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                n_negative_zero += int(np.signbit(a.view(float)[a.view(float) == 0.0]).sum())
+        assert n_negative_zero > 0  # the sign of zero is exercised, not vacuous
+
+
 def _rule_cases():
     """(rule, scenario parts, expected message, index of the offending event or None).
 
@@ -361,7 +408,7 @@ def _rule_cases():
     """
     sys_ = (SubsystemSpec("sys", 2, ("up", "down")),)
     ab = (SubsystemSpec("a", 2, ("up", "down")), SubsystemSpec("b", 2, ("up", "down")))
-    basis = Basis((2,), ("up", "down"), (StateVector((2,), [1, 0]), StateVector((2,), [0, 1])))
+    basis = Basis((2,), ("up", "down"), [[1, 0], [0, 1]])
     flip = Operator((2,), [[0, 1], [1, 0]])
 
     def m(time, agent, target, record=Record.RETAINED):
@@ -386,8 +433,7 @@ def _rule_cases():
 class TestValidate:
     def test_unnormalized_initial_reported(self):
         sub = SubsystemSpec("sys", 2, ("up", "down"))
-        basis = Basis((2,), ("up", "down"),
-                      (StateVector((2,), [1, 0]), StateVector((2,), [0, 1])))
+        basis = Basis((2,), ("up", "down"), [[1, 0], [0, 1]])
         with pytest.raises(ScenarioValidationError) as info:
             Scenario(
                 (sub,),
@@ -410,6 +456,50 @@ class TestValidate:
     def test_builtin_scenarios_validate(self):
         for name in library.builtin_names():
             assert isinstance(library.builtin(name), Scenario)
+
+
+def _first_overlap_pairwise(events):
+    """The pairwise scan the one-pass check replaced: the first pair i < j of
+    events sharing a time and a target, as (message, event j)."""
+    for i, a in enumerate(events):
+        for j in range(i + 1, len(events)):
+            b = events[j]
+            if a.time_index == b.time_index and set(a.targets) & set(b.targets):
+                return f"events {i} and {j} share time {a.time_index} and overlapping targets", b
+    return None
+
+
+class TestOverlapCheck:
+    def test_one_pass_reports_the_first_pair_of_the_pairwise_scan(self):
+        rng = random.Random(5)
+        names = ("a", "b", "c", "d")
+        order = {name: k for k, name in enumerate(names)}
+        subsystems = tuple(SubsystemSpec(name, 2, ("u", "d")) for name in names)
+        initial = StateVector((2,) * 4, [1] + [0] * 15)
+        bases = {k: Basis((2,) * k, tuple(f"l{x}" for x in range(2 ** k)), np.eye(2 ** k))
+                 for k in (1, 2)}
+        n_overlaps = 0
+        for _ in range(3000):
+            events = []
+            for k in range(rng.randrange(2, 7)):
+                targets = tuple(rng.sample(names, rng.randrange(1, 3)))
+                events.append(MeasurementEvent(rng.randrange(1, 4), f"A{k}", targets,
+                                               bases[len(targets)], Record.RETAINED))
+            # the constructor's own time order
+            ordered = sorted(events, key=lambda e: (e.time_index,
+                                                    min(order[t] for t in e.targets)))
+            expected = _first_overlap_pairwise(ordered)
+            try:
+                Scenario(subsystems, initial, tuple(events))
+                got = None
+            except ScenarioValidationError as exc:
+                got = (str(exc), exc.event) if "overlapping" in str(exc) else None
+            if expected is None:
+                assert got is None
+            else:
+                n_overlaps += 1
+                assert got[0] == expected[0] and got[1] is expected[1]
+        assert n_overlaps > 1000
 
 
 def _json_slots(node):

@@ -397,7 +397,7 @@ def _literals(tokens: list[str]) -> list[complex]:
     """
     run = " ".join(tokens)
     if _PLAIN_RUN_RE.fullmatch(run):
-        values = [complex(t) for t in run.replace("i", "j").split(" ")]
+        values = list(map(complex, run.replace("i", "j").split(" ")))
         # a token with a space in it splits in two and takes the grammar
         if len(values) == len(tokens) and all(map(cmath.isfinite, values)):
             return values

@@ -260,6 +260,16 @@ class TestParser:
         with pytest.raises(ScenarioParseError, match="time must be non-negative"):
             parse_scenario(MINIMAL.replace("measure 1", "measure -3"))
 
+    @pytest.mark.parametrize("group, bad, col", [("up: 1 0", "up: 1e200*1e200 0", 26),
+                                                  ("down: 0 1", "down: 0 -1e300/1e-300", 34)])
+    def test_non_finite_basis_vector_points_at_its_label(self, group, bad, col):
+        # the grammar multiplies and divides without an overflow check
+        text = MINIMAL.replace(group, bad)
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(text)
+        assert (err.value.line, err.value.col) == (4, col)
+        assert err.value.message == "non-finite amplitude (NaN or Inf)"
+
     def test_invalid_utf8_bytes(self):
         with pytest.raises(ScenarioParseError, match="UTF-8"):
             parse_scenario(b"subsystem \xff\xfe sys")

@@ -19,6 +19,11 @@ fails it is checked again vector by vector, to name the first violation.
 oracle's stored state; both check it before allocating.  The oracle
 checks the full dilated dims only when a state is embedded in them (see
 ``oracle``).
+
+Every state update in both engines makes one ``np.dot``: ``apply_to_slots``
+and ``split_slots`` transpose the target axes into place, reshape, make
+that ``dot`` and transpose back, so a result may be a non-contiguous view.
+Both first check the target axes' lengths, which a reshape would not.
 """
 
 from __future__ import annotations
@@ -206,15 +211,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.dims + b.dims, np.kron(a.amps, b.amps))
 
 
-def tensor_many(states: Sequence[StateVector]) -> StateVector:
-    if not states:
-        raise HilbertError("tensor_many needs at least one state")
-    out = states[0]
-    for s in states[1:]:
-        out = tensor(out, s)
-    return out
-
-
 def inner(a: StateVector, b: StateVector) -> complex:
     """<a|b>, conjugate-linear in ``a``."""
     if a.dims != b.dims:
@@ -235,27 +231,36 @@ def apply_to_slots(op_entries: np.ndarray, op_dims: Sequence[int],
     """
     op_dims, slots = tuple(op_dims), tuple(slots)
     in_dims = op_dims if in_dims is None else tuple(in_dims)
-    k = len(op_dims)
-    op_t = np.asarray(op_entries).reshape(op_dims + in_dims)
-    moved = np.tensordot(op_t, state, axes=(tuple(range(k, 2 * k)), slots))
-    # tensordot puts the operator's output axes first; restore positions
-    return np.moveaxis(moved, tuple(range(k)), slots)
+    order, inverse = _axis_order(state, slots, in_dims)
+    moved = state.transpose(order)
+    out = np.dot(np.asarray(op_entries).reshape(math.prod(op_dims), math.prod(in_dims)),
+                 moved.reshape(math.prod(in_dims), -1))
+    return out.reshape(op_dims + moved.shape[len(slots):]).transpose(inverse)
 
 
-def project_slots(vec: np.ndarray, vec_dims: Sequence[int],
-                  slots: Sequence[int], state: np.ndarray) -> np.ndarray:
-    """Contract <vec| over ``slots`` of a state tensor.
-
-    Returns the (unnormalized) remainder tensor on the other axes, in their
-    original relative order.
+def split_slots(columns: np.ndarray, vec_dims: Sequence[int],
+                slots: Sequence[int], state: np.ndarray) -> np.ndarray:
+    """Split a batch of B states, held on the last axis of ``state``, on the
+    n vectors v_l that are the columns of ``columns``, each row-major over
+    ``vec_dims``, the lengths of the axes ``slots``.  Entry l * B + b of the
+    result's last axis is v_l (x) <v_l|psi_b>, entry b's projection onto v_l.
     """
-    v = np.asarray(vec).reshape(tuple(vec_dims))
-    return np.tensordot(v.conj(), state, axes=(tuple(range(v.ndim)), tuple(slots)))
+    slots = tuple(slots)
+    order, inverse = _axis_order(state, slots, tuple(vec_dims))
+    moved = state.transpose(order)
+    side, n = columns.shape
+    coeffs = np.dot(columns.conj().T, moved.reshape(side, -1)).reshape(n, -1, state.shape[-1])
+    # C order, so that merging the label and batch axes below is a view
+    out = np.multiply(columns[:, np.newaxis, :, np.newaxis], coeffs.transpose(1, 0, 2),
+                      order="C")
+    return out.reshape(moved.shape[:-1] + (-1,)).transpose(inverse)
 
 
-def insert_slots(vec: np.ndarray, vec_dims: Sequence[int],
-                 slots: Sequence[int], remainder: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`project_slots`: tensor ``vec`` back onto ``slots``."""
-    v = np.asarray(vec).reshape(tuple(vec_dims))
-    out = np.multiply.outer(v, remainder)
-    return np.moveaxis(out, tuple(range(v.ndim)), tuple(slots))
+def _axis_order(state: np.ndarray, slots: tuple, dims: tuple) -> tuple[tuple, list[int]]:
+    """Check the ``slots`` axes' lengths; return the axis order that puts
+    ``slots`` first and the others after them in order, and its inverse."""
+    found = tuple(state.shape[x] for x in slots)
+    if found != dims:
+        raise HilbertError(f"axes {slots} have lengths {found}, expected {dims}")
+    order = slots + tuple(x for x in range(state.ndim) if x not in slots)
+    return order, [order.index(x) for x in range(len(order))]

@@ -14,8 +14,9 @@ per assignment of an outcome to every measurement event, the product of
 evolution matrix elements between consecutive branch states, and
 ``reduce(enumerate_paths(s), s)`` is the definition ``distribution`` is
 tested against.  One walk over the events serves all three: it splits a
-batch of branch states on the labels it is given for each measurement and
-skips the other measurements.  ``distribution`` gives it the retained
+batch of branch states on the labels it is given for each measurement, in
+one contraction with those labels' basis columns (``hilbert.split_slots``),
+and skips the other measurements.  ``distribution`` gives it the retained
 events, ``enumerate_paths`` every measurement, and ``path_amplitude`` every
 measurement with its one assigned label.  Scalar path amplitudes exist only
 when the final state of every subsystem is pinned by its last measurement,
@@ -38,14 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import (
-    ATOL_PROB,
-    ATOL_STRUCT,
-    MAX_AMPLITUDES,
-    apply_to_slots,
-    insert_slots,
-    project_slots,
-)
+from .hilbert import ATOL_PROB, ATOL_STRUCT, MAX_AMPLITUDES, apply_to_slots, split_slots
 from .scenario import Scenario, UnitaryEvent
 
 _MAX_PATHS = 1 << 20  # virtual paths enumerated, retained tuples distributed
@@ -172,12 +166,14 @@ def _engine_preconditions(s: Scenario) -> tuple[int, ...]:
 
 
 def _branch_states(s: Scenario, split: dict[int, tuple[str, ...]]) -> np.ndarray:
-    """Walk ``s.events`` once; return the branch states, batch axis first.
+    """Walk ``s.events`` once; return the branch states, one axis per split
+    event in time order, then the subsystems' axes.
 
-    A unitary acts on every entry.  Measurement ``i`` in ``split`` replaces
-    entry b by the entries b * n + l, its projections onto the vectors of
-    the n labels ``split[i]``, so the batch is row-major over the split
-    events; other measurements are skipped.  Limits are checked up front.
+    A unitary acts on every branch.  Measurement ``i`` in ``split`` splits
+    every branch on the vectors of the labels ``split[i]``; other
+    measurements are skipped.  While walking, the branches are the last
+    axis, the latest split's label most significant.  Limits are checked up
+    front.
     """
     n_branches = math.prod(len(labels) for labels in split.values())
     if n_branches > _MAX_PATHS:
@@ -187,19 +183,16 @@ def _branch_states(s: Scenario, split: dict[int, tuple[str, ...]]) -> np.ndarray
         raise PathEngineError(
             f"branch states need {n_amps} amplitudes, over the budget of {MAX_AMPLITUDES}"
         )
-    state = s.initial.as_tensor()[np.newaxis]
+    state = s.initial.as_tensor()[..., np.newaxis]
     for i, e in enumerate(s.events):
-        slots = tuple(k + 1 for k in s.slots(e.targets))  # axis 0 is the batch
         if isinstance(e, UnitaryEvent):
-            state = apply_to_slots(e.op.entries, e.op.dims, slots, state)
+            state = apply_to_slots(e.op.entries, e.op.dims, s.slots(e.targets), state)
         elif i in split:
-            parts = []
-            for label in split[i]:
-                v = e.basis.matrix[:, e.labels.index(label)]
-                rem = project_slots(v, e.basis.dims, slots, state)
-                parts.append(insert_slots(v, e.basis.dims, slots, rem))
-            state = np.stack(parts, axis=1).reshape((-1,) + state.shape[1:])
-    return state
+            columns = e.basis.matrix[:, [e.labels.index(label) for label in split[i]]]
+            state = split_slots(columns, e.basis.dims, s.slots(e.targets), state)
+    d, k = len(s.dims), len(split)
+    state = state.reshape(s.dims + tuple(len(labels) for labels in reversed(split.values())))
+    return state.transpose(tuple(range(d + k - 1, d - 1, -1)) + tuple(range(d)))
 
 
 def _scalarize(s: Scenario, finals: tuple[int, ...], assignment: dict[int, str],
@@ -238,8 +231,8 @@ def path_amplitude(branches, s: Scenario) -> complex:
             f"branch assignment covers events {sorted(assignment)}, "
             f"expected {sorted(expected)}"
         )
-    (state,) = _branch_states(s, {i: (label,) for i, label in assignment.items()})
-    return _scalarize(s, finals, assignment, state)
+    state = _branch_states(s, {i: (label,) for i, label in assignment.items()})
+    return _scalarize(s, finals, assignment, state.reshape(s.dims))
 
 
 def enumerate_paths(s: Scenario) -> tuple[VirtualPath, ...]:
@@ -251,7 +244,8 @@ def enumerate_paths(s: Scenario) -> tuple[VirtualPath, ...]:
     finals = _engine_preconditions(s)
     split = {i: e.labels for i, e in s.measurements()}  # time order, like the batch
     out = []
-    for labels, state in zip(itertools.product(*split.values()), _branch_states(s, split)):
+    states = _branch_states(s, split).reshape((-1,) + s.dims)
+    for labels, state in zip(itertools.product(*split.values()), states):
         assignment = dict(zip(split, labels))
         out.append(VirtualPath(tuple(assignment.items()),
                                _scalarize(s, finals, assignment, state)))
@@ -313,8 +307,8 @@ def distribution(s: Scenario) -> OutcomeDistribution:
     that is defined.
     """
     states = _branch_states(s, {i: e.labels for i, e in s.retained()})
-    norms = np.linalg.norm(states.reshape(len(states), -1), axis=1) ** 2
-    return outcome_distribution(norms, s, PathEngineError)
+    weights = (states.real ** 2 + states.imag ** 2).sum(axis=tuple(range(-len(s.dims), 0)))
+    return outcome_distribution(weights.ravel(), s, PathEngineError)
 
 
 def marginal(d: OutcomeDistribution, keep) -> OutcomeDistribution:

@@ -276,11 +276,10 @@ def _check(s: Scenario) -> None:
             )
 
     # rule F: an erased record must actually be destroyed by a later measurement
-    for i, e in measurements:
-        if e.record is not Record.ERASED:
-            continue
-        targets = set(e.targets)
-        if not any(j > i and targets <= set(f.targets) for j, f in measurements):
+    covers = [set(e.targets) for _, e in measurements]
+    for k, (i, e) in enumerate(measurements):
+        if e.record is Record.ERASED and not any(
+                covers[k] <= covers[j] for j in range(k + 1, len(covers))):
             raise ScenarioValidationError(
                 f"event {i}: ERASED record of agent {e.agent!r} is never erased "
                 f"(needs a later measurement covering {e.targets})",

@@ -24,11 +24,12 @@ answer but ``enumerate_paths`` refuses.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .hilbert import Basis, Operator, StateVector, tensor_many
+from .hilbert import Basis, Operator, StateVector, tensor
 from .scenario import (
     MeasurementEvent,
     Record,
@@ -69,7 +70,7 @@ def random_scenario(seed_or_rng) -> Scenario:
         SubsystemSpec(f"s{k}", dims[k], tuple(f"b{j}" for j in range(dims[k])))
         for k in range(n_sub)
     )
-    initial = tensor_many([random_state(rng, d) for d in dims])
+    initial = functools.reduce(tensor, [random_state(rng, d) for d in dims])
 
     # coverage tail: every subsystem's last event is a retained measurement,
     # occasionally a joint one on a pair

@@ -12,6 +12,7 @@ from pathsum.hilbert import (
     StateVector,
     apply_to_slots,
     inner,
+    split_slots,
     tensor,
     validate_basis,
 )
@@ -194,6 +195,102 @@ class TestApplyEmbed:
         psi = StateVector((2,), amps)
         out = Operator((2,), u).entries @ psi.amps
         assert abs(np.linalg.norm(out) - psi.norm()) <= 1e-12
+
+
+def _subscripts(ndim, slots):
+    """einsum letters: the state's axes, its ``slots`` axes, their new
+    letters, and the state's axes with ``slots`` renamed to those."""
+    sub, outs = "abcdefgh"[:ndim], "PQRS"[:len(slots)]
+    result = list(sub)
+    for x, letter in zip(slots, outs):
+        result[x] = letter
+    return sub, "".join(sub[x] for x in slots), outs, "".join(result)
+
+
+def dense_apply(op_entries, op_dims, slots, state, in_dims):
+    """``apply_to_slots`` by its definition, one explicit einsum."""
+    sub, ins, outs, result = _subscripts(state.ndim, slots)
+    op = np.asarray(op_entries).reshape(tuple(op_dims) + tuple(in_dims))
+    return np.einsum(f"{outs}{ins},{sub}->{result}", op, state)
+
+
+def dense_split(columns, vec_dims, slots, state):
+    """``split_slots`` by its definition: with the batch on the last axis,
+    entry (l, b) is v_l (x) <v_l|psi_b>."""
+    sub, ins, outs, result = _subscripts(state.ndim, slots)
+    v = np.asarray(columns).reshape(tuple(vec_dims) + (columns.shape[1],))
+    out = np.einsum(f"{outs}L,{ins}L,{sub}->{result[:-1]}L{sub[-1]}", v, v.conj(), state)
+    return out.reshape(out.shape[:-2] + (-1,))
+
+
+def random_complex(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestKernels:
+    """``apply_to_slots`` and ``split_slots`` against explicit einsums, which
+    share no code with them."""
+
+    def test_apply_matches_dense_definition(self):
+        rng = np.random.default_rng(0)
+        orders = set()
+        for _ in range(400):
+            k = int(rng.integers(1, 5))
+            dims = tuple(int(d) for d in rng.integers(1, 5, size=int(rng.integers(k, 6))))
+            slots = tuple(int(x) for x in rng.permutation(len(dims))[:k])
+            op_dims = tuple(dims[x] for x in slots)
+            side = math.prod(op_dims)
+            op, state = random_complex(rng, (side, side)), random_complex(rng, dims)
+            got = apply_to_slots(op, op_dims, slots, state)
+            np.testing.assert_allclose(got, dense_apply(op, op_dims, slots, state, op_dims),
+                                       rtol=1e-13, atol=1e-13)
+            orders.add("sorted" if list(slots) == sorted(slots) else
+                       "reversed" if list(slots) == sorted(slots, reverse=True) else "mixed")
+        assert orders == {"sorted", "reversed", "mixed"}
+
+    @pytest.mark.parametrize("dims, slots", [((3, 1, 2), (1, 0)), ((2, 4, 1), (2, 0, 1)),
+                                             ((1, 3), (0, 1))])
+    def test_rectangular_fire_block(self, dims, slots):
+        # a length-1 pointer fired to n levels, and its conjugate transpose back
+        rng = np.random.default_rng(1)
+        n, targets = 3, tuple(dims[x] for x in slots[1:])
+        fired, idle = (n,) + targets, (1,) + targets
+        block = random_complex(rng, (math.prod(fired), math.prod(idle)))
+        state = random_complex(rng, dims)
+        up = apply_to_slots(block, fired, slots, state, idle)
+        np.testing.assert_allclose(up, dense_apply(block, fired, slots, state, idle),
+                                   rtol=1e-13, atol=1e-13)
+        down = apply_to_slots(block.conj().T, idle, slots, up, fired)
+        np.testing.assert_allclose(down, dense_apply(block.conj().T, idle, slots, up, fired),
+                                   rtol=1e-13, atol=1e-13)
+        assert down.shape == state.shape
+
+    def test_split_matches_dense_definition(self):
+        rng = np.random.default_rng(2)
+        for _ in range(300):
+            k = int(rng.integers(1, 4))
+            dims = tuple(int(d) for d in rng.integers(1, 5, size=int(rng.integers(k, 5))))
+            slots = tuple(int(x) for x in rng.permutation(len(dims))[:k])
+            vec_dims = tuple(dims[x] for x in slots)
+            side = math.prod(vec_dims)
+            u, _ = np.linalg.qr(random_complex(rng, (side, side)))
+            # a subset of the labels, in an order other than the basis order
+            columns = u[:, rng.permutation(side)[:int(rng.integers(1, side + 1))]]
+            state = random_complex(rng, dims + (int(rng.integers(1, 5)),))
+            got = split_slots(columns, vec_dims, slots, state)
+            np.testing.assert_allclose(got, dense_split(columns, vec_dims, slots, state),
+                                       rtol=1e-13, atol=1e-13)
+
+    def test_swapped_axis_lengths_raise(self):
+        # a reshape alone would take (3, 2) axes as (2, 3)
+        state = np.ones((3, 2))
+        with pytest.raises(HilbertError, match=r"axes \(0, 1\) have lengths \(3, 2\), "
+                                               r"expected \(2, 3\)"):
+            apply_to_slots(np.eye(6), (2, 3), (0, 1), state)
+        with pytest.raises(HilbertError, match="expected"):
+            split_slots(np.eye(6), (2, 3), (0, 1), state[..., np.newaxis])
+        with pytest.raises(HilbertError, match="expected"):
+            apply_to_slots(np.ones((6, 3)), (3, 2), (0, 1), state, (3, 1))
 
 
 class TestBasisValidation:

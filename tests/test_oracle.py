@@ -226,6 +226,30 @@ class TestStoredBudget:
         assert peak < 1 << 20
 
 
+class TestPeakMemory:
+    """Traced peaks on the 18-chain stay at or under the ones measured before
+    the state updates became one ``dot`` each, rounded up to 0.01 MiB: an
+    extra copy of a state would add at least 4 MiB."""
+
+    N = 18
+
+    @pytest.mark.parametrize("engine, kept, mib", [
+        (paths.distribution, True, 22.02),
+        (distribution, True, 26.03),
+        (distribution, False, 16.04),
+    ], ids=["paths-retained", "oracle-retained", "oracle-erased"])
+    def test_peak_is_bounded(self, engine, kept, mib):
+        s = erased_qubit_chain(self.N)
+        s = _all_retained(s) if kept else s
+        tracemalloc.start()
+        try:
+            engine(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * (1 << 20)
+
+
 class TestBudgetEdge:
     """The all-retained 24-chain is just over both engines' budgets: 2^24
     branches against the path engine's enumeration cap, and 2 * 2^24 stored

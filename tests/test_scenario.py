@@ -512,6 +512,57 @@ class TestOverlapCheck:
         assert n_overlaps > 1000
 
 
+def _first_unerased_scan(events):
+    """The scan rule F's check replaced: every measurement from the first is
+    tried as the eraser, as (message, event) of the first erased record that
+    none covers."""
+    measurements = [(i, e) for i, e in enumerate(events) if isinstance(e, MeasurementEvent)]
+    for i, e in measurements:
+        if e.record is not Record.ERASED:
+            continue
+        targets = set(e.targets)
+        if not any(j > i and targets <= set(f.targets) for j, f in measurements):
+            return (f"event {i}: ERASED record of agent {e.agent!r} is never erased "
+                    f"(needs a later measurement covering {e.targets})", e)
+    return None
+
+
+class TestEraserCheck:
+    def test_reports_the_first_violation_of_the_full_scan(self):
+        rng = random.Random(6)
+        names = ("a", "b", "c", "d")
+        subsystems = tuple(SubsystemSpec(name, 2, ("u", "d")) for name in names)
+        initial = StateVector((2,) * 4, [1] + [0] * 15)
+        bases = {k: Basis((2,) * k, tuple(f"l{x}" for x in range(2 ** k)), np.eye(2 ** k))
+                 for k in (1, 2, 3)}
+        flip = Operator((2,), [[0, 1], [1, 0]])
+        n_violations = 0
+        for _ in range(2000):
+            n = rng.randrange(2, 9)
+            times = rng.sample(range(1, 20), n)
+            events = []
+            for k, t in enumerate(times):
+                targets = tuple(rng.sample(names, rng.randrange(1, 4)))
+                if t != max(times) and rng.random() < 0.2:
+                    events.append(UnitaryEvent(t, targets[:1], flip))
+                    continue
+                record = (Record.RETAINED if t == max(times) or rng.random() < 0.3
+                          else Record.ERASED)
+                events.append(MeasurementEvent(t, f"A{k}", targets, bases[len(targets)], record))
+            expected = _first_unerased_scan(sorted(events, key=lambda e: e.time_index))
+            try:
+                Scenario(subsystems, initial, tuple(events))
+                got = None
+            except ScenarioValidationError as exc:
+                got = (str(exc), exc.event)
+            if expected is None:
+                assert got is None
+            else:
+                n_violations += 1
+                assert got[0] == expected[0] and got[1] is expected[1]
+        assert 500 < n_violations < 1900
+
+
 def _json_slots(node):
     """Every (container, key) pair of a JSON tree, parents first."""
     if isinstance(node, dict):

@@ -223,11 +223,11 @@ def apply_to_slots(op_entries: np.ndarray, op_dims: Sequence[int],
                    in_dims: Sequence[int] | None = None) -> np.ndarray:
     """Apply a small operator to the given axes of a state tensor.
 
-    ``state`` is the full state reshaped to its dims tuple.  The operator's
-    rows run over ``op_dims``, which become those axes' lengths in the
-    result, and its columns over ``in_dims`` (default ``op_dims``, a square
-    operator), which must be their lengths in ``state``.  Avoids ever
-    materializing the embedded full-space matrix.
+    ``state`` has one axis per subsystem, plus the path engine's batch axis
+    last.  The operator's rows run over ``op_dims``, which become those
+    axes' lengths in the result, and its columns over ``in_dims`` (default
+    ``op_dims``, a square operator), which must be their lengths in
+    ``state``.  Avoids ever materializing the embedded full-space matrix.
     """
     op_dims, slots = tuple(op_dims), tuple(slots)
     in_dims = op_dims if in_dims is None else tuple(in_dims)

@@ -11,9 +11,15 @@ Two tolerances are used throughout the package:
 * ``ATOL_PROB`` (1e-9) for engine-to-engine probability comparisons.
 
 A measurement basis is ``Basis(dims, labels, matrix)``: one frozen
-side x side matrix whose columns are the vectors in label order.  Building
-one checks orthonormality with a single Gram product; only a basis that
-fails it is checked again vector by vector, to name the first violation.
+side x side matrix whose columns are the vectors in label order.
+
+Orthonormal columns and unitarity are one check, ``gram_defects``: for a
+``(k, d, n)`` stack it makes one stacked Gram product and returns
+max|M^H M - I| for each matrix, NaN for a matrix holding a NaN.  A
+``Basis`` and ``Operator.unitarity_defect`` apply it to a stack of one; the
+``.scn`` parser applies it once per matrix side to every basis and unitary
+of a file.  Only a basis that fails it is checked again vector by vector,
+to name the first violation.
 
 ``MAX_AMPLITUDES`` bounds the path engine's batched branch states and the
 oracle's stored state; both check it before allocating.  The oracle
@@ -122,8 +128,7 @@ class Operator:
 
     def unitarity_defect(self) -> float:
         """Max-norm of U^dagger U - I."""
-        eye = np.eye(self.side)
-        return float(np.max(np.abs(self.entries.conj().T @ self.entries - eye)))
+        return float(gram_defects(self.entries[np.newaxis])[0])
 
     def require_unitary(self, what: str = "operator") -> "Operator":
         defect = self.unitarity_defect()
@@ -175,34 +180,42 @@ class Basis:
         return StateVector(self.dims, self.matrix[:, k])
 
 
+def gram_defects(stack: np.ndarray) -> np.ndarray:
+    """max|M^H M - I| for each matrix M of a ``(k, d, n)`` stack: how far its
+    n columns are from orthonormal, NaN if it holds a NaN."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        gram = np.matmul(stack.conj().transpose(0, 2, 1), stack)
+        gram.reshape(len(gram), -1)[:, :: gram.shape[-1] + 1] -= 1.0
+        return np.abs(gram).max(axis=(1, 2), initial=0.0)
+
+
 def validate_basis(matrix: np.ndarray) -> list[str]:
     """Check the columns of ``matrix`` for orthonormality to 1e-12; return
     violations (empty if ok).
 
-    One Gram product M^H M decides.  Its test is half the tolerance, so a
-    basis it passes also passes the per-vector checks, however the two round;
-    a NaN fails it.  Only a failed basis is checked vector by vector, norms
-    first and then pairs i < j, each violation naming the offending vector
-    or pair and the norm or inner product magnitude.
+    ``gram_defects`` decides.  Its test is half the tolerance, so a basis it
+    passes also passes the per-vector checks, however the two round; a NaN
+    fails it.  Only a failed basis is checked vector by vector, norms first
+    and then pairs i < j, each violation naming the offending vector or pair
+    and the norm or inner product magnitude.
     """
     m = np.asarray(matrix)
-    gram = m.conj().T @ m
-    gram.flat[:: m.shape[1] + 1] -= 1.0
-    if np.abs(gram).max(initial=0.0) <= ATOL_STRUCT / 2:
+    if gram_defects(m[np.newaxis])[0] <= ATOL_STRUCT / 2:
         return []
     vectors = m.T.copy()  # contiguous: BLAS may sum a strided vector in another order
     report = []
-    for i, v in enumerate(vectors):
-        n = float(np.linalg.norm(v))
-        if abs(n - 1.0) > ATOL_STRUCT:
-            report.append(f"basis vector {i} has norm {n:.12g}, expected 1")
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            ov = abs(complex(np.vdot(vectors[i], vectors[j])))
-            if ov > ATOL_STRUCT:
-                report.append(
-                    f"basis vectors {i} and {j} are not orthogonal (|overlap| = {ov:.12g})"
-                )
+    with np.errstate(invalid="ignore", over="ignore"):  # a huge vector's norm is inf
+        for i, v in enumerate(vectors):
+            n = float(np.linalg.norm(v))
+            if abs(n - 1.0) > ATOL_STRUCT:
+                report.append(f"basis vector {i} has norm {n:.12g}, expected 1")
+        for i in range(len(vectors)):
+            for j in range(i + 1, len(vectors)):
+                ov = abs(complex(np.vdot(vectors[i], vectors[j])))
+                if ov > ATOL_STRUCT:
+                    report.append(
+                        f"basis vectors {i} and {j} are not orthogonal (|overlap| = {ov:.12g})"
+                    )
     return report
 
 

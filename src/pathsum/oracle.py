@@ -384,7 +384,8 @@ def distribution(s: Scenario) -> OutcomeDistribution:
     """
     st = evolve(dilate(s))
     pointers = [st.dilated.ancillas[i] for i, _ in s.retained()]
-    psi = st.stored
-    density = psi.real**2 + psi.imag**2
-    weights = np.einsum(density, list(range(psi.ndim)), pointers)
+    density = st.stored.real**2 + st.stored.imag**2
+    del st  # the stored state, and the density below, are released before the table is built
+    weights = np.einsum(density, list(range(density.ndim)), pointers)
+    del density
     return outcome_distribution(weights.reshape(-1), s, OracleError)

@@ -268,7 +268,7 @@ def outcome_distribution(weights: np.ndarray, s: Scenario,
     events' labels: the weights as given must total 1 within 1e-9 or
     ``error`` is raised; then weights <= 1e-12 are clamped to exact 0."""
     w = np.asarray(weights, dtype=float)
-    total = float(sum(w.tolist()))
+    total = float(w.sum())
     if abs(total - 1.0) > ATOL_PROB:
         raise error(f"probabilities sum to {total!r}, expected 1")
     retained = ",".join(e.agent for _, e in s.retained())
@@ -308,6 +308,7 @@ def distribution(s: Scenario) -> OutcomeDistribution:
     """
     states = _branch_states(s, {i: e.labels for i, e in s.retained()})
     weights = (states.real ** 2 + states.imag ** 2).sum(axis=tuple(range(-len(s.dims), 0)))
+    del states  # released before the table is built
     return outcome_distribution(weights.ravel(), s, PathEngineError)
 
 

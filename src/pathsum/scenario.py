@@ -34,6 +34,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .hilbert import (
     HilbertError,
     Operator,
     StateVector,
+    gram_defects,
 )
 
 
@@ -150,11 +152,12 @@ class Scenario:
         # ties between same-time events on disjoint targets are broken by
         # subsystem declaration order, so outcome tuples are deterministic
         order = {s.name: k for k, s in enumerate(self.subsystems)}
+        unknown = len(order)
         events = tuple(
             sorted(
                 self.events,
                 key=lambda e: (e.time_index,
-                               min((order.get(t, len(order)) for t in e.targets), default=0)),
+                               min([order.get(t, unknown) for t in e.targets], default=0)),
             )
         )
         object.__setattr__(self, "events", events)
@@ -204,11 +207,16 @@ class Scenario:
 
 
 def _check(s: Scenario) -> None:
-    """Raise ScenarioValidationError for the first violated invariant."""
+    """Raise ScenarioValidationError for the first violated invariant.
+
+    One pass over the events raises an event's own violation at once and
+    keeps the first violation of each scenario-wide rule, which is raised
+    after the pass in the rules' order.
+    """
     if not s.subsystems:
         raise ScenarioValidationError("no subsystems declared")
-    names = [sub.name for sub in s.subsystems]
-    if len(set(names)) != len(names):
+    dim_of = {sub.name: sub.dim for sub in s.subsystems}
+    if len(dim_of) != len(s.subsystems):
         raise ScenarioValidationError("duplicate subsystem names")
 
     if s.initial.dims != s.dims:
@@ -221,70 +229,71 @@ def _check(s: Scenario) -> None:
     if not s.events:
         raise ScenarioValidationError("scenario has no events")
 
-    name_set = set(names)
-    for i, e in enumerate(s.events):
-        if len(set(e.targets)) != len(e.targets):
-            raise ScenarioValidationError(f"event {i}: duplicate targets {e.targets}", e)
-        unknown = [t for t in e.targets if t not in name_set]
-        if unknown:
-            raise ScenarioValidationError(f"event {i}: unknown subsystem {unknown[0]!r}", e)
-        tdims = tuple(s.subsystems[s.subsystem_index(t)].dim for t in e.targets)
+    t_max = s.events[-1].time_index  # events are sorted by time
+    # strict ordering for events acting on overlapping targets: each event is
+    # paired with the first event at each of its (time, target) slots, and
+    # the least pair (i, j) is the first a scan over all pairs finds
+    first: dict[tuple[int, str], int] = {}
+    clash: tuple[int, int] | None = None
+    agents: list[str] = []
+    unfinished: Event | None = None  # rule B
+    pending: list[tuple[int, MeasurementEvent, set[str]]] = []  # rule F
+    for j, e in enumerate(s.events):
+        targets = e.targets
+        cover = set(targets)
+        if len(cover) != len(targets):
+            raise ScenarioValidationError(f"event {j}: duplicate targets {targets}", e)
+        for t in targets:
+            if t not in dim_of:
+                raise ScenarioValidationError(f"event {j}: unknown subsystem {t!r}", e)
+        tdims = tuple([dim_of[t] for t in targets])
         obj = e.op if isinstance(e, UnitaryEvent) else e.basis
         if obj.dims != tdims:
             raise ScenarioValidationError(
-                f"event {i}: operator/basis dims {obj.dims} do not match targets {tdims}", e
+                f"event {j}: operator/basis dims {obj.dims} do not match targets {tdims}", e
             )
         if e.time_index < 0:
-            raise ScenarioValidationError(f"event {i}: negative time index", e)
+            raise ScenarioValidationError(f"event {j}: negative time index", e)
 
-    # strict ordering for events acting on overlapping targets, in one pass:
-    # each event is paired with the first event at each of its (time, target)
-    # slots, and the least pair (i, j) is the first a scan over all pairs finds
-    first: dict[tuple[int, str], int] = {}
-    clash: tuple[int, int] | None = None
-    for j, e in enumerate(s.events):
-        for t in e.targets:
+        for t in targets:
             i = first.setdefault((e.time_index, t), j)
             if i != j and (clash is None or (i, j) < clash):
                 clash = (i, j)
+        measured = isinstance(e, MeasurementEvent)
+        if measured:
+            agents.append(e.agent)
+            # rule F: an erased record must be destroyed by a later measurement
+            pending = [p for p in pending if not p[2] <= cover]
+            if e.record is Record.ERASED:
+                pending.append((j, e, cover))
+        # rule B: the experiment must end on surviving records
+        if unfinished is None and e.time_index == t_max and (
+                not measured or e.record is not Record.RETAINED):
+            unfinished = e
+
     if clash is not None:
         i, j = clash
         raise ScenarioValidationError(
             f"events {i} and {j} share time {s.events[i].time_index} and overlapping targets",
             s.events[j],
         )
-
-    measurements = s.measurements()
-    if not measurements:
+    if not agents:
         raise ScenarioValidationError("scenario has no measurements")
-
-    agents = [e.agent for _, e in measurements]
     if len(set(agents)) != len(agents):
         raise ScenarioValidationError("agent names are not unique across measurement events")
-
-    t_max = max(e.time_index for e in s.events)
     if s.final_time < t_max:
         raise ScenarioValidationError("final_time is earlier than the last event")
-
-    # rule B: the experiment must end on surviving records
-    for e in s.events:
-        if e.time_index == t_max and (
-            not isinstance(e, MeasurementEvent) or e.record is not Record.RETAINED
-        ):
-            raise ScenarioValidationError(
-                "no surviving final record (last event must be a retained measurement)", e
-            )
-
-    # rule F: an erased record must actually be destroyed by a later measurement
-    covers = [set(e.targets) for _, e in measurements]
-    for k, (i, e) in enumerate(measurements):
-        if e.record is Record.ERASED and not any(
-                covers[k] <= covers[j] for j in range(k + 1, len(covers))):
-            raise ScenarioValidationError(
-                f"event {i}: ERASED record of agent {e.agent!r} is never erased "
-                f"(needs a later measurement covering {e.targets})",
-                e,
-            )
+    if unfinished is not None:
+        raise ScenarioValidationError(
+            "no surviving final record (last event must be a retained measurement)", unfinished
+        )
+    if pending:
+        i, e, _ = pending[0]
+        raise ScenarioValidationError(
+            f"event {i}: ERASED record of agent {e.agent!r} is never erased "
+            f"(needs a later measurement covering {e.targets})",
+            e,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +394,15 @@ class _BadLiteral(ValueError):
         self.index = index
 
 
-def _literals(tokens: list[str]) -> list[complex]:
-    """The values of a run of whitespace-free literals, in order.
+def _literals(tokens: list[str], starts: Sequence[int] = (0,)) -> list[complex]:
+    """The values of whitespace-free literals, in order.
 
-    A run of plain literals is checked by one match of the joined run, and
+    A list of plain literals is checked by one match of the joined list, and
     each token is converted by complex(), which rounds each part as the
     grammar's float() does, so every value is bit-identical, -0 included.
-    Any other run, and one that overflows, goes through the grammar token
-    by token, and the first bad token raises _BadLiteral.
+    Otherwise each run, cut at ``starts``, is tried the same way on its own,
+    and a run that is not plain, or that overflows, goes through the grammar
+    token by token; the first bad token raises _BadLiteral.
     """
     run = " ".join(tokens)
     if _PLAIN_RUN_RE.fullmatch(run):
@@ -401,6 +411,13 @@ def _literals(tokens: list[str]) -> list[complex]:
         if len(values) == len(tokens) and all(map(cmath.isfinite, values)):
             return values
     values = []
+    if len(starts) > 1:
+        for a, b in itertools.pairwise((*starts, len(tokens))):
+            try:
+                values += _literals(tokens[a:b])
+            except _BadLiteral as exc:
+                raise _BadLiteral(a + exc.index, str(exc)) from None
+        return values
     for k, tok in enumerate(tokens):
         try:
             values.append(_ExprParser(tok).parse_complex())
@@ -457,14 +474,6 @@ def _ident(ln: _Line, k: int, what: str) -> str:
     return ln.toks[k]
 
 
-def _amplitudes(ln: _Line, start: int, stop: int) -> list[complex]:
-    """The literals ``toks[start:stop]`` of a line, converted as one run."""
-    try:
-        return _literals(ln.toks[start:stop])
-    except _BadLiteral as exc:
-        raise ln.error(start + exc.index, str(exc)) from None
-
-
 def _int(ln: _Line, k: int, what: str) -> int:
     text = ln.toks[k]
     if _TIME_RE.fullmatch(text):
@@ -487,11 +496,39 @@ def _targets(ln: _Line, k: int,
     return targets, tuple(dim_of[t] for t in targets)
 
 
+class _Item:
+    """One line's literals, which the value pass converts and checks.
+
+    ``kind`` is "state", "unitary" or "basis".  The literals are
+    ``flat[start:start + size]`` of the file's list, and a basis' are its
+    vectors, ``side`` literals each, with a label token before each one.
+    ``k`` is the line's token of the first literal, and ``args`` what the
+    item's object is built from: None for the complete vectors of a measure
+    line the structure pass stopped on, which are checked one by one only.
+    """
+
+    __slots__ = ("kind", "ln", "k", "start", "size", "side", "args")
+
+    def __init__(self, kind, ln, k, start, size, side, args):
+        self.kind, self.ln, self.k, self.start = kind, ln, k, start
+        self.size, self.side, self.args = size, side, args
+
+    def error(self, offset: int, message: str, label: bool = False) -> ScenarioParseError:
+        """An error at literal ``offset``, or at the label of its vector."""
+        if self.kind != "basis":
+            return self.ln.error(self.k + offset, message)
+        vector, entry = divmod(offset, self.side)
+        return self.ln.error(self.k + vector * (self.side + 1) + (-1 if label else entry),
+                             message)
+
+
 def parse_scenario(text: str | bytes) -> Scenario:
     """Parse ``.scn`` source into a validated Scenario.
 
     Total: any input produces either a Scenario or a ScenarioParseError with
-    a line/column diagnostic.
+    a line/column diagnostic.  The structure pass reads every line without
+    its numbers; the value pass then converts and checks them in bulk.  The
+    error reported is the first in source order.
     """
     if isinstance(text, bytes):
         try:
@@ -501,81 +538,87 @@ def parse_scenario(text: str | bytes) -> Scenario:
 
     subsystems: list[SubsystemSpec] = []
     dim_of: dict[str, int] = {}
-    initial: StateVector | None = None
+    items: list[_Item] = []
+    flat: list[str] = []  # every amplitude token, in source order
     state_line = 0
-    events: list[Event] = []
-    event_lines: list[int] = []
     explicit_final: int | None = None
+    error = None
 
-    for ln in _lines(text):
-        head, n_rest = ln.toks[0], len(ln.toks) - 1
-        if head == "subsystem":
-            if n_rest < 2:
-                raise ln.error(0, "subsystem needs a name and at least one label")
-            name = _ident(ln, 1, "subsystem name")
-            if name in dim_of:
-                raise ln.error(1, f"subsystem {name!r} already declared")
-            labels = [_ident(ln, k, "basis label") for k in range(2, len(ln.toks))]
-            if len(set(labels)) != len(labels):
-                raise ln.error(0, f"duplicate basis labels for subsystem {name!r}")
-            if initial is not None or events:
-                raise ln.error(0, "subsystem declared after state/events")
-            subsystems.append(SubsystemSpec(name, len(labels), tuple(labels)))
-            dim_of[name] = len(labels)
-        elif head == "state":
-            if not subsystems:
-                raise ln.error(0, "no subsystems declared")
-            if initial is not None:
-                raise ln.error(0, "state already declared")
-            dims = tuple(s.dim for s in subsystems)
-            need = math.prod(dims)
-            if n_rest != need:
-                raise ln.error(0, f"state needs {need} amplitudes, got {n_rest}")
-            amps = _amplitudes(ln, 1, len(ln.toks))
-            try:
-                initial = StateVector(dims, amps).require_normalized("initial state")
-            except HilbertError as exc:
-                raise ln.error(0, str(exc)) from None
-            state_line = ln.number
-        elif head == "unitary":
-            if n_rest < 2:
-                raise ln.error(0, "unitary needs a time and targets")
-            time = _int(ln, 1, "time")
-            targets, dims = _targets(ln, 2, dim_of)
-            side = math.prod(dims)
-            if n_rest - 2 != side * side:
-                raise ln.error(0, f"unitary on {ln.toks[2]} needs {side * side} entries, "
-                                  f"got {n_rest - 2}")
-            entries = np.array(_amplitudes(ln, 3, len(ln.toks))).reshape(side, side)
-            try:
-                events.append(UnitaryEvent(time, targets, Operator(dims, entries)))
-            except HilbertError as exc:
-                raise ln.error(0, f"non-unitary matrix: {exc}") from None
-            event_lines.append(ln.number)
-        elif head == "measure":
-            if n_rest < 4:
-                raise ln.error(0, "measure needs time, agent, targets and a record policy")
-            time = _int(ln, 1, "time")
-            agent = _ident(ln, 2, "agent name")
-            targets, dims = _targets(ln, 3, dim_of)
-            try:
-                record = Record[ln.toks[4].upper()]
-            except KeyError:
-                raise ln.error(
-                    4, f"record policy must be 'retained' or 'erased', got {ln.toks[4]!r}"
-                ) from None
-            basis = _basis(ln, 5, dims)
-            events.append(MeasurementEvent(time, agent, targets, basis, record))
-            event_lines.append(ln.number)
-        elif head == "final":
-            if n_rest != 1:
-                raise ln.error(0, "final takes one time index")
-            if explicit_final is not None:
-                raise ln.error(0, "final already declared")
-            explicit_final = _int(ln, 1, "final time")
-        else:
-            raise ln.error(0, f"unknown directive {head!r}")
+    try:
+        for ln in _lines(text):
+            toks = ln.toks
+            head, n_rest = toks[0], len(toks) - 1
+            if head == "subsystem":
+                if n_rest < 2:
+                    raise ln.error(0, "subsystem needs a name and at least one label")
+                name = _ident(ln, 1, "subsystem name")
+                if name in dim_of:
+                    raise ln.error(1, f"subsystem {name!r} already declared")
+                labels = [_ident(ln, k, "basis label") for k in range(2, len(toks))]
+                if len(set(labels)) != len(labels):
+                    raise ln.error(0, f"duplicate basis labels for subsystem {name!r}")
+                if items:
+                    raise ln.error(0, "subsystem declared after state/events")
+                subsystems.append(SubsystemSpec(name, len(labels), tuple(labels)))
+                dim_of[name] = len(labels)
+            elif head == "state":
+                if not subsystems:
+                    raise ln.error(0, "no subsystems declared")
+                if state_line:
+                    raise ln.error(0, "state already declared")
+                dims = tuple(s.dim for s in subsystems)
+                need = math.prod(dims)
+                if n_rest != need:
+                    raise ln.error(0, f"state needs {need} amplitudes, got {n_rest}")
+                items.append(_Item("state", ln, 1, len(flat), need, 0, dims))
+                flat += toks[1:]
+                state_line = ln.number
+            elif head == "unitary":
+                if n_rest < 2:
+                    raise ln.error(0, "unitary needs a time and targets")
+                time = _int(ln, 1, "time")
+                targets, dims = _targets(ln, 2, dim_of)
+                side = math.prod(dims)
+                if n_rest - 2 != side * side:
+                    raise ln.error(0, f"unitary on {toks[2]} needs {side * side} entries, "
+                                      f"got {n_rest - 2}")
+                items.append(_Item("unitary", ln, 3, len(flat), n_rest - 2, side,
+                                   (time, targets, dims)))
+                flat += toks[3:]
+            elif head == "measure":
+                if n_rest < 4:
+                    raise ln.error(0, "measure needs time, agent, targets and a record policy")
+                time = _int(ln, 1, "time")
+                agent = _ident(ln, 2, "agent name")
+                targets, dims = _targets(ln, 3, dim_of)
+                try:
+                    record = Record[toks[4].upper()]
+                except KeyError:
+                    raise ln.error(
+                        4, f"record policy must be 'retained' or 'erased', got {toks[4]!r}"
+                    ) from None
+                need = math.prod(dims)
+                labels, amps, malformed = _vectors(ln, need)
+                args = (time, agent, targets, dims, labels, record)
+                items.append(_Item("basis", ln, 6, len(flat), len(amps), need,
+                                   None if malformed else args))
+                flat += amps
+                if malformed is not None:
+                    raise malformed
+            elif head == "final":
+                if n_rest != 1:
+                    raise ln.error(0, "final takes one time index")
+                if explicit_final is not None:
+                    raise ln.error(0, "final already declared")
+                explicit_final = _int(ln, 1, "final time")
+            else:
+                raise ln.error(0, f"unknown directive {head!r}")
+    except ScenarioParseError as exc:
+        error = exc  # reported after any value error before it
 
+    initial, events, event_lines = _values(items, flat)
+    if error is not None:
+        raise error
     if not subsystems:
         raise ScenarioParseError("no subsystems declared", 1, 1)
     if initial is None:
@@ -595,34 +638,123 @@ def parse_scenario(text: str | bytes) -> Scenario:
         raise ScenarioParseError(str(exc), line, 1) from None
 
 
-def _basis(ln: _Line, start: int, dims: tuple[int, ...]) -> Basis:
-    """The ``label: COMPLEX...`` groups from token ``start`` on, as one
-    matrix whose columns are the groups' vectors."""
+def _vectors(ln: _Line, need: int):
+    """The ``label: COMPLEX...`` groups from token 5 on: their labels, the
+    literals of every complete group, and the first error or None."""
     toks = ln.toks
-    need = math.prod(dims)
-    labels: list[str] = []
-    amps: list[complex] = []
-    k = start
-    while k < len(toks):
-        if not toks[k].endswith(":"):
-            raise ln.error(k, f"expected 'label:' before basis vector, got {toks[k]!r}")
-        label = toks[k][:-1]
-        if not _IDENT_RE.match(label):
-            raise ln.error(k, f"invalid outcome label {label!r}")
-        if len(toks) - (k + 1) < need:
-            raise ln.error(k, f"basis vector {label!r} needs {need} amplitudes")
-        vector = _amplitudes(ln, k + 1, k + 1 + need)
-        if not all(map(cmath.isfinite, vector)):
-            raise ln.error(k, "non-finite amplitude (NaN or Inf)")
-        amps += vector
-        labels.append(label)
-        k += 1 + need
-    if len(labels) != need:
-        raise ln.error(0, f"measurement basis needs {need} vectors, got {len(labels)}")
+    heads = toks[5::need + 1]
+    labels = tuple(tok[:-1] for tok in heads)
+    k = 5
+    for tok, label in zip(heads, labels):
+        if not tok.endswith(":"):
+            error = ln.error(k, f"expected 'label:' before basis vector, got {tok!r}")
+        elif not _IDENT_RE.match(label):
+            error = ln.error(k, f"invalid outcome label {label!r}")
+        elif len(toks) - (k + 1) < need:
+            error = ln.error(k, f"basis vector {label!r} needs {need} amplitudes")
+        else:
+            k += 1 + need
+            continue
+        break
+    else:
+        if len(labels) != need:
+            error = ln.error(0, f"measurement basis needs {need} vectors, got {len(labels)}")
+        elif len(set(labels)) != need:
+            error = ln.error(0, f"invalid measurement basis: duplicate basis labels in {labels!r}")
+        else:
+            error = None
+    amps = toks[6:k]
+    del amps[need::need + 1]
+    return labels, amps, error
+
+
+# the context a state's, unitary's or basis' own check is reported in
+_CONTEXT = {"state": "", "unitary": "non-unitary matrix: ", "basis": "invalid measurement basis: "}
+
+
+def _values(items: list[_Item], flat: list[str]):
+    """The value pass: convert every literal at once, check every item, and
+    build the initial state (None if there is none) and the events, with
+    each event's line.  The error raised is the first in source order."""
     try:
-        return Basis(dims, tuple(labels), np.array(amps).reshape(need, need).T)
-    except HilbertError as exc:
-        raise ln.error(0, f"invalid measurement basis: {exc}") from None
+        vals = np.array(_literals(flat, [it.start for it in items if it.size]), dtype=complex)
+    except _BadLiteral as exc:
+        j = next(j for j, it in enumerate(items) if it.start + it.size > exc.index)
+        bad, offset = items[j], exc.index - items[j].start
+        # anything wrong before it comes first, the vectors before it included
+        head = items[:j]
+        done = offset - offset % bad.side if bad.kind == "basis" else 0
+        if done:
+            head.append(_Item("basis", bad.ln, bad.k, bad.start, done, bad.side, None))
+        _values(head, flat[:bad.start + done])
+        raise bad.error(offset, str(exc)) from None
+    finite = np.isfinite(vals)
+    all_finite = bool(finite.all())
+    matrices = _gram_checks(items, vals)
+    initial, events, lines = None, [], []
+    for j, it in enumerate(items):
+        if it.kind == "basis" and not all_finite:
+            nonfinite = np.flatnonzero(~finite[it.start:it.start + it.size])
+            if nonfinite.size:
+                raise it.error(int(nonfinite[0]), "non-finite amplitude (NaN or Inf)", label=True)
+        if it.args is None:
+            continue
+        try:
+            if it.kind == "state":
+                initial = StateVector(it.args, vals[it.start:it.start + it.size])
+                initial.require_normalized("initial state")
+                continue
+            # a matrix that failed the stacked check is checked again on its own
+            matrix, passed = matrices[j]
+            if it.kind == "unitary":
+                time, targets, dims = it.args
+                if not passed:
+                    UnitaryEvent(time, targets, Operator(dims, matrix))
+                events.append(_prechecked(UnitaryEvent, time_index=time, targets=targets,
+                                          op=_prechecked(Operator, dims=dims, entries=matrix)))
+            else:
+                time, agent, targets, dims, labels, record = it.args
+                if not passed:
+                    Basis(dims, labels, matrix)
+                basis = _prechecked(Basis, dims=dims, labels=labels, matrix=matrix)
+                events.append(MeasurementEvent(time, agent, targets, basis, record))
+        except HilbertError as exc:
+            raise it.ln.error(0, _CONTEXT[it.kind] + str(exc)) from None
+        lines.append(it.ln.number)
+    return initial, events, lines
+
+
+def _gram_checks(items: list[_Item], vals: np.ndarray) -> dict[int, tuple[np.ndarray, bool]]:
+    """(frozen matrix, whether it passed) for each unitary and basis item,
+    by index, from one ``gram_defects`` call per matrix side.  A basis'
+    vectors are its columns, and it passes at half the tolerance, as in
+    ``validate_basis``."""
+    sides: dict[int, list[int]] = {}
+    for j, it in enumerate(items):
+        if it.side and it.args is not None:
+            sides.setdefault(it.side, []).append(j)
+    out = {}
+    for side, js in sides.items():
+        stack = np.array([_matrix(items[j], vals) for j in js])
+        stack.setflags(write=False)
+        for j, matrix, defect in zip(js, stack, gram_defects(stack).tolist()):
+            out[j] = matrix, defect <= (ATOL_STRUCT / 2 if items[j].kind == "basis"
+                                        else ATOL_STRUCT)
+    return out
+
+
+def _matrix(it: _Item, vals: np.ndarray) -> np.ndarray:
+    """A unitary's entries, or a basis' vectors as columns."""
+    rows = vals[it.start:it.start + it.side * it.side].reshape(it.side, it.side)
+    return rows.T if it.kind == "basis" else rows
+
+
+def _prechecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields`` as given
+    and its own checks skipped, for values the value pass has checked."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathsum.hilbert import (
+    ATOL_STRUCT,
     Basis,
     HilbertError,
     Operator,
     StateVector,
     apply_to_slots,
+    gram_defects,
     inner,
     split_slots,
     tensor,
@@ -330,6 +332,30 @@ class TestBasisValidation:
     def test_non_orthogonal_rotated_pair_rejected(self):
         report = validate_basis(columns(q(0.6, 0.8), q(0.8, 0.6)))
         assert report and "orthogonal" in report[0]
+
+
+class TestGramDefects:
+    """One stacked Gram product gives each matrix the defect its own check
+    computes."""
+
+    @pytest.mark.parametrize("side, k", [(1, 3), (2, 9), (3, 5), (12, 4)])
+    def test_stack_equals_per_matrix_checks(self, side, k):
+        rng = np.random.default_rng(side * 100 + k)
+        stack = []
+        for j in range(k):
+            shape = (side, side)
+            m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            if j % 3 < 2:  # unitary, and for j % 3 == 1 perturbed past the tolerance
+                m = np.linalg.qr(m)[0] + (j % 3) * 1e-7 * rng.normal(size=shape)
+            stack.append(m)
+        defects = gram_defects(np.array(stack))
+        for m, defect in zip(stack, defects):
+            assert defect == Operator((side,), m).unitarity_defect()
+            assert (validate_basis(m) == []) == (defect <= ATOL_STRUCT / 2)
+
+    def test_nan_fails_its_matrix_only(self):
+        stack = np.array([np.eye(2), [[np.nan, 0], [0, 1]], [[0, 1j], [1, 0]]], dtype=complex)
+        assert (gram_defects(stack) <= ATOL_STRUCT).tolist() == [True, False, True]
 
 
 class TestOperator:

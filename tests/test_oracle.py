@@ -227,15 +227,15 @@ class TestStoredBudget:
 
 
 class TestPeakMemory:
-    """Traced peaks on the 18-chain stay at or under the ones measured before
-    the state updates became one ``dot`` each, rounded up to 0.01 MiB: an
-    extra copy of a state would add at least 4 MiB."""
+    """Traced peaks on the 18-chain stay at or under the ones measured once
+    both engines released their states before building the table, rounded
+    up to 0.01 MiB: an extra copy of a state would add at least 4 MiB."""
 
     N = 18
 
     @pytest.mark.parametrize("engine, kept, mib", [
-        (paths.distribution, True, 22.02),
-        (distribution, True, 26.03),
+        (paths.distribution, True, 16.02),
+        (distribution, True, 16.03),
         (distribution, False, 16.04),
     ], ids=["paths-retained", "oracle-retained", "oracle-erased"])
     def test_peak_is_bounded(self, engine, kept, mib):

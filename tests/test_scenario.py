@@ -260,8 +260,13 @@ class TestParser:
         with pytest.raises(ScenarioParseError, match="time must be non-negative"):
             parse_scenario(MINIMAL.replace("measure 1", "measure -3"))
 
-    @pytest.mark.parametrize("group, bad, col", [("up: 1 0", "up: 1e200*1e200 0", 26),
-                                                  ("down: 0 1", "down: 0 -1e300/1e-300", 34)])
+    @pytest.mark.parametrize("group, bad, col", [
+        ("up: 1 0", "up: 1e200*1e200 0", 26),
+        ("down: 0 1", "down: 0 -1e300/1e-300", 34),
+        # a later vector's bad literal or malformed label comes after it
+        ("up: 1 0 down: 0 1", "up: 1e200*1e200 0 down: 0 1/0", 26),
+        ("up: 1 0 down: 0 1", "up: 1e200*1e200 0 down 0 1", 26),
+    ])
     def test_non_finite_basis_vector_points_at_its_label(self, group, bad, col):
         # the grammar multiplies and divides without an overflow check
         text = MINIMAL.replace(group, bad)
@@ -269,6 +274,22 @@ class TestParser:
             parse_scenario(text)
         assert (err.value.line, err.value.col) == (4, col)
         assert err.value.message == "non-finite amplitude (NaN or Inf)"
+
+    @pytest.mark.parametrize("lines, col, message", [
+        (["measure 1 W sys retained fail: 1 0 ok: 0.6 0.8", "rotate 2 sys"], 1,
+         "invalid measurement basis: basis vectors 0 and 1 are not orthogonal (|overlap| = 0.6)"),
+        (["measure 1 F sys retained up: 1 1/0 down 0 1"], 32, "division by zero in literal '1/0'"),
+        (["measure 1 F sys erased up: 1 0 down: 1 0",
+          "measure 2 W sys retained up: 1 1 down: 0 1"], 1,
+         "invalid measurement basis: basis vectors 0 and 1 are not orthogonal (|overlap| = 1)"),
+    ], ids=["basis-before-unknown-directive", "literal-before-malformed-label",
+            "first-of-two-bases"])
+    def test_first_error_in_source_order_is_on_line_3(self, lines, col, message):
+        # values are checked in bulk after the whole file's structure is read
+        text = "\n".join(["subsystem sys up down", "state 1 0", *lines]) + "\n"
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(text)
+        assert (err.value.line, err.value.col, err.value.message) == (3, col, message)
 
     def test_invalid_utf8_bytes(self):
         with pytest.raises(ScenarioParseError, match="UTF-8"):

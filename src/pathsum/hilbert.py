@@ -86,7 +86,10 @@ class StateVector:
         return self.amps.shape[0]
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        """The 2-norm of the amplitudes divided by their largest real or
+        imaginary part, times that part, so that no square overflows."""
+        scale = float(np.abs(self.amps.view(float)).max())
+        return scale * float(np.linalg.norm(self.amps / scale)) if scale else 0.0
 
     def is_normalized(self, atol: float = ATOL_STRUCT) -> bool:
         return abs(self.norm() - 1.0) <= atol
@@ -197,7 +200,8 @@ def validate_basis(matrix: np.ndarray) -> list[str]:
     passes also passes the per-vector checks, however the two round; a NaN
     fails it.  Only a failed basis is checked vector by vector, norms first
     and then pairs i < j, each violation naming the offending vector or pair
-    and the norm or inner product magnitude.
+    and the norm or inner product magnitude.  A NaN, which no comparison
+    catches, is reported as the first non-finite entry.
     """
     m = np.asarray(matrix)
     if gram_defects(m[np.newaxis])[0] <= ATOL_STRUCT / 2:
@@ -216,6 +220,10 @@ def validate_basis(matrix: np.ndarray) -> list[str]:
                     report.append(
                         f"basis vectors {i} and {j} are not orthogonal (|overlap| = {ov:.12g})"
                     )
+    bad = np.argwhere(~np.isfinite(m))
+    if not report and len(bad):  # a NaN fails the Gram test but no comparison above
+        row, col = bad[0]
+        report.append(f"basis vector {col} has non-finite entry {m[row, col]} at row {row}")
     return report
 
 

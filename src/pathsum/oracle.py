@@ -24,7 +24,11 @@ an erased measurement E that consumes L leaves the stored state as it is,
 (L C_E)^dagger (L C_E L^dagger) L = 1; a retained measurement applies
 only its own coupling; a unitary U acts directly once the record is
 erased, and as C^dagger U C before the eraser.  Active lifts sit on
-disjoint slots and commute, and each chain is applied once, at the end.
+disjoint slots and commute.  ``evolve`` applies each chain still active
+once, after the last event, for ``psi``, ``joint_probability`` and
+``inspect_record``.  ``distribution`` never does: a lift acts on erased
+pointers and their targets only, so it commutes with the retained pointer
+projectors it reads.
 
 Each pointer axis of the stored state holds one of two ranges of levels,
 kept next to the tensor: {0} (untriggered, length 1) or {1..n} (fired,
@@ -35,10 +39,17 @@ pointers 1..n), so a chain of N qubit measurements keeps 2 * 2^N of its
 C^dagger un-fires the pointer through ``fire_block``^dagger, back to {0},
 and leaves (1 - P_k) psi_k on level k: the population U moved out of the
 record's branch.  Above 1e-12 that is a disturbed record, refused at the
-unitary.  After a full run every pointer is fired.  ``dilate`` budgets
+unitary.  After ``evolve`` every pointer is fired.  ``dilate`` budgets
 that stored size, the base dims times every measurement's outcome count.
 ``DilatedState.psi`` spans the full dilated dims; it is built on first
 access, and its own budget check is made then.
+
+The 1e-9 gate between this engine and ``paths`` compares two kernels and
+two readouts: fire blocks and a pointer marginal against the path
+engine's branch batch.  It does not compare two erasure semantics; both
+engines apply nothing for an erased measurement.  That semantics is
+checked by the test-time eager definition, which conjugates every eraser
+in the composite basis.
 """
 
 from __future__ import annotations
@@ -66,8 +77,7 @@ class CouplingPlan:
     event_index: int
     slots: tuple[int, ...]  # (ancilla slot, *target slots)
     columns: np.ndarray = field(repr=False)  # basis vectors w_k, in label order
-    consumed: tuple[CouplingPlan, ...]  # the consumed lifts' couplings, in application order
-    consumed_anc_slots: tuple[int, ...]
+    lifts: tuple[CouplingPlan, ...]  # the erased records' plans this measurement consumed
 
     @cached_property
     def fire_block(self) -> np.ndarray:
@@ -86,6 +96,16 @@ class CouplingPlan:
     def chain(self) -> tuple[CouplingPlan, ...]:
         """This coupling followed by the consumed ones; an erased event's lift."""
         return (self,) + self.consumed
+
+    @property
+    def consumed(self) -> tuple[CouplingPlan, ...]:
+        """The consumed lifts' couplings, in application order: each lift's chain in turn."""
+        return tuple(q for p in self.lifts for q in p.chain)
+
+    @property
+    def consumed_anc_slots(self) -> tuple[int, ...]:
+        """The consumed couplings' pointer slots: each lift's consumed ones, then its own."""
+        return tuple(sl for p in self.lifts for sl in p.consumed_anc_slots + p.slots[:1])
 
     @property
     def consumed_ops(self) -> tuple[tuple[int, ...], ...]:
@@ -158,11 +178,11 @@ def _embed(stored, ranges, dims):
 
 def dilate(s: Scenario) -> DilatedScenario:
     """Attach one pointer ancilla per measurement and plan all couplings."""
-    measurements = s.measurements()
-    ancillas = {i: len(s.dims) + k for k, (i, _) in enumerate(measurements)}
-    dims = s.dims + tuple(len(e.labels) + 1 for _, e in measurements)
+    measurements, base = s.measurements(), s.dims
+    ancillas = {i: len(base) + k for k, (i, _) in enumerate(measurements)}
+    dims = base + tuple(len(e.labels) + 1 for _, e in measurements)
     # the most a run stores: every pointer fired, at its n levels 1..n
-    n_amps = math.prod(s.dims) * math.prod(len(e.labels) for _, e in measurements)
+    n_amps = math.prod(base) * math.prod(len(e.labels) for _, e in measurements)
     if n_amps > MAX_AMPLITUDES:
         raise OracleError(
             f"stored state needs {n_amps} amplitudes, over the budget of {MAX_AMPLITUDES}"
@@ -193,14 +213,10 @@ def dilate(s: Scenario) -> DilatedScenario:
                     f"subsystem slots {sorted(key)} without covering it; "
                     f"no composite-basis erasure exists"
                 )
-        consumed = tuple(active[key] for key in hit)
-        plan = CouplingPlan(
-            i, (ancillas[i],) + tslots, e.basis.matrix,
-            tuple(q for p in consumed for q in p.chain),
-            tuple(sl for p in consumed for sl in p.consumed_anc_slots + p.slots[:1]),
-        )
+        plan = CouplingPlan(i, (ancillas[i],) + tslots, e.basis.matrix,
+                            tuple(active[key] for key in hit))
         couplings.append(plan)
-        for p in consumed:
+        for p in plan.lifts:
             # the first consumer is the eraser; later measurements through
             # the same lift do not destroy anything new
             erasure_map.setdefault(p.event_index, i)
@@ -220,8 +236,9 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
     An erased measurement therefore applies nothing (its lift replaces the
     lifts it consumes), a retained one applies its own coupling C, and a
     unitary acts directly, sandwiched as C^dagger U C by the coupling of each
-    record on its targets whose eraser is still to come.  The active chains
-    are applied once, at the end.
+    record on its targets whose eraser is still to come.  The chains still
+    active after the last event are applied once, so that ``psi``,
+    ``joint_probability`` and ``inspect_record`` read the physical state.
 
     Every pointer starts at {0}.  A coupling fires it to {1..n} (see
     ``_couple``), and a sandwich's C^dagger takes it back to {0} (see
@@ -231,10 +248,22 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
     ``upto_time`` stops after the last event with time_index <= upto_time,
     which exposes intermediate states for inspection.
     """
+    state, ranges, time, active = _walk(d, upto_time)
+    for p in active:
+        for q in p.chain:
+            state = _couple(q, state, ranges, d.dims)
+    _check_norm(state, time)
+    return DilatedState(state, tuple(ranges), time, d)
+
+
+def _walk(d: DilatedScenario, upto_time: int | None):
+    """The event loop of ``evolve`` and ``distribution``: the stored state,
+    its ranges, the time of the last event walked, and the lifts still
+    factored out of the state."""
     s = d.base
-    n_anc = len(d.dims) - len(s.subsystems)
-    state = s.initial.as_tensor().reshape(s.dims + (1,) * n_anc)
-    ranges = [range(n) for n in s.dims] + [_UNTRIGGERED] * n_anc
+    base, n_anc = s.dims, len(d.dims) - len(s.subsystems)
+    state = s.initial.as_tensor().reshape(base + (1,) * n_anc)
+    ranges = [range(n) for n in base] + [_UNTRIGGERED] * n_anc
     plan_by_event = {p.event_index: p for p in d.couplings}
     active: list[CouplingPlan] = []  # the lifts factored out of ``state``
 
@@ -242,6 +271,7 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
     for i, e in enumerate(s.events):
         if upto_time is not None and e.time_index > upto_time:
             break
+        time = e.time_index
         if isinstance(e, UnitaryEvent):
             recording = [p for p in d.frames.get(i, ()) if d.erasure_map[p.event_index] > i]
             for p in recording:
@@ -249,20 +279,15 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
             state = apply_to_slots(e.op.entries, e.op.dims, s.slots(e.targets), state)
             for p in recording:
                 state = _unfire(p, state, ranges, s.events[d.erasure_map[p.event_index]].agent)
-        else:
+        elif e.record is Record.ERASED:
             plan = plan_by_event[i]
-            if e.record is Record.ERASED:
-                active = [p for p in active if p.slots[0] not in plan.consumed_anc_slots]
-                active.append(plan)
-            else:
-                state = _couple(plan, state, ranges, d.dims)
-        _check_norm(state, e.time_index)
-        time = e.time_index
-    for p in active:
-        for q in p.chain:
-            state = _couple(q, state, ranges, d.dims)
-    _check_norm(state, time)
-    return DilatedState(state, tuple(ranges), time, d)
+            active = [p for p in active if p not in plan.lifts]
+            active.append(plan)
+            continue  # nothing applied: the state is the one checked last
+        else:
+            state = _couple(plan_by_event[i], state, ranges, d.dims)
+        _check_norm(state, time)
+    return state, ranges, time, active
 
 
 def _couple(plan, state, ranges, dims):
@@ -378,14 +403,18 @@ def inspect_record(st: DilatedState, agent: str, pointer_label: str | None,
 def distribution(s: Scenario) -> OutcomeDistribution:
     """Full retained-outcome distribution from pointer projectors.
 
-    One reduction over the stored state: every pointer is fired, so its
-    stored levels are 1..n; sum |psi|^2 over all axes but the retained
-    pointers, which leaves the tuples in row-major order.
+    Read from the walked state; the lifts still active are never applied.
+    They hold only erased measurements' couplings, on erased pointers and
+    their targets, so they commute with every retained pointer projector.
+    One reduction: every retained pointer is fired, so its stored levels
+    are 1..n; sum |psi|^2 over all axes but the retained pointers, which
+    leaves the tuples in row-major order.
     """
-    st = evolve(dilate(s))
-    pointers = [st.dilated.ancillas[i] for i, _ in s.retained()]
-    density = st.stored.real**2 + st.stored.imag**2
-    del st  # the stored state, and the density below, are released before the table is built
+    d = dilate(s)
+    state = _walk(d, None)[0]
+    pointers = [d.ancillas[i] for i, _ in s.retained()]
+    density = state.real**2 + state.imag**2
+    del state  # the stored state, and the density below, are released before the table is built
     weights = np.einsum(density, list(range(density.ndim)), pointers)
     del density
     return outcome_distribution(weights.reshape(-1), s, OracleError)

@@ -342,6 +342,15 @@ class TestMainExitCodes:
         assert cli.main(["run", str(bad)]) == 2
         assert "line" in capsys.readouterr().err
 
+    def test_huge_initial_amplitude_is_a_typed_error_without_a_warning(self, tmp_path, capsys):
+        # the norm is scaled before it is squared: 1e200 squared would overflow,
+        # and numpy's RuntimeWarning is an error under this suite's filter
+        big = tmp_path / "big.scn"
+        big.write_text("subsystem sys up down\nstate 1e200 0\n"
+                       "measure 1 W sys retained up: 1 0 down: 0 1\n", "utf-8")
+        assert cli.main(["run", str(big)]) == 2
+        assert capsys.readouterr().err == "error: line 2, col 1: initial state norm is 1e+200, expected 1\n"
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code = cli.main(

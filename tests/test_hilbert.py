@@ -310,6 +310,11 @@ class TestBasisValidation:
         report = validate_basis(columns(q(1, 1), q(0, 1)))
         assert any("norm" in line for line in report)
 
+    def test_nan_entry_reported(self):
+        # every comparison with a NaN is false, so only the entry itself can report it
+        report = validate_basis(np.array([[math.nan, 0], [0, 1]]))
+        assert report == ["basis vector 0 has non-finite entry nan at row 0"]
+
     def test_partial_basis_is_constructor_error(self):
         with pytest.raises(HilbertError, match="partial"):
             Basis((2,), ("only",), columns(q(1, 0)))

@@ -88,6 +88,25 @@ class TestDilate:
         expected[5] = BETA  # (ptr=down, sys=down)
         np.testing.assert_allclose(fail_col, expected, atol=1e-12)
 
+    def test_consumed_lifts_keep_their_order(self):
+        # W erases F's and G's records and V erases W's: a plan stores only
+        # its direct lifts, and the chain in application order puts each lift
+        # before what it consumed, while the pointer slots put it after
+        standard = " ".join(f"w{k}: " + " ".join("1" if j == k else "0" for j in range(4))
+                            for k in range(4))
+        s = parse_scenario(
+            "subsystem a up down\nsubsystem b up down\nstate 0.6 0 0 0.8\n"
+            "measure 1 F a erased up: 1 0 down: 0 1\n"
+            "measure 2 G b erased up: 1 0 down: 0 1\n"
+            f"measure 3 W a,b erased {standard}\n"
+            f"measure 4 V a,b retained {standard}\n"
+        )
+        v = dilate(s).couplings[-1]
+        assert [p.event_index for p in v.lifts] == [2]
+        assert [p.event_index for p in v.chain] == [3, 2, 0, 1]
+        assert v.consumed_anc_slots == (2, 3, 4)
+        assert v.consumed_ops == ((4, 0, 1), (2, 0), (3, 1))
+
 
 class TestEvolve:
     def test_norm_conserved_at_every_boundary(self):
@@ -229,17 +248,18 @@ class TestStoredBudget:
 class TestPeakMemory:
     """Traced peaks on the 18-chain stay at or under the ones measured once
     both engines released their states before building the table, rounded
-    up to 0.01 MiB: an extra copy of a state would add at least 4 MiB."""
+    up to 0.01 MiB: an extra copy of a state would add at least 4 MiB.  An
+    erased chain's oracle never applies its lifts, so it stores a handful
+    of amplitudes, the 23-chain included, where the lifts stored 2 * 2^23."""
 
-    N = 18
-
-    @pytest.mark.parametrize("engine, kept, mib", [
-        (paths.distribution, True, 16.02),
-        (distribution, True, 16.03),
-        (distribution, False, 16.04),
-    ], ids=["paths-retained", "oracle-retained", "oracle-erased"])
-    def test_peak_is_bounded(self, engine, kept, mib):
-        s = erased_qubit_chain(self.N)
+    @pytest.mark.parametrize("engine, kept, n, mib", [
+        (paths.distribution, True, 18, 16.02),
+        (distribution, True, 18, 16.03),
+        (distribution, False, 18, 0.02),
+        (distribution, False, 23, 0.02),
+    ], ids=["paths-retained", "oracle-retained", "oracle-erased", "oracle-erased23"])
+    def test_peak_is_bounded(self, engine, kept, n, mib):
+        s = erased_qubit_chain(n)
         s = _all_retained(s) if kept else s
         tracemalloc.start()
         try:
@@ -456,6 +476,46 @@ class TestCouplingsAppliedOnce:
             calls.clear()
             evolve(dilate(s))
             assert len(calls) == len(s.measurements()), seed
+
+
+def _read_after_lifts(s):
+    """The retained-pointer table of ``evolve``'s state, every active lift applied."""
+    st = evolve(dilate(s))
+    density = np.abs(st.stored) ** 2
+    pointers = [st.dilated.ancillas[i] for i, _ in s.retained()]
+    weights = np.einsum(density, list(range(density.ndim)), pointers).reshape(-1)
+    return paths.outcome_distribution(weights, s, OracleError).probs
+
+
+class TestReadoutBeforeLifts:
+    """``distribution`` reads the walked state and never applies the lifts
+    still active.  They hold only erased measurements' couplings, which
+    commute with every retained pointer projector, so the table is the one
+    read after them."""
+
+    @staticmethod
+    def _assert_same(s):
+        np.testing.assert_allclose(distribution(s).probs, _read_after_lifts(s), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", library.builtin_names())
+    def test_builtins(self, name):
+        self._assert_same(library.builtin(name))
+
+    @pytest.mark.parametrize("regime", [r.value for r in library.RegimeTag])
+    def test_2w2f_regimes(self, regime):
+        self._assert_same(library.two_wigners(library.RegimeTag(regime)))
+
+    @pytest.mark.parametrize("generate", [random_scenario, random_unpinned_scenario])
+    def test_generators(self, generate):
+        for seed in range(200):
+            self._assert_same(generate(seed))
+
+    @pytest.mark.parametrize("n", [1, 9, 23])
+    def test_erased_chain_applies_only_the_retained_coupling(self, monkeypatch, n):
+        real, calls = oracle._apply, []
+        monkeypatch.setattr(oracle, "_apply", lambda *args: calls.append(args) or real(*args))
+        distribution(erased_qubit_chain(n))
+        assert len(calls) == 1
 
 
 def _fired_block_size(d):

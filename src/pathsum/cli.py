@@ -14,6 +14,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import library, oracle, paths
@@ -186,10 +187,11 @@ def render_json(report: RunReport) -> str:
     The outcome rows are spliced in as text.  Their heads, everything up to
     the weight, are built by a prefix product over the table's axes, which
     encodes each (agent, label) pair once; every valid scenario has a
-    retained event, so there is at least one axis.  Each weight is written
-    with ``float.__repr__``, which is what the encoder writes for a finite
-    float.  ``paths.outcome_distribution`` has checked that the weights sum
-    to 1, so none is NaN or infinite.
+    retained event, so there is at least one axis.  A pair's two strings
+    are written by ``encode_basestring_ascii``, the encoder's own function
+    for them.  Each weight is written with ``float.__repr__``, which is what
+    the encoder writes for a finite float.  ``paths.outcome_distribution``
+    has checked that the weights sum to 1, so none is NaN or infinite.
     """
     head = json.dumps({"scenario": report.source, "regime": report.regime,
                        "engine": report.engine})
@@ -210,7 +212,8 @@ def render_json(report: RunReport) -> str:
     for k, axis in enumerate(axes):
         start = ", " if k else '{"tuple": ['
         end = '], "p": ' if k == len(axes) - 1 else ""
-        fragments = [start + json.dumps(pair) + end for pair in axis]
+        fragments = [f"{start}[{encode_basestring_ascii(agent)}, "
+                     f"{encode_basestring_ascii(label)}]{end}" for agent, label in axis]
         heads = [prefix + fragment for prefix in heads for fragment in fragments]
     rows = "}, ".join(map(operator.add, heads, map(float.__repr__, report.dist.probs)))
     return head[:-1] + ', "outcomes": [' + rows + "}], " + json.dumps(tail)[1:] + "\n"

@@ -24,7 +24,8 @@ to name the first violation.
 ``MAX_AMPLITUDES`` bounds the path engine's batched branch states and the
 oracle's stored state; both check it before allocating.  The oracle
 checks the full dilated dims only when a state is embedded in them (see
-``oracle``).
+``oracle``).  ``MAX_AXES`` is numpy's limit on an array's axes, which both
+engines check, after their budgets, against the axes their states need.
 
 Every state update in both engines makes one ``np.dot``: ``apply_to_slots``
 and ``split_slots`` transpose the target axes into place, reshape, make
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,6 +45,8 @@ import numpy as np
 ATOL_STRUCT = 1e-12
 ATOL_PROB = 1e-9
 MAX_AMPLITUDES = 1 << 24  # 256 MiB of complex128
+# the most axes an ndarray may have: 64 from numpy 2.0, 32 before
+MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
 
 
 class HilbertError(ValueError):
@@ -86,8 +90,13 @@ class StateVector:
         return self.amps.shape[0]
 
     def norm(self) -> float:
+        return self._norm
+
+    @cached_property
+    def _norm(self) -> float:
         """The 2-norm of the amplitudes divided by their largest real or
-        imaginary part, times that part, so that no square overflows."""
+        imaginary part, times that part, so that no square overflows.
+        Computed on first use; the amplitudes are read-only."""
         scale = float(np.abs(self.amps.view(float)).max())
         return scale * float(np.linalg.norm(self.amps / scale)) if scale else 0.0
 
@@ -280,8 +289,12 @@ def split_slots(columns: np.ndarray, vec_dims: Sequence[int],
 def _axis_order(state: np.ndarray, slots: tuple, dims: tuple) -> tuple[tuple, list[int]]:
     """Check the ``slots`` axes' lengths; return the axis order that puts
     ``slots`` first and the others after them in order, and its inverse."""
-    found = tuple(state.shape[x] for x in slots)
+    shape = state.shape
+    found = tuple([shape[x] for x in slots])
     if found != dims:
         raise HilbertError(f"axes {slots} have lengths {found}, expected {dims}")
-    order = slots + tuple(x for x in range(state.ndim) if x not in slots)
-    return order, [order.index(x) for x in range(len(order))]
+    order = slots + tuple([x for x in range(len(shape)) if x not in slots])
+    inverse = [0] * len(order)  # one pass: axis order[k] goes back to place k
+    for k, x in enumerate(order):
+        inverse[x] = k
+    return order, inverse

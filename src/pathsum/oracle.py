@@ -60,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import ATOL_STRUCT, MAX_AMPLITUDES, StateVector, apply_to_slots
+from .hilbert import ATOL_STRUCT, MAX_AMPLITUDES, MAX_AXES, StateVector, apply_to_slots
 from .paths import OutcomeDistribution, outcome_distribution
 from .scenario import Record, RecordErasedError, Scenario, UnitaryEvent
 
@@ -180,18 +180,23 @@ def dilate(s: Scenario) -> DilatedScenario:
     """Attach one pointer ancilla per measurement and plan all couplings."""
     measurements, base = s.measurements(), s.dims
     ancillas = {i: len(base) + k for k, (i, _) in enumerate(measurements)}
-    dims = base + tuple(len(e.labels) + 1 for _, e in measurements)
+    outcomes = [len(e.labels) for _, e in measurements]
+    dims = base + tuple([n + 1 for n in outcomes])
     # the most a run stores: every pointer fired, at its n levels 1..n
-    n_amps = math.prod(base) * math.prod(len(e.labels) for _, e in measurements)
+    n_amps = math.prod(base) * math.prod(outcomes)
     if n_amps > MAX_AMPLITUDES:
         raise OracleError(
             f"stored state needs {n_amps} amplitudes, over the budget of {MAX_AMPLITUDES}"
         )
     # each coupling is built as its fire block: outcomes x target dimension^2
-    n_entries = sum(len(e.labels) * math.prod(e.basis.dims) ** 2 for _, e in measurements)
+    n_entries = sum([n * e.basis.matrix.size for n, (_, e) in zip(outcomes, measurements)])
     if n_entries > MAX_AMPLITUDES:
         raise OracleError(
             f"couplings need {n_entries} matrix entries, over the budget of {MAX_AMPLITUDES}"
+        )
+    if len(dims) > MAX_AXES:
+        raise OracleError(
+            f"dilated state needs {len(dims)} axes, over numpy's limit of {MAX_AXES}"
         )
 
     couplings = []
@@ -204,7 +209,7 @@ def dilate(s: Scenario) -> DilatedScenario:
         hit = [key for key in active if key.intersection(tslots)]
         if isinstance(e, UnitaryEvent):
             if hit:
-                frames[i] = tuple(active[key] for key in hit)
+                frames[i] = tuple([active[key] for key in hit])
             continue
         for key in hit:
             if not key.issubset(tslots):
@@ -214,7 +219,7 @@ def dilate(s: Scenario) -> DilatedScenario:
                     f"no composite-basis erasure exists"
                 )
         plan = CouplingPlan(i, (ancillas[i],) + tslots, e.basis.matrix,
-                            tuple(active[key] for key in hit))
+                            tuple([active[key] for key in hit]))
         couplings.append(plan)
         for p in plan.lifts:
             # the first consumer is the eraser; later measurements through
@@ -407,14 +412,14 @@ def distribution(s: Scenario) -> OutcomeDistribution:
     They hold only erased measurements' couplings, on erased pointers and
     their targets, so they commute with every retained pointer projector.
     One reduction: every retained pointer is fired, so its stored levels
-    are 1..n; sum |psi|^2 over all axes but the retained pointers, which
-    leaves the tuples in row-major order.
+    are 1..n; sum |psi|^2 over all axes but the retained pointers, whose
+    slots are in time order, which leaves the tuples in row-major order.
     """
     d = dilate(s)
     state = _walk(d, None)[0]
-    pointers = [d.ancillas[i] for i, _ in s.retained()]
+    pointers = {d.ancillas[i] for i, _ in s.retained()}
     density = state.real**2 + state.imag**2
     del state  # the stored state, and the density below, are released before the table is built
-    weights = np.einsum(density, list(range(density.ndim)), pointers)
+    weights = density.sum(axis=tuple([x for x in range(density.ndim) if x not in pointers]))
     del density
     return outcome_distribution(weights.reshape(-1), s, OracleError)

@@ -39,7 +39,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import ATOL_PROB, ATOL_STRUCT, MAX_AMPLITUDES, apply_to_slots, split_slots
+from .hilbert import (ATOL_PROB, ATOL_STRUCT, MAX_AMPLITUDES, MAX_AXES, apply_to_slots,
+                      split_slots)
 from .scenario import Scenario, UnitaryEvent
 
 _MAX_PATHS = 1 << 20  # virtual paths enumerated, retained tuples distributed
@@ -173,15 +174,21 @@ def _branch_states(s: Scenario, split: dict[int, tuple[str, ...]]) -> np.ndarray
     every branch on the vectors of the labels ``split[i]``; other
     measurements are skipped.  While walking, the branches are the last
     axis, the latest split's label most significant.  Limits are checked up
-    front.
+    front: the branch and amplitude budgets, then numpy's axis limit.
     """
     n_branches = math.prod(len(labels) for labels in split.values())
     if n_branches > _MAX_PATHS:
         raise PathEngineError(f"{n_branches} branches exceed the enumeration cap")
-    n_amps = n_branches * math.prod(s.dims)  # the batch only grows, so this is its peak
+    dims = s.dims
+    n_amps = n_branches * math.prod(dims)  # the batch only grows, so this is its peak
     if n_amps > MAX_AMPLITUDES:
         raise PathEngineError(
             f"branch states need {n_amps} amplitudes, over the budget of {MAX_AMPLITUDES}"
+        )
+    d, k = len(dims), len(split)
+    if d + max(1, k) > MAX_AXES:  # the walk's batch axis, or one axis per split event
+        raise PathEngineError(
+            f"branch states need {d + max(1, k)} axes, over numpy's limit of {MAX_AXES}"
         )
     state = s.initial.as_tensor()[..., np.newaxis]
     for i, e in enumerate(s.events):
@@ -190,8 +197,7 @@ def _branch_states(s: Scenario, split: dict[int, tuple[str, ...]]) -> np.ndarray
         elif i in split:
             columns = e.basis.matrix[:, [e.labels.index(label) for label in split[i]]]
             state = split_slots(columns, e.basis.dims, s.slots(e.targets), state)
-    d, k = len(s.dims), len(split)
-    state = state.reshape(s.dims + tuple(len(labels) for labels in reversed(split.values())))
+    state = state.reshape(dims + tuple(len(labels) for labels in reversed(split.values())))
     return state.transpose(tuple(range(d + k - 1, d - 1, -1)) + tuple(range(d)))
 
 
@@ -254,7 +260,7 @@ def enumerate_paths(s: Scenario) -> tuple[VirtualPath, ...]:
 
 def retained_axes(s: Scenario) -> tuple[tuple[tuple[str, str], ...], ...]:
     """The (agent, label) pairs of each retained event, in time order."""
-    return tuple(tuple((e.agent, label) for label in e.labels) for _, e in s.retained())
+    return tuple([tuple([(e.agent, label) for label in e.labels]) for _, e in s.retained()])
 
 
 def retained_keys(s: Scenario):
@@ -271,8 +277,8 @@ def outcome_distribution(weights: np.ndarray, s: Scenario,
     total = float(w.sum())
     if abs(total - 1.0) > ATOL_PROB:
         raise error(f"probabilities sum to {total!r}, expected 1")
-    retained = ",".join(e.agent for _, e in s.retained())
-    erased = ",".join(e.agent for _, e in s.erased())
+    retained = ",".join([e.agent for _, e in s.retained()])
+    erased = ",".join([e.agent for _, e in s.erased()])
     return OutcomeDistribution(
         retained_axes(s),
         np.where(w <= ATOL_STRUCT, 0.0, w).tolist(),

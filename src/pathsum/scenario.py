@@ -139,7 +139,11 @@ class Scenario:
     """Subsystems, initial state and events, sorted by time on construction.
 
     Constructing one enforces every scenario rule; a violation raises
-    ScenarioValidationError naming the first rule broken.
+    ScenarioValidationError naming the first rule broken.  A valid scenario
+    then derives its index once: its dims, the slot of each subsystem name,
+    and its measurements, retained and erased, which every reader shares.
+    The index is not a field, so equality, repr and ``dataclasses.replace``
+    see only the fields, and a replaced scenario derives its own.
     """
 
     subsystems: tuple[SubsystemSpec, ...]
@@ -166,44 +170,51 @@ class Scenario:
                 self, "final_time", max(e.time_index for e in events)
             )
         _check(self)
+        measurements = tuple(
+            (i, e) for i, e in enumerate(events) if isinstance(e, MeasurementEvent)
+        )
+        self.__dict__.update(  # the names are unique, so ``order`` is the slot map
+            _dims=tuple(s.dim for s in self.subsystems),
+            _slot=order,
+            _measurements=measurements,
+            _retained=tuple(m for m in measurements if m[1].record is Record.RETAINED),
+            _erased=tuple(m for m in measurements if m[1].record is Record.ERASED),
+        )
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(s.dim for s in self.subsystems)
+        return self._dims
 
     def subsystem_index(self, name: str) -> int:
-        for i, s in enumerate(self.subsystems):
-            if s.name == name:
-                return i
-        raise ScenarioValidationError(f"unknown subsystem {name!r}")
+        try:
+            return self._slot[name]
+        except KeyError:
+            raise ScenarioValidationError(f"unknown subsystem {name!r}") from None
 
     def slots(self, targets: tuple[str, ...]) -> tuple[int, ...]:
-        return tuple(self.subsystem_index(n) for n in targets)
+        try:
+            return tuple([self._slot[n] for n in targets])
+        except KeyError:
+            return tuple(map(self.subsystem_index, targets))  # raises for the first unknown
 
     def measurements(self) -> tuple[tuple[int, MeasurementEvent], ...]:
         """(event_index, event) for measurement events, in time order."""
-        return tuple(
-            (i, e) for i, e in enumerate(self.events) if isinstance(e, MeasurementEvent)
-        )
+        return self._measurements
 
     def retained(self) -> tuple[tuple[int, MeasurementEvent], ...]:
-        return tuple(
-            (i, e) for i, e in self.measurements() if e.record is Record.RETAINED
-        )
+        return self._retained
 
     def erased(self) -> tuple[tuple[int, MeasurementEvent], ...]:
-        return tuple(
-            (i, e) for i, e in self.measurements() if e.record is Record.ERASED
-        )
+        return self._erased
 
     def agent_event(self, agent: str) -> tuple[int, MeasurementEvent]:
-        for i, e in self.measurements():
+        for i, e in self._measurements:
             if e.agent == agent:
                 return i, e
         raise ScenarioValidationError(f"unknown agent {agent!r}")
 
     def agents(self) -> tuple[str, ...]:
-        return tuple(e.agent for _, e in self.measurements())
+        return tuple(e.agent for _, e in self._measurements)
 
 
 def _check(s: Scenario) -> None:
@@ -219,9 +230,10 @@ def _check(s: Scenario) -> None:
     if len(dim_of) != len(s.subsystems):
         raise ScenarioValidationError("duplicate subsystem names")
 
-    if s.initial.dims != s.dims:
+    dims = tuple(dim_of.values())
+    if s.initial.dims != dims:
         raise ScenarioValidationError(
-            f"initial state dims {s.initial.dims} do not match subsystems {s.dims}"
+            f"initial state dims {s.initial.dims} do not match subsystems {dims}"
         )
     if not s.initial.is_normalized():
         raise ScenarioValidationError(f"initial state norm != 1 (got {s.initial.norm():.6g})")

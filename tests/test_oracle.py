@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathsum import cli, library, oracle, paths
-from pathsum.hilbert import MAX_AMPLITUDES, Basis, Operator, StateVector, apply_to_slots
+from pathsum.hilbert import (MAX_AMPLITUDES, MAX_AXES, Basis, Operator, StateVector,
+                             apply_to_slots)
 from pathsum.oracle import (
     OracleError,
     dilate,
@@ -243,6 +244,78 @@ class TestStoredBudget:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+_LEVEL = Basis((1,), ("z",), [[1]])  # the one outcome of a one-level subsystem
+
+
+def _level_chain(n, kept=False):
+    """One one-level subsystem measured n times, only the last record kept
+    unless ``kept``: a state of one amplitude over 1 + n dilated axes."""
+    return Scenario((SubsystemSpec("q", 1, ("z",)),), StateVector((1,), [1]), tuple(
+        MeasurementEvent(t, f"A{t}", ("q",), _LEVEL,
+                         Record.RETAINED if kept or t == n else Record.ERASED)
+        for t in range(1, n + 1)))
+
+
+class TestAxisLimit:
+    """Chains far inside every amplitude budget that need more axes than
+    numpy allows (64 from numpy 2.0, so the chains below are 60 and 70 long
+    there): each engine refuses what its states cannot hold, and the oracle
+    reads out past einsum's 52 labels."""
+
+    FITS, OVER = MAX_AXES - 4, MAX_AXES + 6
+
+    def test_erased_chain_within_the_limit_both_engines_answer_and_agree(self):
+        s = _level_chain(self.FITS)
+        pd, od = paths.distribution(s), distribution(s)
+        assert pd.axes == od.axes == (((f"A{self.FITS}", "z"),),)
+        assert pd.probs == od.probs == [1.0]
+
+    def test_erased_chain_over_the_limit_oracle_refused_paths_answers(self):
+        s = _level_chain(self.OVER)
+        with pytest.raises(OracleError) as info:
+            distribution(s)
+        assert str(info.value) == (f"dilated state needs {self.OVER + 1} axes, "
+                                   f"over numpy's limit of {MAX_AXES}")
+        assert paths.distribution(s).probs == [1.0]
+
+    def test_kept_chain_over_the_limit_both_refused(self):
+        s = _level_chain(self.OVER, kept=True)
+        with pytest.raises(OracleError, match=f"^dilated state needs {self.OVER + 1} axes"):
+            distribution(s)
+        with pytest.raises(paths.PathEngineError) as info:
+            paths.distribution(s)
+        assert str(info.value) == (f"branch states need {self.OVER + 1} axes, "
+                                   f"over numpy's limit of {MAX_AXES}")
+
+    def test_too_many_subsystems_both_refused(self):
+        n = MAX_AXES + 1  # the measurement adds a pointer axis, or the walk a batch axis
+        s = Scenario(tuple(SubsystemSpec(f"q{k}", 1, ("z",)) for k in range(n)),
+                     StateVector((1,) * n, [1]),
+                     (MeasurementEvent(1, "A", ("q0",), _LEVEL, Record.RETAINED),))
+        with pytest.raises(OracleError, match=f"^dilated state needs {n + 1} axes"):
+            distribution(s)
+        with pytest.raises(paths.PathEngineError, match=f"^branch states need {n + 1} axes"):
+            paths.distribution(s)
+
+    def test_budget_refusals_come_first(self):
+        # the all-retained qubit chain of the same length is over both budgets too
+        s = _all_retained(erased_qubit_chain(self.OVER))
+        with pytest.raises(OracleError, match="stored state needs .* amplitudes"):
+            distribution(s)
+        with pytest.raises(paths.PathEngineError, match="exceed the enumeration cap"):
+            paths.distribution(s)
+
+    def test_cli_exits_2_with_the_typed_message(self, tmp_path, capsys):
+        target = tmp_path / "chain.scn"
+        target.write_text(serialize_scenario(_level_chain(self.OVER)), "utf-8")
+        assert cli.main(["run", str(target), "--engine", "oracle"]) == 2
+        assert capsys.readouterr().err == (f"error: dilated state needs {self.OVER + 1} axes, "
+                                           f"over numpy's limit of {MAX_AXES}\n")
+        assert cli.main(["run", str(target), "--engine", "paths", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["outcomes"] == [
+            {"tuple": [[f"A{self.OVER}", "z"]], "p": 1.0}]
 
 
 class TestPeakMemory:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -487,6 +488,65 @@ class TestValidate:
     def test_builtin_scenarios_validate(self):
         for name in library.builtin_names():
             assert isinstance(library.builtin(name), Scenario)
+
+
+def _index_scenarios():
+    """The built-ins, the four 2w2f regimes and both generators on seeds 0-199."""
+    yield from (library.builtin(name) for name in library.builtin_names())
+    yield from (library.two_wigners(regime) for regime in library.RegimeTag)
+    yield from (random_scenario(seed) for seed in range(200))
+    yield from (random_unpinned_scenario(seed) for seed in range(200))
+
+
+def _assert_index_is_its_definition(s):
+    """Each derived fact equals the filter or scan it replaced."""
+    measurements = tuple((i, e) for i, e in enumerate(s.events)
+                         if isinstance(e, MeasurementEvent))
+    assert s.measurements() == measurements
+    assert s.retained() == tuple(m for m in measurements if m[1].record is Record.RETAINED)
+    assert s.erased() == tuple(m for m in measurements if m[1].record is Record.ERASED)
+    assert s.dims == tuple(sub.dim for sub in s.subsystems)
+    names = [sub.name for sub in s.subsystems]
+    for e in s.events:
+        assert s.slots(e.targets) == tuple(names.index(t) for t in e.targets)
+
+
+class TestIndex:
+    """A scenario derives its dims, slot map and measurement tuples once."""
+
+    def test_index_equals_its_definitions(self):
+        for s in _index_scenarios():
+            _assert_index_is_its_definition(s)
+
+    def test_a_second_call_returns_the_same_object(self):
+        for s in _index_scenarios():
+            assert s.measurements() is s.measurements()
+            assert s.retained() is s.retained()
+            assert s.erased() is s.erased()
+            assert s.dims is s.dims
+
+    def test_replace_derives_its_own_index(self):
+        chain = erased_qubit_chain(5)
+        kept = dataclasses.replace(chain, events=tuple(
+            dataclasses.replace(e, record=Record.RETAINED) for e in chain.events))
+        assert len(chain.retained()) == 1 and len(chain.erased()) == 4
+        assert kept.retained() == kept.measurements() and kept.erased() == ()
+        assert [e for _, e in kept.measurements()] == list(kept.events)
+        _assert_index_is_its_definition(kept)
+
+    def test_index_is_not_a_field(self):
+        s = parse_scenario(MINIMAL)
+        assert [f.name for f in dataclasses.fields(s)] == [
+            "subsystems", "initial", "events", "final_time"]
+        assert "_slot" not in repr(s)
+
+    @pytest.mark.parametrize("name", ["spin", ""])
+    def test_unknown_name_raises_the_same_message(self, name):
+        s = parse_scenario(MINIMAL)
+        for lookup in (lambda: s.subsystem_index(name), lambda: s.slots(("sys", name))):
+            with pytest.raises(ScenarioValidationError) as info:
+                lookup()
+            assert str(info.value) == f"unknown subsystem {name!r}"
 
 
 def _first_overlap_pairwise(events):

@@ -165,7 +165,7 @@ def render_table(report: RunReport) -> str:
         (" ".join(f"{agent}={label}" for agent, label in key), format_probability(w))
         for key, w in zip(dist.keys, dist.probs)
     ]
-    width = max(len(r[0]) for r in rows)
+    width = max(len("total"), *(len(r[0]) for r in rows))
     for name, value in rows:
         lines.append(f"{name:<{width}}  {value}")
     lines.append(f"{'total':<{width}}  {format_probability(dist.total())}")

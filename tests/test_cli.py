@@ -62,6 +62,64 @@ def _reference_render_json(report):
     return json.dumps(doc) + "\n"
 
 
+def _reference_render_table(report):
+    """The definition of the table: one line per outcome tuple, its name padded
+    to the longest name or to ``total``, then the total and the queries."""
+    dist = report.dist
+    lines = [f"scenario: {report.source}", f"records: {dist.regime_tag}"]
+    if report.delta is not None:
+        lines.append(f"engine: both (max |paths - oracle| = {report.delta:.3g})")
+    else:
+        lines.append(f"engine: {report.engine}")
+    lines.append("")
+    rows = [
+        (" ".join(f"{agent}={label}" for agent, label in key), format_probability(w))
+        for key, w in zip(dist.keys, dist.probs)
+    ]
+    width = max(len("total"), *(len(name) for name, _ in rows))
+    for name, value in rows:
+        lines.append(f"{name:<{width}}  {value}")
+    lines.append(f"{'total':<{width}}  {format_probability(dist.total())}")
+    for q in report.queries:
+        verdict = "HOLDS" if q.holds else "FAILS"
+        detail = f"P({q.given[0]}={q.given[1]} and not {q.then[0]}={q.then[1]}) = " \
+                 f"{format_probability(q.counter_probability)}"
+        lines.append(f'query "{q.text}": {verdict}  [{detail}]')
+    return "\n".join(lines) + "\n"
+
+
+def _synthetic_reports():
+    """Tables built directly, at the edges of where a render can split its axes:
+    one axis, one row, an odd number of axes, an axis with a single label,
+    labels and agents of different lengths, uneven axis lengths (27 x 2 x 2)."""
+    rng = random.Random(11)
+    shapes = {
+        "one_axis": [("A", 2)],
+        "one_row": [("A", 1)],
+        "wide_axis": [("Wigner", 40)],
+        "odd": [("A", 2), ("Bb", 3), ("C", 2)],
+        "single_label": [("A", 3), ("B", 1), ("C", 4)],
+        "all_single": [("A", 1), ("B", 1), ("C", 1)],
+        "uneven": [("Friend", 27), ("W", 2), ("Wbar", 2)],
+        "uneven_last": [("A", 2), ("B", 2), ("Cc", 27)],
+        "five": [(f"A{k}", 2) for k in range(5)],
+    }
+    lengths = ("x", "yyyy", "zz", "ok", "fail", "\u00f1o")
+    reports = []
+    for name, shape in shapes.items():
+        axes = tuple(
+            tuple((agent, lengths[(k + i) % len(lengths)] + str(k)) for k in range(n))
+            for i, (agent, n) in enumerate(shape)
+        )
+        rows = math.prod(n for _, n in shape)
+        probs = [rng.choice((0.0, 0.25, 1 / 3, rng.random() / rows, 1e-300))
+                 for _ in range(rows)]
+        dist = paths.OutcomeDistribution(axes, probs, "synthetic")
+        for engine, delta in (("both", 2.5e-16), ("paths", None)):
+            reports.append(cli.RunReport(name, None, engine, dist, None, delta, []))
+    return reports
+
+
 def _reference_delta(a, b):
     """The definition of the engine delta: max over the union of outcome tuples."""
     keys = set(a.weights) | set(b.weights)
@@ -255,6 +313,23 @@ class TestRendering:
         assert any('["Fr\\"\\\\i\\u00e9nd\\u0007", "\\"up\\""]' in text
                    and '"queries"' in text for text in rendered)
         assert sum('"delta": null' in text for text in rendered) == 5
+
+    def test_json_matches_the_definition_on_synthetic_tables(self):
+        for report in _synthetic_reports():
+            assert render_json(report) == _reference_render_json(report), report.source
+
+    def test_table_is_byte_identical_to_the_definition(self, code_reports):
+        reports = [*_builtin_reports(), *code_reports, *_synthetic_reports()]
+        for report in reports:
+            assert render_table(report) == _reference_render_table(report), report.source
+
+    def test_total_row_aligns_with_short_names(self, tmp_path, capsys):
+        source = tmp_path / "one.scn"
+        source.write_text("subsystem q a b\nstate 0.6 0.8\n"
+                          "measure 1 A q retained x: 1 0 y: 0 1\n", "utf-8")
+        assert cli.main(["run", str(source), "--engine", "paths"]) == 0
+        *_, x, y, total = capsys.readouterr().out.splitlines()
+        assert (x, y, total) == ("A=x    0.36 = 9/25", "A=y    0.64 = 16/25", "total  1")
 
     def test_json_includes_queries_when_asked(self):
         report = run("2w2f", regime="f_preserved", queries=("ok_bar=>Up",))

@@ -152,29 +152,83 @@ def format_probability(p: float) -> str:
     return dec
 
 
+def _products(heads: list[str], fragment_lists) -> list[str]:
+    for fragments in fragment_lists:
+        heads = [head + fragment for head in heads for fragment in fragments]
+    return heads
+
+
+def _join_rows(prefix: str, axes, pair, glue: str, sep: str, close: str, text, probs,
+               suffix: str, width: int | None = None) -> str:
+    """``prefix``, one row per outcome tuple in row-major order, ``suffix``.
+
+    Row r is ``sep`` (left out of the first row), the (agent, label) pairs of
+    its outcome tuple written by ``pair`` and joined by ``glue``, spaces up to
+    ``width`` characters when a width is given, ``close`` and
+    ``text(probs[r])``.  The names are not built per row: the axes are split
+    where the running row count first reaches the square root of the row
+    count, each half's names are a prefix product over its axes, and the
+    document is one join of ``[prefix, front, back, (padding,) text, ...,
+    suffix]``, which refers to each half's strings once per row.  Every valid
+    scenario has a retained event, so there is at least one axis.
+    """
+    rows = len(probs)
+    split, count = 1, len(axes[0])
+    while count * count < rows:
+        count *= len(axes[split])
+        split += 1
+    end = close if width is None else ""
+    fragments = [[pair(agent, label) + glue for agent, label in axis] for axis in axes[:-1]]
+    fragments.append([pair(agent, label) + end for agent, label in axes[-1]])
+    fronts = _products([sep], fragments[:split])
+    backs = _products([""], fragments[split:])
+    k = 3 if width is None else 4  # strings per row
+    parts = [prefix] * (k * rows + 2)
+    parts[-1] = suffix
+    for j in range(len(backs)):
+        parts[1 + k * j:-1:k * len(backs)] = fronts
+    parts[1] = fronts[0][len(sep):]
+    parts[2:-1:k] = backs * len(fronts)
+    if width is not None:
+        width += len(sep)
+        padding = [" " * n + close for n in range(width + 1)]
+        by_length = {length: [padding[width - length - len(back)] for back in backs]
+                     for length in set(map(len, fronts))}
+        column = []
+        for front in fronts:
+            column += by_length[len(front)]
+        parts[3:-1:k] = column
+    parts[k:-1:k] = map(text, probs)
+    return "".join(parts)
+
+
+def _table_pair(agent: str, label: str) -> str:
+    return f"{agent}={label}"
+
+
 def render_table(report: RunReport) -> str:
-    lines = [f"scenario: {report.source}"]
+    """The header, one line per outcome tuple with its name padded to the
+    longest name (or to ``total``), the total and one line per query."""
     dist = report.dist
-    lines.append(f"records: {dist.regime_tag}")
     if report.delta is not None:
-        lines.append(f"engine: both (max |paths - oracle| = {report.delta:.3g})")
+        engine = f"both (max |paths - oracle| = {report.delta:.3g})"
     else:
-        lines.append(f"engine: {report.engine}")
-    lines.append("")
-    rows = [
-        (" ".join(f"{agent}={label}" for agent, label in key), format_probability(w))
-        for key, w in zip(dist.keys, dist.probs)
-    ]
-    width = max(len("total"), *(len(r[0]) for r in rows))
-    for name, value in rows:
-        lines.append(f"{name:<{width}}  {value}")
-    lines.append(f"{'total':<{width}}  {format_probability(dist.total())}")
+        engine = report.engine
+    prefix = f"scenario: {report.source}\nrecords: {dist.regime_tag}\nengine: {engine}\n\n"
+    width = max(len("total"), len(dist.axes) - 1 + sum(
+        max(len(_table_pair(agent, label)) for agent, label in axis) for axis in dist.axes))
+    lines = [f"\n{'total':<{width}}  {format_probability(dist.total())}"]
     for q in report.queries:
         verdict = "HOLDS" if q.holds else "FAILS"
         detail = f"P({q.given[0]}={q.given[1]} and not {q.then[0]}={q.then[1]}) = " \
                  f"{format_probability(q.counter_probability)}"
         lines.append(f'query "{q.text}": {verdict}  [{detail}]')
-    return "\n".join(lines) + "\n"
+    return _join_rows(prefix, dist.axes, _table_pair, " ", "\n", "  ", format_probability,
+                      dist.probs, "\n".join(lines) + "\n", width)
+
+
+def _json_pair(agent: str, label: str) -> str:
+    return f"[{encode_basestring_ascii(agent)}, {encode_basestring_ascii(label)}]"
 
 
 def render_json(report: RunReport) -> str:
@@ -184,14 +238,12 @@ def render_json(report: RunReport) -> str:
          "outcomes": [{"tuple": [[agent, label], ...], "p": w}, ...],
          "delta", "queries" (only when asked)}
 
-    The outcome rows are spliced in as text.  Their heads, everything up to
-    the weight, are built by a prefix product over the table's axes, which
-    encodes each (agent, label) pair once; every valid scenario has a
-    retained event, so there is at least one axis.  A pair's two strings
-    are written by ``encode_basestring_ascii``, the encoder's own function
-    for them.  Each weight is written with ``float.__repr__``, which is what
-    the encoder writes for a finite float.  ``paths.outcome_distribution``
-    has checked that the weights sum to 1, so none is NaN or infinite.
+    The outcome rows are spliced in as text by ``_join_rows``.  A pair's two
+    strings are written by ``encode_basestring_ascii``, the encoder's own
+    function for them.  Each weight is written with ``float.__repr__``, which
+    is what the encoder writes for a finite float.
+    ``paths.outcome_distribution`` has checked that the weights sum to 1, so
+    none is NaN or infinite.
     """
     head = json.dumps({"scenario": report.source, "regime": report.regime,
                        "engine": report.engine})
@@ -207,16 +259,14 @@ def render_json(report: RunReport) -> str:
             }
             for q in report.queries
         ]
-    axes = report.dist.axes
-    heads = [""]
-    for k, axis in enumerate(axes):
-        start = ", " if k else '{"tuple": ['
-        end = '], "p": ' if k == len(axes) - 1 else ""
-        fragments = [f"{start}[{encode_basestring_ascii(agent)}, "
-                     f"{encode_basestring_ascii(label)}]{end}" for agent, label in axis]
-        heads = [prefix + fragment for prefix in heads for fragment in fragments]
-    rows = "}, ".join(map(operator.add, heads, map(float.__repr__, report.dist.probs)))
-    return head[:-1] + ', "outcomes": [' + rows + "}], " + json.dumps(tail)[1:] + "\n"
+    return _join_rows(head[:-1] + ', "outcomes": [{"tuple": [', report.dist.axes, _json_pair,
+                      ", ", '}, {"tuple": [', '], "p": ', float.__repr__, report.dist.probs,
+                      "}], " + json.dumps(tail)[1:] + "\n")
+
+
+def _dot_quoted(text: str) -> str:
+    """A DOT double-quoted string: backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def dot_source(d: paths.OutcomeDistribution, s: Scenario) -> str:
@@ -225,13 +275,14 @@ def dot_source(d: paths.OutcomeDistribution, s: Scenario) -> str:
     lines = ["digraph real_paths {", "  rankdir=LR;", "  node [shape=box];"]
     for k, (agent, labels) in enumerate(graph.layers):
         lines.append(f"  subgraph cluster_{k} {{")
-        lines.append(f'    label="{agent}";')
+        lines.append(f"    label={_dot_quoted(agent)};")
         for label in labels:
-            lines.append(f'    "n{k}_{label}" [label="{label}"];')
+            lines.append(f"    {_dot_quoted(f'n{k}_{label}')} [label={_dot_quoted(label)}];")
         lines.append("  }")
     for k, la, lb, w, vanishing in graph.edges:
         style = ', style=dashed' if vanishing else ""
-        lines.append(f'  "n{k}_{la}" -> "n{k + 1}_{lb}" [label="{w:.9g}"{style}];')
+        lines.append(f"  {_dot_quoted(f'n{k}_{la}')} -> {_dot_quoted(f'n{k + 1}_{lb}')} "
+                     f'[label="{w:.9g}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

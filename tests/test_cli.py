@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 
@@ -347,6 +349,17 @@ class TestRendering:
         assert dot.count("->") == 4
         assert "dashed" not in dot
 
+    def test_dot_escapes_quotes_and_backslashes(self):
+        s = _escaped_names_scenario()
+        dot = dot_source(paths.distribution(s), s)
+        quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+        for line in dot.splitlines():
+            assert '"' not in quoted.sub("", line), line
+        strings = {re.sub(r"\\(.)", r"\1", q[1:-1]) for q in quoted.findall(dot)}
+        agents = {e.agent for e in s.events}
+        labels = {label for e in s.events for label in e.labels}
+        assert agents | labels | {f"n0_{label}" for label in s.events[0].labels} <= strings
+
     def test_export_graph_writes_file(self, tmp_path):
         out = tmp_path / "graph.gv"
         argv = ["run", "2w2f", "--regime", "both_erased", "--format", "dot", "--out", str(out)]
@@ -354,7 +367,7 @@ class TestRendering:
         assert out.read_text("utf-8").startswith("digraph real_paths")
 
     def test_json_run_builds_no_per_row_keys(self, tmp_path, monkeypatch, capsys):
-        # engines, delta and render all read the table's axes and probs;
+        # engines, delta and both renders read the table's axes and probs;
         # the per-row keys and the weights dict are built only when read
         chain = erased_qubit_chain(10)
         kept = dataclasses.replace(chain, events=tuple(
@@ -368,10 +381,30 @@ class TestRendering:
                                 or dists[-1])
         assert cli.main(["run", str(target), "--engine", "both", "--format", "json"]) == 0
         assert len(json.loads(capsys.readouterr().out)["outcomes"]) == 1024
-        assert len(dists) == 2
+        assert cli.main(["run", str(target), "--engine", "both", "--format", "table"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4 + 1024 + 1 and lines[-1].startswith("total ")
+        assert len(dists) == 4
         for dist in dists:
             assert len(dist.probs) == 1024
             assert "keys" not in vars(dist) and "weights" not in vars(dist)
+
+    @pytest.mark.parametrize("render, bound", [(render_json, 2), (render_table, 4)])
+    def test_render_peak_is_a_small_multiple_of_its_output(self, render, bound):
+        # the document is allocated once, by one join over strings that each
+        # row refers to, not copied row by row
+        axes = tuple(((f"A{k}", "b0"), (f"A{k}", "b1")) for k in range(1, 15))
+        rng = random.Random(14)
+        probs = [rng.random() / 2 ** 14 for _ in range(2 ** 14)]
+        dist = paths.OutcomeDistribution(axes, probs, "synthetic")
+        report = cli.RunReport("synthetic", None, "both", dist, dist, 0.0, [])
+        tracemalloc.start()
+        try:
+            rendered = render(report)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * len(rendered), (peak, len(rendered))
 
 
 class TestEquivalenceDelta:

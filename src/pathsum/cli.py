@@ -152,12 +152,6 @@ def format_probability(p: float) -> str:
     return dec
 
 
-def _products(heads: list[str], fragment_lists) -> list[str]:
-    for fragments in fragment_lists:
-        heads = [head + fragment for head in heads for fragment in fragments]
-    return heads
-
-
 def _join_rows(prefix: str, axes, pair, glue: str, sep: str, close: str, text, probs,
                suffix: str, width: int | None = None) -> str:
     """``prefix``, one row per outcome tuple in row-major order, ``suffix``.
@@ -177,11 +171,15 @@ def _join_rows(prefix: str, axes, pair, glue: str, sep: str, close: str, text, p
     while count * count < rows:
         count *= len(axes[split])
         split += 1
-    end = close if width is None else ""
-    fragments = [[pair(agent, label) + glue for agent, label in axis] for axis in axes[:-1]]
-    fragments.append([pair(agent, label) + end for agent, label in axes[-1]])
-    fronts = _products([sep], fragments[:split])
-    backs = _products([""], fragments[split:])
+    end = close if width is None else ""  # with a width, close follows the padding
+    last = len(axes) - 1
+    fronts, backs = [sep], [""]
+    for i, axis in enumerate(axes):
+        fragments = [pair(agent, label) + (end if i == last else glue) for agent, label in axis]
+        if i < split:
+            fronts = [head + fragment for head in fronts for fragment in fragments]
+        else:
+            backs = [head + fragment for head in backs for fragment in fragments]
     k = 3 if width is None else 4  # strings per row
     parts = [prefix] * (k * rows + 2)
     parts[-1] = suffix

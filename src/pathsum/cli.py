@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -57,14 +56,16 @@ def resolve_scenario(source: str, regime: str | None) -> tuple[Scenario, str]:
         scenario = library.builtin(source, regime)
         name = source if regime is None else f"{source}_{regime}"
         return scenario, name
-    path = Path(source)
-    if path.exists():
-        if regime is not None:
-            raise CliError("--regime only applies to the built-in '2w2f'")
-        return parse_scenario(path.read_bytes()), source
-    raise CliError(
-        f"unknown scenario {source!r}; built-ins: 2w2f, " + ", ".join(library.builtin_names())
-    )
+    try:
+        with open(source, "rb") as f:
+            if regime is not None:
+                raise CliError("--regime only applies to the built-in '2w2f'")
+            text = f.read()
+    except FileNotFoundError:
+        raise CliError(
+            f"unknown scenario {source!r}; built-ins: 2w2f, " + ", ".join(library.builtin_names())
+        ) from None
+    return parse_scenario(text), source
 
 
 def _resolve_query_side(s: Scenario, text: str) -> tuple[str, str]:
@@ -104,7 +105,7 @@ def equivalence_delta(a: paths.OutcomeDistribution, b: paths.OutcomeDistribution
     """
     if a.axes != b.axes:
         return math.inf
-    return max(map(abs, map(operator.sub, a.probs, b.probs)))
+    return float(abs(a.table - b.table).max())
 
 
 def run(source: str, engine: str = "both", regime: str | None = None,

@@ -40,7 +40,10 @@ C^dagger un-fires the pointer through ``fire_block``^dagger, back to {0},
 and leaves (1 - P_k) psi_k on level k: the population U moved out of the
 record's branch.  Above 1e-12 that is a disturbed record, refused at the
 unitary.  After ``evolve`` every pointer is fired.  ``dilate`` budgets
-that stored size, the base dims times every measurement's outcome count.
+that stored size, the base dims times every measurement's outcome count,
+and the couplings' fire blocks, which it then builds in one stacked product
+per (side, n) shape.  The walk checks the norm after every event it
+applies, from one dot over the state's memory.
 ``DilatedState.psi`` spans the full dilated dims; it is built on first
 access, and its own budget check is made then.
 
@@ -88,9 +91,11 @@ class CouplingPlan:
         (|k> x w_k swaps back to |0> x w_k, every other sector is left
         alone), so its block from pointers 1..n to pointer 0 is the
         conjugate transpose.
+
+        Built in ``dilate`` for its plans; a plan built elsewhere (a
+        relabelled copy) builds its own on first read, on a stack of one.
         """
-        side, n = self.columns.shape
-        return np.einsum("ik,jk->kij", self.columns, self.columns.conj()).reshape(n * side, side)
+        return _fire_blocks([self.columns])[0]
 
     @property  # not cached: a plan holding a tuple of itself would be a reference cycle
     def chain(self) -> tuple[CouplingPlan, ...]:
@@ -161,6 +166,16 @@ class DilatedState:
         return StateVector(dims, _embed(self.stored, self.ranges, dims).reshape(-1))
 
 
+def _fire_blocks(columns) -> np.ndarray:
+    """The fire blocks of plans whose basis columns ``columns`` share one
+    shape (side, n), stacked on a first axis, from one einsum.  A plan's
+    row (k, i), column j holds w_k[i] conj(w_k[j]), one product per entry,
+    so a stack of one gives the same block bit for bit."""
+    cols = np.array([c.T for c in columns])  # (plan, k, target)
+    g, n, side = cols.shape
+    return np.einsum("gki,gkj->gkij", cols, cols.conj()).reshape(g, n * side, side)
+
+
 def _check_dims(dims):
     n_amps = math.prod(dims)
     if n_amps > MAX_AMPLITUDES:
@@ -229,6 +244,14 @@ def dilate(s: Scenario) -> DilatedScenario:
             for key in hit:
                 del active[key]
             active[frozenset(tslots)] = plan
+
+    # every fire block, one stacked product per (side, n) shape, after the budget above
+    shapes: dict[tuple[int, int], list[CouplingPlan]] = {}
+    for plan in couplings:
+        shapes.setdefault(plan.columns.shape, []).append(plan)
+    for plans in shapes.values():
+        for plan, block in zip(plans, _fire_blocks([p.columns for p in plans])):
+            plan.__dict__["fire_block"] = block  # the cached_property's slot
 
     return DilatedScenario(s, dims, ancillas, tuple(couplings), erasure_map, frames)
 
@@ -311,10 +334,10 @@ def _unfire(plan, state, ranges, agent):
     the record's population outside the composite-basis block, which the
     eraser ``agent`` cannot realize.
     """
-    before = float(np.linalg.norm(state)) ** 2
+    before = _norm(state) ** 2
     ranges[plan.slots[0]] = _UNTRIGGERED
     state = _apply(plan.fire_block.conj().T, plan.slots, [len(r) for r in ranges], state)
-    leak = before - float(np.linalg.norm(state)) ** 2
+    leak = before - _norm(state) ** 2
     if leak > ATOL_STRUCT:
         raise OracleError(
             f"erased record was disturbed before {agent!r}'s measurement "
@@ -337,8 +360,15 @@ def _apply(matrix, slots, dims, state):
     return apply_to_slots(matrix, out, slots, state, in_dims)
 
 
+def _norm(state) -> float:
+    """The state's norm, from one dot over its memory: the walked state is
+    dense in a permuted axis order, so ``ravel(order="K")`` is a view."""
+    flat = state.ravel(order="K")
+    return math.sqrt(np.vdot(flat, flat).real)
+
+
 def _check_norm(state, time_index):
-    drift = abs(float(np.linalg.norm(state)) - 1.0)
+    drift = abs(_norm(state) - 1.0)
     if drift > ATOL_STRUCT:
         raise OracleError(f"norm drifted by {drift:.3g} at time {time_index}")
 

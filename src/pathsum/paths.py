@@ -65,24 +65,40 @@ class VirtualPath:
         return abs(self.amplitude) <= ATOL_STRUCT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ``__eq__`` below: ``table`` is an ndarray
 class OutcomeDistribution:
     """Probabilities over the retained-record outcome tuples, as one table.
 
     ``axes`` holds one tuple of (agent, label) pairs per retained event, in
-    time order, and ``probs`` the probabilities row-major over ``axes``, so
-    the outcome tuple of row r is ``keys[r]``.  ``keys`` and ``weights``
-    (outcome tuple -> probability) are built on first read.
+    time order, and ``table`` the probabilities row-major over ``axes``, so
+    the outcome tuple of row r is ``keys[r]``.  ``table`` may be given as
+    a list; it is kept as a read-only float64 array, a view of a float64
+    array given, not a copy.  ``probs`` (the rows as a list of floats),
+    ``keys`` and ``weights`` (outcome tuple -> probability) are built on
+    first read.
     """
 
     axes: tuple[tuple[tuple[str, str], ...], ...]
-    probs: list[float] = field(repr=False)
+    table: np.ndarray = field(repr=False)
     regime_tag: str = ""
 
     def __post_init__(self):
+        table = np.asarray(self.table, dtype=float).view()
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
         rows = math.prod(len(axis) for axis in self.axes)
-        if len(self.probs) != rows:
-            raise ValueError(f"{len(self.probs)} probabilities for a table of {rows} rows")
+        if table.shape != (rows,):
+            raise ValueError(f"{table.size} probabilities for a table of {rows} rows")
+
+    def __eq__(self, other):
+        if not isinstance(other, OutcomeDistribution):
+            return NotImplemented
+        return (self.axes == other.axes and self.regime_tag == other.regime_tag
+                and bool(np.array_equal(self.table, other.table)))
+
+    @cached_property
+    def probs(self) -> list[float]:
+        return self.table.tolist()
 
     @cached_property
     def keys(self) -> tuple[OutcomeTuple, ...]:
@@ -281,7 +297,7 @@ def outcome_distribution(weights: np.ndarray, s: Scenario,
     erased = ",".join([e.agent for _, e in s.erased()])
     return OutcomeDistribution(
         retained_axes(s),
-        np.where(w <= ATOL_STRUCT, 0.0, w).tolist(),
+        np.where(w <= ATOL_STRUCT, 0.0, w),
         f"retained={retained}" + (f"; erased={erased}" if erased else ""),
     )
 

@@ -32,6 +32,7 @@ import enum
 import itertools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -153,17 +154,20 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "subsystems", tuple(self.subsystems))
-        # ties between same-time events on disjoint targets are broken by
-        # subsystem declaration order, so outcome tuples are deterministic
         order = {s.name: k for k, s in enumerate(self.subsystems)}
-        unknown = len(order)
-        events = tuple(
-            sorted(
-                self.events,
-                key=lambda e: (e.time_index,
-                               min([order.get(t, unknown) for t in e.targets], default=0)),
+        events = tuple(self.events)
+        times = [e.time_index for e in events]
+        if not all(map(operator.lt, times, times[1:])):  # else already in time order
+            # ties between same-time events on disjoint targets are broken by
+            # subsystem declaration order, so outcome tuples are deterministic
+            unknown = len(order)
+            events = tuple(
+                sorted(
+                    events,
+                    key=lambda e: (e.time_index,
+                                   min([order.get(t, unknown) for t in e.targets], default=0)),
+                )
             )
-        )
         object.__setattr__(self, "events", events)
         if self.final_time < 0 and events:
             object.__setattr__(
@@ -729,7 +733,8 @@ def _values(items: list[_Item], flat: list[str]):
                 if not passed:
                     Basis(dims, labels, matrix)
                 basis = _prechecked(Basis, dims=dims, labels=labels, matrix=matrix)
-                events.append(MeasurementEvent(time, agent, targets, basis, record))
+                events.append(_prechecked(MeasurementEvent, time_index=time, agent=agent,
+                                          targets=targets, basis=basis, record=record))
         except HilbertError as exc:
             raise it.ln.error(0, _CONTEXT[it.kind] + str(exc)) from None
         lines.append(it.ln.number)

@@ -1,11 +1,15 @@
 import dataclasses
+import importlib.util
 import json
 import math
+import operator
 import random
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,6 +420,26 @@ class TestEquivalenceDelta:
             assert equivalence_delta(a, b) == _reference_delta(a, b), report.source
             assert report.delta == _reference_delta(a, b)
 
+    def test_equals_the_rowwise_maximum(self, monkeypatch):
+        # the array maximum does the same IEEE operations per row as the list
+        # one, on the built-ins and on the benchmark's seed-7 inputs
+        root = Path(__file__).resolve().parents[1]
+        spec = importlib.util.spec_from_file_location("workloads", root / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "workloads", workloads)
+        spec.loader.exec_module(workloads)
+        monkeypatch.chdir(root)  # the shipped scenarios are read from src/
+        scenarios = [library.builtin(name) for name in library.builtin_names()]
+        scenarios += [library.builtin("2w2f", r.value) for r in library.RegimeTag]
+        for w in workloads.WORKLOADS:
+            scenarios += [scenario.parse_scenario(inp.text) for inp in workloads.generate(w, 7)]
+        assert len(scenarios) == 11 + 223
+        for s in scenarios:
+            a, b = paths.distribution(s), oracle.distribution(s)
+            want = max(map(abs, map(operator.sub, a.probs, b.probs)))
+            got = equivalence_delta(a, b)
+            assert type(got) is float and got == want
+
     def test_different_key_sequences_give_inf(self):
         # both engines give their rows row-major over the retained events'
         # labels, so any other axes, even a reordering of the same labels,
@@ -472,6 +496,29 @@ class TestMainExitCodes:
         assert cli.main(["run", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Is a directory" in err
+
+    def test_missing_source_is_an_unknown_scenario(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.scn")
+        for argv in ([missing], [missing, "--regime", "both_erased"]):
+            assert cli.main(["run", *argv]) == 2
+            assert capsys.readouterr().err.startswith(f"error: unknown scenario {missing!r}; ")
+
+    def test_regime_on_a_file_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "mini.scn"
+        target.write_text(serialize_scenario(library.wfs("II")), "utf-8")
+        assert cli.main(["run", str(target), "--regime", "both_erased"]) == 2
+        assert capsys.readouterr().err == "error: --regime only applies to the built-in '2w2f'\n"
+
+    def test_unreadable_source_exits_2_with_its_os_error(self, tmp_path, capsys, monkeypatch):
+        # any OSError but a missing file is reported as it is, whoever runs the test
+        target = tmp_path / "locked.scn"
+
+        def locked(path, mode="r"):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "open", locked, raising=False)
+        assert cli.main(["run", str(target)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: {str(target)!r}\n"
 
     def test_out_into_missing_directory_exits_2(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x"

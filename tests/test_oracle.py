@@ -319,9 +319,10 @@ class TestAxisLimit:
 
 
 class TestPeakMemory:
-    """Traced peaks on the 18-chain stay at or under the ones measured once
-    both engines released their states before building the table, rounded
-    up to 0.01 MiB: an extra copy of a state would add at least 4 MiB.  An
+    """Traced peaks on the 18- and 20-chains stay at or under the ones
+    measured once both engines released their states before building the
+    table, rounded up to 0.01 MiB: an extra copy of a state would add at
+    least 4 MiB on the 18-chain and 16 MiB on the 20-chain.  An
     erased chain's oracle never applies its lifts, so it stores a handful
     of amplitudes, the 23-chain included, where the lifts stored 2 * 2^23."""
 
@@ -330,7 +331,10 @@ class TestPeakMemory:
         (distribution, True, 18, 16.03),
         (distribution, False, 18, 0.02),
         (distribution, False, 23, 0.02),
-    ], ids=["paths-retained", "oracle-retained", "oracle-erased", "oracle-erased23"])
+        (paths.distribution, True, 20, 64.01),
+        (distribution, True, 20, 64.03),
+    ], ids=["paths-retained", "oracle-retained", "oracle-erased", "oracle-erased23",
+            "paths-retained20", "oracle-retained20"])
     def test_peak_is_bounded(self, engine, kept, n, mib):
         s = erased_qubit_chain(n)
         s = _all_retained(s) if kept else s
@@ -341,6 +345,30 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
         assert peak <= mib * (1 << 20)
+
+
+class TestNormCheck:
+    """The norm is checked after every event the walk applies: a drift over
+    1e-12 is refused, rounding is not, whether the state is contiguous or
+    dense in a permuted axis order, as the walk leaves it."""
+
+    @staticmethod
+    def _states(norm):
+        rng = np.random.default_rng(5)
+        state = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
+        state *= norm / np.linalg.norm(state)
+        permuted = state.transpose(2, 0, 1)
+        assert not permuted.flags.c_contiguous
+        return state, permuted
+
+    def test_drift_is_refused(self):
+        for state in self._states(1 + 1e-9):
+            with pytest.raises(OracleError, match=r"^norm drifted by 1e-09 at time 3$"):
+                oracle._check_norm(state, 3)
+
+    def test_rounding_passes(self):
+        for state in self._states(1 + 1e-13):
+            oracle._check_norm(state, 3)
 
 
 class TestBudgetEdge:
@@ -691,6 +719,75 @@ class TestStoredRanges:
                 tracemalloc.stop()
             assert peak < (8 << 20) * (n / 40) ** 3, n
             assert od.weights[(("F", "l0"),)] == pytest.approx(1.0, abs=1e-12)
+
+
+def _single_fire_block(plan):
+    """One plan's fire block on its own: the projectors P_k = w_k w_k^dagger."""
+    side, n = plan.columns.shape
+    return np.einsum("ik,jk->kij", plan.columns, plan.columns.conj()).reshape(n * side, side)
+
+
+class TestFireBlocks:
+    """``dilate`` builds its plans' fire blocks in one stacked product per
+    (side, n) shape; every block is bit for bit the plan's own product, and
+    a relabelled copy, built outside ``dilate``, builds the same block."""
+
+    @staticmethod
+    def _mixed_shapes():
+        # side 2 twice, side 3 twice and a joint side-4 measurement, which
+        # erases the first record on a
+        rng = np.random.default_rng(8)
+        subsystems = (SubsystemSpec("a", 2, ("a0", "a1")),
+                      SubsystemSpec("b", 3, ("b0", "b1", "b2")),
+                      SubsystemSpec("c", 2, ("c0", "c1")))
+        z = rng.normal(size=12) + 1j * rng.normal(size=12)
+        events = (
+            MeasurementEvent(1, "A", ("a",), random_basis(rng, (2,), "x"), Record.ERASED),
+            MeasurementEvent(2, "B1", ("b",), random_basis(rng, (3,), "y"), Record.RETAINED),
+            MeasurementEvent(3, "C", ("c",), random_basis(rng, (2,), "z"), Record.RETAINED),
+            MeasurementEvent(4, "B2", ("b",), random_basis(rng, (3,), "v"), Record.RETAINED),
+            MeasurementEvent(5, "AC", ("a", "c"), random_basis(rng, (2, 2), "w"), Record.RETAINED),
+        )
+        return Scenario(subsystems, StateVector((2, 3, 2), z / np.linalg.norm(z)), events)
+
+    def _scenarios(self):
+        yield from TestStoredRanges._scenarios()
+        yield self._mixed_shapes()
+
+    def test_stacked_blocks_equal_each_plans_own(self):
+        for s in self._scenarios():
+            for plan in dilate(s).couplings:
+                assert "fire_block" in vars(plan)  # built by ``dilate``
+                assert np.array_equal(plan.fire_block, _single_fire_block(plan))
+
+    def test_mixed_shapes_keep_each_plans_block(self):
+        s = self._mixed_shapes()
+        couplings = dilate(s).couplings
+        assert [p.columns.shape for p in couplings] == [(2, 2), (3, 3), (2, 2), (3, 3), (4, 4)]
+        blocks = [p.fire_block for p in couplings]
+        for plan, block in zip(couplings, blocks):
+            assert np.array_equal(block, _single_fire_block(plan))
+        assert not np.array_equal(blocks[0], blocks[2])
+        assert not np.array_equal(blocks[1], blocks[3])
+        pd, od = paths.distribution(s), distribution(s)
+        assert cli.equivalence_delta(pd, od) <= 1e-9
+
+    def test_relabelled_copies_build_the_same_block(self, monkeypatch):
+        real, copies = oracle._couple, []
+
+        def spy(plan, *args):
+            copies.append((plan, "fire_block" in vars(plan)))
+            return real(plan, *args)
+
+        monkeypatch.setattr(oracle, "_couple", spy)
+        for s in self._scenarios():
+            d = dilate(s)
+            for erased in d.erasure_map:
+                d.erasure_basis(erased)
+        assert len(copies) > 100
+        for plan, built in copies:
+            assert not built  # a copy's block is built on first read
+            assert np.array_equal(plan.fire_block, _single_fire_block(plan))
 
 
 class TestInsertedErasedMeasurement:

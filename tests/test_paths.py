@@ -257,6 +257,40 @@ class TestTable:
             with pytest.raises(ValueError, match=f"{len(probs)} probabilities for a table of 16 rows"):
                 OutcomeDistribution(d.axes, probs, d.regime_tag)
 
+    def test_a_list_and_an_array_give_the_same_table(self):
+        d = distribution(two_wigners("both_preserved"))
+        from_list = OutcomeDistribution(d.axes, list(d.probs), d.regime_tag)
+        from_array = OutcomeDistribution(d.axes, np.array(d.probs), d.regime_tag)
+        assert from_list.probs == from_array.probs == d.probs
+        for dist in (from_list, from_array):
+            assert all(type(p) is float for p in dist.probs)
+            assert from_list == dist
+
+    def test_table_is_read_only_float64(self):
+        s = two_wigners("both_preserved")
+        for d in (distribution(s), oracle.distribution(s),
+                  OutcomeDistribution(((("A", "x"), ("A", "y")),), [0.5, 0.5])):
+            assert d.table.dtype == np.float64 and not d.table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                d.table[0] = 1.0
+
+    def test_tables_differing_in_one_row_are_unequal(self):
+        d = distribution(two_wigners("both_preserved"))
+        for r in range(len(d.probs)):
+            probs = list(d.probs)
+            probs[r] = math.nextafter(probs[r], 1.0)  # one ulp up
+            other = OutcomeDistribution(d.axes, probs, d.regime_tag)
+            assert other != d and d != other, r
+        assert OutcomeDistribution(d.axes, d.table, d.regime_tag) == d
+        assert OutcomeDistribution(d.axes, d.table, "other") != d
+
+    def test_engines_do_not_build_the_list(self):
+        s = two_wigners("both_preserved")
+        for engine in (distribution, oracle.distribution):
+            d = engine(s)
+            assert "probs" not in vars(d)
+            assert d.probs == d.table.tolist() and "probs" in vars(d)
+
     def test_marginal_matches_the_dict_accumulation(self):
         scenarios = [library.builtin(name) for name in library.builtin_names()]
         scenarios += [two_wigners(regime.value) for regime in library.RegimeTag]

@@ -240,9 +240,9 @@ def render_json(report: RunReport) -> str:
     The outcome rows are spliced in as text by ``_join_rows``.  A pair's two
     strings are written by ``encode_basestring_ascii``, the encoder's own
     function for them.  Each weight is written with ``float.__repr__``, which
-    is what the encoder writes for a finite float.
-    ``paths.outcome_distribution`` has checked that the weights sum to 1, so
-    none is NaN or infinite.
+    is what the encoder writes for a finite float.  Both engines' weights
+    have passed ``paths.outcome_distribution``'s check that they sum to 1,
+    which a NaN or infinite weight fails, so all of them are finite.
     """
     head = json.dumps({"scenario": report.source, "regime": report.regime,
                        "engine": report.engine})
@@ -337,7 +337,7 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(rendered)
 
-    if report.delta is not None and report.delta > ATOL_PROB:
+    if report.delta is not None and not report.delta <= ATOL_PROB:  # a NaN disagrees
         print(f"error: engines disagree (max entrywise delta = {report.delta:.3g})",
               file=sys.stderr)
         return 3

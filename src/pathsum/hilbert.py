@@ -13,6 +13,10 @@ Two tolerances are used throughout the package:
 A measurement basis is ``Basis(dims, labels, matrix)``: one frozen
 side x side matrix whose columns are the vectors in label order.
 
+``StateVector``, ``Operator`` and ``Basis`` compare equal when their
+fields are equal and their arrays exactly equal, entry for entry; each
+hashes its shape fields only, which equal values share.
+
 Orthonormal columns and unitarity are one check, ``gram_defects``: for a
 ``(k, d, n)`` stack it makes one stacked Gram product and returns
 max|M^H M - I| for each matrix, NaN for a matrix holding a NaN.  A
@@ -73,12 +77,20 @@ def _dims_tuple(dims: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ``__eq__`` below: ``amps`` is an ndarray
 class StateVector:
     """State over a tensor product of subsystems, row-major over ``dims``."""
 
     dims: tuple[int, ...]
     amps: np.ndarray = field(repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, StateVector):
+            return NotImplemented
+        return self.dims == other.dims and bool(np.array_equal(self.amps, other.amps))
+
+    def __hash__(self):
+        return hash(self.dims)
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _dims_tuple(self.dims))
@@ -117,12 +129,20 @@ class StateVector:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ``__eq__`` below: ``entries`` is an ndarray
 class Operator:
     """Square operator on a tensor product of subsystems, row-major."""
 
     dims: tuple[int, ...]
     entries: np.ndarray = field(repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, Operator):
+            return NotImplemented
+        return self.dims == other.dims and bool(np.array_equal(self.entries, other.entries))
+
+    def __hash__(self):
+        return hash(self.dims)
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _dims_tuple(self.dims))
@@ -149,7 +169,7 @@ class Operator:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ``__eq__`` below: ``matrix`` is an ndarray
 class Basis:
     """Complete orthonormal measurement basis with one label per vector.
 
@@ -162,6 +182,15 @@ class Basis:
     dims: tuple[int, ...]
     labels: tuple[str, ...]
     matrix: np.ndarray = field(repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, Basis):
+            return NotImplemented
+        return (self.dims == other.dims and self.labels == other.labels
+                and bool(np.array_equal(self.matrix, other.matrix)))
+
+    def __hash__(self):
+        return hash((self.dims, self.labels))
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _dims_tuple(self.dims))

@@ -369,7 +369,7 @@ def _norm(state) -> float:
 
 def _check_norm(state, time_index):
     drift = abs(_norm(state) - 1.0)
-    if drift > ATOL_STRUCT:
+    if not drift <= ATOL_STRUCT:  # a NaN drifts too
         raise OracleError(f"norm drifted by {drift:.3g} at time {time_index}")
 
 

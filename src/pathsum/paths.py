@@ -116,21 +116,39 @@ class OutcomeDistribution:
         unknown = set(selection) - set(self.agents())
         if unknown:
             raise ValueError(f"unknown agent {sorted(unknown)[0]!r} in distribution")
+        mask = np.ones((1,) * len(self.axes), dtype=bool)
         for agent, label in selection.items():
-            _check_label(self, agent, label)
-        total = 0.0
-        for key, w in zip(self.keys, self.probs):
-            if all((agent, selection[agent]) in key for agent in selection):
-                total += w
-        return total
+            mask = mask & _holds(self, agent, label)
+        return _masked_sum(self, mask)
 
     def total(self) -> float:
         return float(sum(self.probs))
 
 
-def _check_label(d: OutcomeDistribution, agent: str, label: str) -> None:
-    if not any((agent, label) in axis for axis in d.axes):
-        raise ValueError(f"unknown label {label!r} for agent {agent!r}")
+def _holds(d: OutcomeDistribution, agent: str, label: str) -> np.ndarray:
+    """Whether each row's outcome tuple holds (agent, label), as a bool
+    array that broadcasts over the grid of ``d.axes``."""
+    if agent not in d.agents():
+        raise ValueError(f"unknown agent {agent!r} in distribution")
+    for k, axis in enumerate(d.axes):
+        if (agent, label) in axis:
+            hit = np.array([entry == (agent, label) for entry in axis])
+            return hit.reshape([-1 if j == k else 1 for j in range(len(d.axes))])
+    raise ValueError(f"unknown label {label!r} for agent {agent!r}")
+
+
+def _ordered_sums(rows: np.ndarray) -> np.ndarray:
+    """Each row of the scratch array ``rows`` added left to right from +0.0,
+    as a loop over floats adds (``np.sum`` adds pairwise); overwrites ``rows``."""
+    if rows.shape[-1] == 0:
+        return np.zeros(rows.shape[:-1])
+    return np.add.accumulate(rows, axis=-1, out=rows)[..., -1] + 0.0  # -0.0 -> 0.0
+
+
+def _masked_sum(d: OutcomeDistribution, mask: np.ndarray) -> float:
+    """The rows where ``mask``, broadcast over the axis grid, holds, in row-major order."""
+    grid = d.table.reshape([len(axis) for axis in d.axes])
+    return float(_ordered_sums(grid[np.broadcast_to(mask, grid.shape)]))
 
 
 @dataclass(frozen=True)
@@ -274,32 +292,22 @@ def enumerate_paths(s: Scenario) -> tuple[VirtualPath, ...]:
     return tuple(out)
 
 
-def retained_axes(s: Scenario) -> tuple[tuple[tuple[str, str], ...], ...]:
-    """The (agent, label) pairs of each retained event, in time order."""
-    return tuple([tuple([(e.agent, label) for label in e.labels]) for _, e in s.retained()])
-
-
 def retained_keys(s: Scenario):
     """Outcome tuples of the retained events, row-major over their labels."""
-    return itertools.product(*retained_axes(s))
+    return itertools.product(*s.retained_axes())
 
 
 def outcome_distribution(weights: np.ndarray, s: Scenario,
                          error: type[ValueError]) -> OutcomeDistribution:
     """Both engines' result from their weights, row-major over the retained
     events' labels: the weights as given must total 1 within 1e-9 or
-    ``error`` is raised; then weights <= 1e-12 are clamped to exact 0."""
+    ``error`` is raised, also for a NaN; then weights <= 1e-12 are clamped to 0."""
     w = np.asarray(weights, dtype=float)
     total = float(w.sum())
-    if abs(total - 1.0) > ATOL_PROB:
+    if not abs(total - 1.0) <= ATOL_PROB:
         raise error(f"probabilities sum to {total!r}, expected 1")
-    retained = ",".join([e.agent for _, e in s.retained()])
-    erased = ",".join([e.agent for _, e in s.erased()])
-    return OutcomeDistribution(
-        retained_axes(s),
-        np.where(w <= ATOL_STRUCT, 0.0, w),
-        f"retained={retained}" + (f"; erased={erased}" if erased else ""),
-    )
+    return OutcomeDistribution(s.retained_axes(), np.where(w <= ATOL_STRUCT, 0.0, w),
+                               s.regime_tag())
 
 
 def reduce(paths, s: Scenario) -> OutcomeDistribution:
@@ -335,53 +343,43 @@ def distribution(s: Scenario) -> OutcomeDistribution:
 
 
 def marginal(d: OutcomeDistribution, keep) -> OutcomeDistribution:
-    """Sum out every agent not in ``keep``; total probability is preserved."""
+    """Sum out every agent not in ``keep``; total probability is preserved.
+    The kept axes are moved to the front, so a kept tuple's rows are one row
+    of the copy, in the order a loop over the table meets them."""
     keep = set(keep)
     agents = d.agents()
     unknown = keep - set(agents)
     if unknown:
         raise ValueError(f"unknown agent {sorted(unknown)[0]!r} in distribution")
-    # rows come in row-major order, so the kept tuples first appear in
-    # row-major order over the kept axes
-    weights: dict[OutcomeTuple, float] = {}
-    for key, w in zip(d.keys, d.probs):
-        sub = tuple(entry for entry in key if entry[0] in keep)
-        weights[sub] = weights.get(sub, 0.0) + w
-    kept = ",".join(a for a in agents if a in keep)
-    return OutcomeDistribution(tuple(axis for axis in d.axes if axis[0][0] in keep),
-                               list(weights.values()), f"marginal[{kept}] of ({d.regime_tag})")
+    kept = [k for k, agent in enumerate(agents) if agent in keep]
+    shape = [len(axis) for axis in d.axes]
+    rows = d.table.reshape(shape).transpose(
+        kept + [k for k, agent in enumerate(agents) if agent not in keep]).copy()
+    sums = _ordered_sums(rows.reshape(math.prod(shape[k] for k in kept), -1))
+    names = ",".join(agents[k] for k in kept)
+    return OutcomeDistribution(tuple(d.axes[k] for k in kept), sums,
+                               f"marginal[{names}] of ({d.regime_tag})")
 
 
 def implication(d: OutcomeDistribution, given: tuple[str, str],
                 then: tuple[str, str]) -> ImplicationResult:
     """Does ``given`` imply ``then``?  Holds iff P(given and not then) <= 1e-9."""
-    agents = set(d.agents())
-    for agent, label in (given, then):
-        if agent not in agents:
-            raise ValueError(f"unknown agent {agent!r} in distribution")
-        _check_label(d, agent, label)
-    counter = 0.0
-    for key, w in zip(d.keys, d.probs):
-        if given in key and then not in key:
-            counter += w
+    counter = _masked_sum(d, _holds(d, *given) & ~_holds(d, *then))
     return ImplicationResult(given, then, counter <= ATOL_PROB, counter)
 
 
 def real_path_graph(d: OutcomeDistribution, s: Scenario) -> RealPathGraph:
     """Layered graph of retained outcomes; consecutive-layer edge weights are
-    pairwise marginals.  Vanishing edges are flagged (drawn dashed in DOT).
+    pairwise marginals, row-major over the two layers' labels since ``d`` is
+    a distribution of ``s``.  Vanishing edges are flagged (dashed in DOT).
     """
     present = set(d.agents())
-    retained = tuple((i, e) for i, e in s.retained() if e.agent in present)
-    layers = tuple((e.agent, e.labels) for _, e in retained)
+    layers = tuple((e.agent, e.labels) for _, e in s.retained() if e.agent in present)
     edges = []
-    for k in range(len(retained) - 1):
-        agent_a, labels_a = layers[k]
-        agent_b, labels_b = layers[k + 1]
-        pair = marginal(d, (agent_a, agent_b)).weights
-        for la in labels_a:
-            for lb in labels_b:
-                w = pair.get(((agent_a, la), (agent_b, lb)), 0.0)
-                w = 0.0 if w <= ATOL_STRUCT else w
-                edges.append((k, la, lb, w, w == 0.0))
+    for k in range(len(layers) - 1):
+        (agent_a, labels_a), (agent_b, labels_b) = layers[k], layers[k + 1]
+        pair = marginal(d, (agent_a, agent_b)).table.tolist()
+        for (la, lb), w in zip(itertools.product(labels_a, labels_b), pair):
+            w = 0.0 if w <= ATOL_STRUCT else w
+            edges.append((k, la, lb, w, w == 0.0))
     return RealPathGraph(layers, tuple(edges))

@@ -142,7 +142,8 @@ class Scenario:
     Constructing one enforces every scenario rule; a violation raises
     ScenarioValidationError naming the first rule broken.  A valid scenario
     then derives its index once: its dims, the slot of each subsystem name,
-    and its measurements, retained and erased, which every reader shares.
+    its measurements, retained and erased, the (agent, label) axes of its
+    retained outcomes and its regime tag, which every reader shares.
     The index is not a field, so equality, repr and ``dataclasses.replace``
     see only the fields, and a replaced scenario derives its own.
     """
@@ -177,12 +178,20 @@ class Scenario:
         measurements = tuple(
             (i, e) for i, e in enumerate(events) if isinstance(e, MeasurementEvent)
         )
+        retained = tuple(m for m in measurements if m[1].record is Record.RETAINED)
+        erased = tuple(m for m in measurements if m[1].record is Record.ERASED)
+        tag = "retained=" + ",".join([e.agent for _, e in retained])
+        if erased:
+            tag += "; erased=" + ",".join([e.agent for _, e in erased])
         self.__dict__.update(  # the names are unique, so ``order`` is the slot map
             _dims=tuple(s.dim for s in self.subsystems),
             _slot=order,
             _measurements=measurements,
-            _retained=tuple(m for m in measurements if m[1].record is Record.RETAINED),
-            _erased=tuple(m for m in measurements if m[1].record is Record.ERASED),
+            _retained=retained,
+            _erased=erased,
+            _retained_axes=tuple([tuple([(e.agent, label) for label in e.labels])
+                                  for _, e in retained]),
+            _regime_tag=tag,
         )
 
     @property
@@ -210,6 +219,14 @@ class Scenario:
 
     def erased(self) -> tuple[tuple[int, MeasurementEvent], ...]:
         return self._erased
+
+    def retained_axes(self) -> tuple[tuple[tuple[str, str], ...], ...]:
+        """The (agent, label) pairs of each retained event, in time order."""
+        return self._retained_axes
+
+    def regime_tag(self) -> str:
+        """``retained=A,B``, then ``; erased=C`` when a record is erased."""
+        return self._regime_tag
 
     def agent_event(self, agent: str) -> tuple[int, MeasurementEvent]:
         for i, e in self._measurements:

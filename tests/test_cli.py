@@ -602,3 +602,19 @@ class TestMainExitCodes:
         code = cli.main(["run", "2w2f", "--regime", "both_erased"])
         assert code == 3
         assert "engines disagree" in capsys.readouterr().err
+
+    def test_a_nan_delta_is_a_hard_failure(self, capsys, monkeypatch):
+        true_distribution = oracle.distribution
+
+        def with_nan(scenario):  # a table that skipped the engines' sum check
+            dist = true_distribution(scenario)
+            table = dist.table.copy()
+            table[0] = math.nan
+            return type(dist)(dist.axes, table, dist.regime_tag)
+
+        monkeypatch.setattr(cli.oracle, "distribution", with_nan)
+        code = cli.main(["run", "2w2f", "--regime", "both_erased", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out.endswith('"delta": NaN}\n')
+        assert err == "error: engines disagree (max entrywise delta = nan)\n"

@@ -374,3 +374,41 @@ class TestOperator:
         assert skew.unitarity_defect() > 1e-12
         with pytest.raises(HilbertError, match="not unitary"):
             skew.require_unitary()
+
+
+def one_ulp_up(values):
+    """``values`` with its first nonzero real part moved up by one ulp."""
+    out = np.array(values, dtype=complex)
+    k = int(np.flatnonzero(out.real)[0])
+    out.flat[k] = complex(math.nextafter(out.flat[k].real, math.inf), out.flat[k].imag)
+    return out
+
+
+class TestValueEquality:
+    """Equal fields and exactly equal arrays compare equal and hash alike;
+    a one-ulp change in one entry compares unequal."""
+
+    @staticmethod
+    def _assert_equal_and_hashed_alike(a, b):
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+
+    def test_state_vector(self):
+        amps = [SQ2, 0.5j, -0.5]
+        v = StateVector((3,), amps)
+        self._assert_equal_and_hashed_alike(v, StateVector((3,), list(amps)))
+        assert StateVector((3,), one_ulp_up(amps)) != v
+        assert StateVector((1, 3), amps) != v
+        assert v != amps
+
+    def test_operator(self):
+        u = coin_spin_u()
+        self._assert_equal_and_hashed_alike(u, coin_spin_u())
+        assert Operator(u.dims, one_ulp_up(u.entries)) != u
+        assert Operator((4,), u.entries) != u
+
+    def test_basis(self):
+        matrix = columns(q(SQ2, SQ2), q(SQ2, -SQ2))
+        b = Basis((2,), ("+", "-"), matrix)
+        self._assert_equal_and_hashed_alike(b, Basis((2,), ("+", "-"), matrix.copy()))
+        assert Basis((2,), ("+", "-"), one_ulp_up(matrix)) != b
+        assert Basis((2,), ("plus", "-"), matrix) != b

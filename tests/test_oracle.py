@@ -370,6 +370,13 @@ class TestNormCheck:
         for state in self._states(1 + 1e-13):
             oracle._check_norm(state, 3)
 
+    def test_nan_is_refused(self):
+        state, permuted = self._states(1.0)
+        state[1, 2, 3] = math.nan  # ``permuted`` is a view of ``state``
+        for s in (state, permuted):
+            with pytest.raises(OracleError, match=r"^norm drifted by nan at time 3$"):
+                oracle._check_norm(s, 3)
+
 
 class TestBudgetEdge:
     """The all-retained 24-chain is just over both engines' budgets: 2^24

@@ -16,6 +16,7 @@ from pathsum.paths import (
     enumerate_paths,
     implication,
     marginal,
+    outcome_distribution,
     path_amplitude,
     real_path_graph,
     reduce,
@@ -202,6 +203,14 @@ class TestReduce:
         assert 0.0 in dist.weights.values()
 
 
+    @pytest.mark.parametrize("error", [PathEngineError, oracle.OracleError])
+    def test_a_nan_total_is_refused(self, error):
+        weights = np.full(4, 0.25)
+        weights[1] = math.nan
+        with pytest.raises(error) as info:
+            outcome_distribution(weights, two_wigners("both_erased"), error)
+        assert str(info.value) == "probabilities sum to nan, expected 1"
+
 class TestMarginal:
     def test_friend_pair_marginal(self):
         dist = distribution(two_wigners("both_preserved"))
@@ -291,6 +300,12 @@ class TestTable:
             assert "probs" not in vars(d)
             assert d.probs == d.table.tolist() and "probs" in vars(d)
 
+    def test_engines_share_the_scenarios_axes_and_tag(self):
+        for s in (two_wigners("fbar_preserved"), erased_qubit_chain(6)):
+            for engine in (distribution, oracle.distribution):
+                d = engine(s)
+                assert d.axes is s.retained_axes() and d.regime_tag is s.regime_tag()
+
     def test_marginal_matches_the_dict_accumulation(self):
         scenarios = [library.builtin(name) for name in library.builtin_names()]
         scenarios += [two_wigners(regime.value) for regime in library.RegimeTag]
@@ -322,6 +337,172 @@ class TestTable:
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == message
+
+
+def _reference_marginal(d, keep):
+    """The per-row definition of ``marginal``: add each row's weight, from
+    +0.0 in row order, to its kept sub-tuple."""
+    keep = set(keep)
+    weights = {}
+    for key, w in zip(d.keys, d.probs):
+        sub = tuple(entry for entry in key if entry[0] in keep)
+        weights[sub] = weights.get(sub, 0.0) + w
+    kept = ",".join(a for a in d.agents() if a in keep)
+    return OutcomeDistribution(tuple(axis for axis in d.axes if axis[0][0] in keep),
+                               list(weights.values()), f"marginal[{kept}] of ({d.regime_tag})")
+
+
+def _reference_probability(d, selection):
+    """The per-row definition of ``probability``: the rows holding every
+    selected pair, added from +0.0 in row order."""
+    total = 0.0
+    for key, w in zip(d.keys, d.probs):
+        if all((agent, selection[agent]) in key for agent in selection):
+            total += w
+    return total
+
+
+def _reference_implication(d, given, then):
+    """The per-row definition of ``implication``'s counter probability."""
+    counter = 0.0
+    for key, w in zip(d.keys, d.probs):
+        if given in key and then not in key:
+            counter += w
+    return counter
+
+
+def _reference_real_path_graph(d, s):
+    """The per-row definition of ``real_path_graph``: each edge looks its
+    pair up in the reference marginal's weights."""
+    layers = tuple((e.agent, e.labels) for _, e in s.retained() if e.agent in d.agents())
+    edges = []
+    for k in range(len(layers) - 1):
+        (agent_a, labels_a), (agent_b, labels_b) = layers[k], layers[k + 1]
+        pair = _reference_marginal(d, (agent_a, agent_b)).weights
+        for la in labels_a:
+            for lb in labels_b:
+                w = pair.get(((agent_a, la), (agent_b, lb)), 0.0)
+                w = 0.0 if w <= 1e-12 else w
+                edges.append((k, la, lb, w, w == 0.0))
+    return layers, tuple(edges)
+
+
+def _all_kept(s):
+    return dataclasses.replace(s, events=tuple(
+        dataclasses.replace(e, record=Record.RETAINED) if isinstance(e, MeasurementEvent) else e
+        for e in s.events))
+
+
+def _axis_scenarios():
+    """The built-ins, the four 2w2f regimes, random_scenario seeds 0-199, and
+    each of those with every record kept."""
+    scenarios = [library.builtin(name) for name in library.builtin_names()]
+    scenarios += [two_wigners(regime.value) for regime in library.RegimeTag]
+    scenarios += [random_scenario(seed) for seed in range(200)]
+    return scenarios + [_all_kept(s) for s in scenarios]
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestAxisSums:
+    """``marginal``, ``probability``, ``implication`` and ``real_path_graph``
+    read the table by its axes and give the per-row definitions' floats, bit
+    for bit, without building the per-row keys."""
+
+    def test_marginal_is_the_reference(self):
+        for s in _axis_scenarios():
+            d = distribution(s)
+            for r in range(min(3, len(d.axes)) + 1):
+                for keep in itertools.combinations(d.agents(), r):
+                    got, want = marginal(d, keep), _reference_marginal(d, keep)
+                    assert got == want and _same_bits(got.table, want.table), (s, keep)
+
+    def test_probability_and_implication_are_the_reference(self):
+        for s in _axis_scenarios():
+            d = distribution(s)
+            pairs = [pair for axis in d.axes for pair in axis]
+            selections = [{agent: label} for agent, label in pairs] + [{}]
+            selections += [{a: la, b: lb} for (a, la), (b, lb) in itertools.combinations(pairs, 2)
+                           if a != b]
+            for selection in selections:
+                got = d.probability(selection)
+                want = _reference_probability(d, selection)
+                assert type(got) is float and _same_bits(got, want), (s, selection)
+            for given, then in itertools.product(pairs, repeat=2):
+                got = implication(d, given, then)
+                want = _reference_implication(d, given, then)
+                assert type(got.counter_probability) is float, (s, given, then)
+                assert _same_bits(got.counter_probability, want), (s, given, then)
+                assert got.holds == (want <= 1e-9)
+
+    def test_real_path_graph_is_the_reference(self):
+        for s in _axis_scenarios():
+            d = distribution(s)
+            graph = real_path_graph(d, s)
+            layers, edges = _reference_real_path_graph(d, s)
+            assert graph.layers == layers
+            assert graph.edges == edges
+            assert all(_same_bits(a[3], b[3]) for a, b in zip(graph.edges, edges)), s
+
+    def test_signed_zeros_sum_as_the_loop_does(self):
+        axes = ((("A", "x"), ("A", "y")), (("B", "u"), ("B", "v")))
+        d = OutcomeDistribution(axes, [-0.0, -0.0, 0.5, 0.5])
+        for keep in ((), ("A",), ("B",), ("A", "B")):
+            assert _same_bits(marginal(d, keep).table, _reference_marginal(d, keep).table)
+        for selection in ({"A": "x"}, {"B": "u"}, {"A": "x", "B": "v"}):
+            assert _same_bits(d.probability(selection), _reference_probability(d, selection))
+        got = implication(d, ("A", "x"), ("B", "v")).counter_probability
+        assert _same_bits(got, _reference_implication(d, ("A", "x"), ("B", "v")))
+
+
+class TestAxisSumsAtScale:
+    """A synthetic 2^16-row table over the all-retained 16-chain's axes: DOT
+    and queries build no per-row keys and stay within small multiples of the
+    table's bytes."""
+
+    @pytest.fixture
+    def table(self):  # built per test, so no test sees another's cached keys
+        s = _all_kept(erased_qubit_chain(16))
+        w = np.random.default_rng(16).random(2**16)
+        return OutcomeDistribution(s.retained_axes(), w / w.sum(), s.regime_tag()), s
+
+    @staticmethod
+    def _peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_dot_and_queries_build_no_keys(self, table):
+        d, s = table
+        cli.dot_source(d, s)
+        assert "keys" not in vars(d) and "weights" not in vars(d)
+        implication(d, ("A1", "m0"), ("A16", "m1"))
+        d.probability({"A3": "m1", "A9": "m0"})
+        assert "keys" not in vars(d) and "weights" not in vars(d)
+
+    def test_sums_are_the_reference(self, table):
+        d, s = table
+        for keep in (("A2", "A15"), ("A1",), ("A16",)):
+            assert _same_bits(marginal(d, keep).table, _reference_marginal(d, keep).table)
+        for selection in ({}, {"A3": "m1", "A9": "m0"}):
+            assert _same_bits(d.probability(selection), _reference_probability(d, selection))
+        got = implication(d, ("A1", "m0"), ("A16", "m1")).counter_probability
+        assert _same_bits(got, _reference_implication(d, ("A1", "m0"), ("A16", "m1")))
+
+    @pytest.mark.parametrize("call, bound", [
+        (lambda d, s: implication(d, ("A1", "m0"), ("A16", "m1")), 2),
+        (lambda d, s: d.probability({}), 2),
+        (lambda d, s: marginal(d, ("A2", "A15")), 2),
+        (lambda d, s: real_path_graph(d, s), 3),
+    ], ids=["implication", "probability", "marginal", "real_path_graph"])
+    def test_peak_is_a_small_multiple_of_the_table(self, table, call, bound):
+        d, s = table
+        assert self._peak(lambda: call(d, s)) <= bound * d.table.nbytes
 
 
 class TestImplication:

@@ -506,13 +506,19 @@ def _assert_index_is_its_definition(s):
     assert s.retained() == tuple(m for m in measurements if m[1].record is Record.RETAINED)
     assert s.erased() == tuple(m for m in measurements if m[1].record is Record.ERASED)
     assert s.dims == tuple(sub.dim for sub in s.subsystems)
+    assert s.retained_axes() == tuple(
+        tuple((e.agent, label) for label in e.labels) for _, e in s.retained())
+    erased = ",".join(e.agent for _, e in s.erased())
+    assert s.regime_tag() == "retained=" + ",".join(e.agent for _, e in s.retained()) + (
+        f"; erased={erased}" if erased else "")
     names = [sub.name for sub in s.subsystems]
     for e in s.events:
         assert s.slots(e.targets) == tuple(names.index(t) for t in e.targets)
 
 
 class TestIndex:
-    """A scenario derives its dims, slot map and measurement tuples once."""
+    """A scenario derives its dims, slot map, measurement tuples, retained
+    axes and regime tag once."""
 
     def test_index_equals_its_definitions(self):
         for s in _index_scenarios():
@@ -524,6 +530,7 @@ class TestIndex:
             assert s.retained() is s.retained()
             assert s.erased() is s.erased()
             assert s.dims is s.dims
+            assert s.retained_axes() is s.retained_axes()
 
     def test_replace_derives_its_own_index(self):
         chain = erased_qubit_chain(5)
@@ -548,6 +555,45 @@ class TestIndex:
                 lookup()
             assert str(info.value) == f"unknown subsystem {name!r}"
 
+
+
+def _one_ulp_up(values):
+    """``values`` with its first nonzero real part moved up by one ulp."""
+    out = np.array(values, dtype=complex)
+    k = int(np.flatnonzero(out.real)[0])
+    out.flat[k] = complex(math.nextafter(out.flat[k].real, math.inf), out.flat[k].imag)
+    return out
+
+
+class TestEquality:
+    """A scenario and its events compare by value: separately built copies
+    are equal and hash alike, and one ulp in any array makes them unequal."""
+
+    def test_separately_built_copies_are_equal(self):
+        for s in _index_scenarios():  # the text round trip is bitwise
+            other = parse_scenario(serialize_scenario(s))
+            assert other == s and hash(other) == hash(s)
+            for e, f in zip(s.events, other.events):
+                assert e == f and hash(e) == hash(f)
+        for name in library.builtin_names():
+            a, b = library.builtin(name), library.builtin(name)
+            assert a is not b and a == b and hash(a) == hash(b)
+
+    def test_one_ulp_is_unequal(self):
+        s = library.two_wigners(library.RegimeTag.BOTH_ERASED)
+        variants = [dataclasses.replace(s, initial=StateVector(
+            s.initial.dims, _one_ulp_up(s.initial.amps)))]
+        for i, e in enumerate(s.events):
+            if isinstance(e, UnitaryEvent):
+                changed = dataclasses.replace(e, op=Operator(e.op.dims, _one_ulp_up(e.op.entries)))
+            else:
+                changed = dataclasses.replace(e, basis=Basis(
+                    e.basis.dims, e.labels, _one_ulp_up(e.basis.matrix)))
+            assert changed != e and e != changed
+            variants.append(dataclasses.replace(s, events=s.events[:i] + (changed,) + s.events[i + 1:]))
+        for variant in variants:
+            assert variant != s and s != variant
+        assert dataclasses.replace(s, final_time=s.final_time + 1) != s
 
 def _first_overlap_pairwise(events):
     """The pairwise scan the one-pass check replaced: the first pair i < j of

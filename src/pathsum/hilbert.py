@@ -25,11 +25,10 @@ max|M^H M - I| for each matrix, NaN for a matrix holding a NaN.  A
 of a file.  Only a basis that fails it is checked again vector by vector,
 to name the first violation.
 
-``MAX_AMPLITUDES`` bounds the path engine's batched branch states and the
-oracle's stored state; both check it before allocating.  The oracle
-checks the full dilated dims only when a state is embedded in them (see
-``oracle``).  ``MAX_AXES`` is numpy's limit on an array's axes, which both
-engines check, after their budgets, against the axes their states need.
+Before allocating, both engines pass ``check_budget`` the amplitudes and
+axes of what they are about to store: ``MAX_AMPLITUDES`` bounds the
+stored state, and a step holds its input and its output, so a run peaks
+near twice that, 512 MiB.  ``MAX_AXES`` is numpy's limit on an array's axes.
 
 Every state update in both engines makes one ``np.dot``: ``apply_to_slots``
 and ``split_slots`` transpose the target axes into place, reshape, make
@@ -48,9 +47,20 @@ import numpy as np
 
 ATOL_STRUCT = 1e-12
 ATOL_PROB = 1e-9
-MAX_AMPLITUDES = 1 << 24  # 256 MiB of complex128
+MAX_AMPLITUDES = 1 << 24  # bounds a stored state, 256 MiB; a step also holds its input, so 2x peak
 # the most axes an ndarray may have: 64 from numpy 2.0, 32 before
 MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
+
+
+def check_budget(amplitudes: int, axes: int, error: type[ValueError], needs: str,
+                 axes_needs: str | None = None) -> None:
+    """Raise ``error`` if ``amplitudes`` are over budget, then if ``axes`` are
+    over numpy's limit; each message opens with ``needs`` ("stored state
+    needs"), the axis one with ``axes_needs`` if it is given."""
+    if amplitudes > MAX_AMPLITUDES:
+        raise error(f"{needs} {amplitudes} amplitudes, over the budget of {MAX_AMPLITUDES}")
+    if axes > MAX_AXES:
+        raise error(f"{axes_needs or needs} {axes} axes, over numpy's limit of {MAX_AXES}")
 
 
 class HilbertError(ValueError):

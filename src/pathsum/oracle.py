@@ -39,13 +39,17 @@ pointers 1..n), so a chain of N qubit measurements keeps 2 * 2^N of its
 C^dagger un-fires the pointer through ``fire_block``^dagger, back to {0},
 and leaves (1 - P_k) psi_k on level k: the population U moved out of the
 record's branch.  Above 1e-12 that is a disturbed record, refused at the
-unitary.  After ``evolve`` every pointer is fired.  ``dilate`` budgets
-that stored size, the base dims times every measurement's outcome count,
-and the couplings' fire blocks, which it then builds in one stacked product
-per (side, n) shape.  The walk checks the norm after every event it
-applies, from one dot over the state's memory.
-``DilatedState.psi`` spans the full dilated dims; it is built on first
-access, and its own budget check is made then.
+unitary.  After ``evolve`` every pointer is fired.  A run is budgeted on
+what it stores, on one axis per subsystem and per measurement: ``evolve``
+stores the base dims times every outcome count, ``distribution`` the base
+dims times the retained ones (the path engine's count, checked before
+``dilate`` runs).  A sandwich fires an erased pointer only while the
+retained measurement ending its chain of erasers, which covers it and so
+has at least as many outcomes, is still to come.  ``dilate`` budgets the couplings' fire
+blocks, which it then builds in one stacked product per (side, n) shape.
+The walk checks the norm after every event it applies, from one dot over
+the state's memory.  ``DilatedState.psi`` spans the full dilated dims; it
+is built on first access, and budgeted then.
 
 The 1e-9 gate between this engine and ``paths`` compares two kernels and
 two readouts: fire blocks and a pointer marginal against the path
@@ -63,7 +67,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import ATOL_STRUCT, MAX_AMPLITUDES, MAX_AXES, StateVector, apply_to_slots
+from .hilbert import ATOL_STRUCT, MAX_AMPLITUDES, StateVector, apply_to_slots, check_budget
 from .paths import OutcomeDistribution, outcome_distribution
 from .scenario import Record, RecordErasedError, Scenario, UnitaryEvent
 
@@ -133,14 +137,14 @@ class DilatedScenario:
         L is the chain the eraser consumed and w_k its basis vectors, over
         the consumed ancilla slots followed by the eraser's target slots.
         Built on call: the run never reads it, only inspection does.  The
-        composite dims are checked against the amplitude budget first.
+        composite dims are budgeted first.
         """
         i = self.erasure_map[erased_event]
         plan = next(p for p in self.couplings if p.event_index == i)
         composite = plan.consumed_anc_slots + plan.slots[1:]
         axis = {slot: a for a, slot in enumerate(composite)}  # the last axis is k
         dims = tuple(self.dims[sl] for sl in composite) + plan.columns.shape[1:]
-        _check_dims(dims)
+        check_budget(math.prod(dims), len(dims), OracleError, "dilated state needs")
         n_anc = len(plan.consumed_anc_slots)
         ranges = [_UNTRIGGERED] * n_anc + [range(n) for n in dims[n_anc:]]
         cols = plan.columns.reshape((1,) * n_anc + dims[n_anc:])
@@ -160,9 +164,9 @@ class DilatedState:
     def psi(self) -> StateVector:
         """The state over the full dilated dims; levels not stored are zero.
 
-        The full dims are checked against the amplitude budget first."""
+        The full dims are budgeted first."""
         dims = self.dilated.dims
-        _check_dims(dims)
+        check_budget(math.prod(dims), len(dims), OracleError, "dilated state needs")
         return StateVector(dims, _embed(self.stored, self.ranges, dims).reshape(-1))
 
 
@@ -176,12 +180,11 @@ def _fire_blocks(columns) -> np.ndarray:
     return np.einsum("gki,gkj->gkij", cols, cols.conj()).reshape(g, n * side, side)
 
 
-def _check_dims(dims):
-    n_amps = math.prod(dims)
-    if n_amps > MAX_AMPLITUDES:
-        raise OracleError(
-            f"dilated state needs {n_amps} amplitudes, over the budget of {MAX_AMPLITUDES}"
-        )
+def _check_stored(s: Scenario, fired) -> None:
+    """Budget a walk of ``s`` that fires the pointers of the measurements ``fired``."""
+    check_budget(math.prod(s.dims) * math.prod([len(e.labels) for _, e in fired]),
+                 len(s.dims) + len(s.measurements()), OracleError,
+                 "stored state needs", "dilated state needs")
 
 
 def _embed(stored, ranges, dims):
@@ -197,21 +200,11 @@ def dilate(s: Scenario) -> DilatedScenario:
     ancillas = {i: len(base) + k for k, (i, _) in enumerate(measurements)}
     outcomes = [len(e.labels) for _, e in measurements]
     dims = base + tuple([n + 1 for n in outcomes])
-    # the most a run stores: every pointer fired, at its n levels 1..n
-    n_amps = math.prod(base) * math.prod(outcomes)
-    if n_amps > MAX_AMPLITUDES:
-        raise OracleError(
-            f"stored state needs {n_amps} amplitudes, over the budget of {MAX_AMPLITUDES}"
-        )
     # each coupling is built as its fire block: outcomes x target dimension^2
     n_entries = sum([n * e.basis.matrix.size for n, (_, e) in zip(outcomes, measurements)])
     if n_entries > MAX_AMPLITUDES:
         raise OracleError(
             f"couplings need {n_entries} matrix entries, over the budget of {MAX_AMPLITUDES}"
-        )
-    if len(dims) > MAX_AXES:
-        raise OracleError(
-            f"dilated state needs {len(dims)} axes, over numpy's limit of {MAX_AXES}"
         )
 
     couplings = []
@@ -274,8 +267,9 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
     state keeps those ranges; its ``psi`` spans the full dims.
 
     ``upto_time`` stops after the last event with time_index <= upto_time,
-    which exposes intermediate states for inspection.
+    which exposes intermediate states for inspection.  A full run is budgeted.
     """
+    _check_stored(d.base, d.base.measurements())
     state, ranges, time, active = _walk(d, upto_time)
     for p in active:
         for q in p.chain:
@@ -445,6 +439,7 @@ def distribution(s: Scenario) -> OutcomeDistribution:
     are 1..n; sum |psi|^2 over all axes but the retained pointers, whose
     slots are in time order, which leaves the tuples in row-major order.
     """
+    _check_stored(s, s.retained())
     d = dilate(s)
     state = _walk(d, None)[0]
     pointers = {d.ancillas[i] for i, _ in s.retained()}

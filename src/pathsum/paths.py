@@ -39,11 +39,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import (ATOL_PROB, ATOL_STRUCT, MAX_AMPLITUDES, MAX_AXES, apply_to_slots,
-                      split_slots)
+from .hilbert import ATOL_PROB, ATOL_STRUCT, apply_to_slots, check_budget, split_slots
 from .scenario import Scenario, UnitaryEvent
 
-_MAX_PATHS = 1 << 20  # virtual paths enumerated, retained tuples distributed
+_MAX_PATHS = 1 << 20  # ``enumerate_paths``' paths: objects of ~1 KB, outside the amplitude budget
 
 # (agent, outcome label) per retained event, in time order
 OutcomeTuple = tuple[tuple[str, str], ...]
@@ -207,23 +206,13 @@ def _branch_states(s: Scenario, split: dict[int, tuple[str, ...]]) -> np.ndarray
     A unitary acts on every branch.  Measurement ``i`` in ``split`` splits
     every branch on the vectors of the labels ``split[i]``; other
     measurements are skipped.  While walking, the branches are the last
-    axis, the latest split's label most significant.  Limits are checked up
-    front: the branch and amplitude budgets, then numpy's axis limit.
+    axis, the latest split's label most significant.  The batch only grows,
+    so its final amplitudes and axes are budgeted up front.
     """
-    n_branches = math.prod(len(labels) for labels in split.values())
-    if n_branches > _MAX_PATHS:
-        raise PathEngineError(f"{n_branches} branches exceed the enumeration cap")
     dims = s.dims
-    n_amps = n_branches * math.prod(dims)  # the batch only grows, so this is its peak
-    if n_amps > MAX_AMPLITUDES:
-        raise PathEngineError(
-            f"branch states need {n_amps} amplitudes, over the budget of {MAX_AMPLITUDES}"
-        )
     d, k = len(dims), len(split)
-    if d + max(1, k) > MAX_AXES:  # the walk's batch axis, or one axis per split event
-        raise PathEngineError(
-            f"branch states need {d + max(1, k)} axes, over numpy's limit of {MAX_AXES}"
-        )
+    check_budget(math.prod(len(labels) for labels in split.values()) * math.prod(dims),
+                 d + max(1, k), PathEngineError, "branch states need")
     state = s.initial.as_tensor()[..., np.newaxis]
     for i, e in enumerate(s.events):
         if isinstance(e, UnitaryEvent):
@@ -283,6 +272,9 @@ def enumerate_paths(s: Scenario) -> tuple[VirtualPath, ...]:
     """
     finals = _engine_preconditions(s)
     split = {i: e.labels for i, e in s.measurements()}  # time order, like the batch
+    n_paths = math.prod(len(labels) for labels in split.values())
+    if n_paths > _MAX_PATHS:
+        raise PathEngineError(f"{n_paths} virtual paths exceed the enumeration cap")
     out = []
     states = _branch_states(s, split).reshape((-1,) + s.dims)
     for labels, state in zip(itertools.product(*split.values()), states):

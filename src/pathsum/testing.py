@@ -20,6 +20,12 @@ unitaries and 1- to 3-subsystem systems of mixed dimension 2 and 3.
 unmeasured subsystems, unitaries after a subsystem's last measurement and
 events after a joint measurement, which ``paths.distribution`` and the oracle
 answer but ``enumerate_paths`` refuses.
+
+``random_unrestricted_scenario`` keeps no rule at all: it puts unitaries
+between records and their erasers and measurements that partly overlap an
+erased record, which the oracle may refuse, so it measures how far the
+engine-equivalence check reaches.  Most of its seeds break a scenario rule
+and raise ``ScenarioValidationError``.
 """
 
 from __future__ import annotations
@@ -192,3 +198,27 @@ def erased_qubit_chain(n: int) -> Scenario:
         for t in range(1, n + 1)
     )
     return Scenario((SubsystemSpec("q", 2, ("b0", "b1")),), random_state(rng, 2), events)
+
+
+def random_unrestricted_scenario(seed: int) -> Scenario:
+    """2-3 qubits and 3-8 events, one per time step: 40% unitaries on 1-2
+    random qubits, the rest measurements on 1-2 qubits in random bases, 40%
+    of them erased.  Raises ``ScenarioValidationError`` for an invalid one."""
+    rng = np.random.default_rng(seed)
+    n_sub = int(rng.integers(2, 4))
+    names = tuple(f"q{k}" for k in range(n_sub))
+    subsystems = tuple(SubsystemSpec(name, 2, ("0", "1")) for name in names)
+    initial = StateVector((2,) * n_sub, random_state(rng, 2**n_sub).amps)  # entangled
+    events: list = []
+    for time in range(1, int(rng.integers(3, 9)) + 1):
+        n_targets = int(rng.integers(1, 3))
+        targets = tuple(names[k] for k in sorted(rng.choice(n_sub, n_targets, replace=False)))
+        tdims = (2,) * n_targets
+        if rng.random() < 0.4:
+            events.append(UnitaryEvent(time, targets,
+                                       Operator(tdims, random_unitary(rng, 2**n_targets))))
+        else:
+            record = Record.ERASED if rng.random() < 0.4 else Record.RETAINED
+            events.append(MeasurementEvent(time, f"A{time}", targets,
+                                           random_basis(rng, tdims), record))
+    return Scenario(subsystems, initial, tuple(events))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pathsum import cli, library, oracle, paths
 from pathsum.hilbert import (MAX_AMPLITUDES, MAX_AXES, Basis, Operator, StateVector,
-                             apply_to_slots)
+                             apply_to_slots, check_budget)
 from pathsum.oracle import (
     OracleError,
     dilate,
@@ -24,6 +24,7 @@ from pathsum.scenario import (
     Record,
     RecordErasedError,
     Scenario,
+    ScenarioValidationError,
     SubsystemSpec,
     UnitaryEvent,
     parse_scenario,
@@ -35,6 +36,7 @@ from pathsum.testing import (
     random_scenario,
     random_unitary,
     random_unpinned_scenario,
+    random_unrestricted_scenario,
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -304,7 +306,7 @@ class TestAxisLimit:
         s = _all_retained(erased_qubit_chain(self.OVER))
         with pytest.raises(OracleError, match="stored state needs .* amplitudes"):
             distribution(s)
-        with pytest.raises(paths.PathEngineError, match="exceed the enumeration cap"):
+        with pytest.raises(paths.PathEngineError, match="branch states need .* amplitudes"):
             paths.distribution(s)
 
     def test_cli_exits_2_with_the_typed_message(self, tmp_path, capsys):
@@ -319,12 +321,15 @@ class TestAxisLimit:
 
 
 class TestPeakMemory:
-    """Traced peaks on the 18- and 20-chains stay at or under the ones
+    """Traced peaks on the 18-, 20- and 21-chains stay at or under the ones
     measured once both engines released their states before building the
     table, rounded up to 0.01 MiB: an extra copy of a state would add at
-    least 4 MiB on the 18-chain and 16 MiB on the 20-chain.  An
-    erased chain's oracle never applies its lifts, so it stores a handful
-    of amplitudes, the 23-chain included, where the lifts stored 2 * 2^23."""
+    least 4 MiB on the 18-chain and 16 MiB on the 20-chain.  A run peaks at
+    twice the state it stores, since a step holds its input and its output:
+    2 * 2^21 amplitudes, 64 MiB, peak at 128 MiB on the 21-chain.  An erased
+    chain's oracle never applies its lifts and fires only the retained
+    pointer, so it stores a handful of amplitudes, the 23- and 40-chains
+    included, where the lifts stored 2 * 2^23."""
 
     @pytest.mark.parametrize("engine, kept, n, mib", [
         (paths.distribution, True, 18, 16.02),
@@ -333,8 +338,12 @@ class TestPeakMemory:
         (distribution, False, 23, 0.02),
         (paths.distribution, True, 20, 64.01),
         (distribution, True, 20, 64.03),
+        (paths.distribution, True, 21, 128.02),
+        (distribution, True, 21, 128.04),
+        (distribution, False, 40, 0.05),
     ], ids=["paths-retained", "oracle-retained", "oracle-erased", "oracle-erased23",
-            "paths-retained20", "oracle-retained20"])
+            "paths-retained20", "oracle-retained20", "paths-retained21", "oracle-retained21",
+            "oracle-erased40"])
     def test_peak_is_bounded(self, engine, kept, n, mib):
         s = erased_qubit_chain(n)
         s = _all_retained(s) if kept else s
@@ -379,9 +388,9 @@ class TestNormCheck:
 
 
 class TestBudgetEdge:
-    """The all-retained 24-chain is just over both engines' budgets: 2^24
-    branches against the path engine's enumeration cap, and 2 * 2^24 stored
-    amplitudes against the oracle's.  Each refuses before allocating."""
+    """The all-retained 24-chain is just over the one budget both engines
+    share: each would store 2^24 branches of 2 amplitudes, 2 * 2^24 in all,
+    and refuses with that count before allocating."""
 
     N = 24
 
@@ -389,8 +398,7 @@ class TestBudgetEdge:
         return _all_retained(erased_qubit_chain(self.N))
 
     @pytest.mark.parametrize("engine, error, message", [
-        (paths.distribution, paths.PathEngineError,
-         "16777216 branches exceed the enumeration cap"),
+        (paths.distribution, paths.PathEngineError, "branch states need 33554432 amplitudes"),
         (distribution, OracleError, "stored state needs 33554432 amplitudes"),
     ], ids=["paths", "oracle"])
     def test_engine_refuses_before_allocating(self, engine, error, message):
@@ -408,7 +416,158 @@ class TestBudgetEdge:
         target = tmp_path / "chain24.scn"
         target.write_text(serialize_scenario(self._kept()), "utf-8")
         assert cli.main(["run", str(target), "--engine", "both"]) == 2
-        assert "exceed the enumeration cap" in capsys.readouterr().err
+        assert "branch states need 33554432 amplitudes" in capsys.readouterr().err
+
+
+def _unrestricted(seeds=range(1000)):
+    """The valid scenarios ``random_unrestricted_scenario`` gives on ``seeds``."""
+    for seed in seeds:
+        try:
+            yield random_unrestricted_scenario(seed)
+        except ScenarioValidationError:
+            pass
+
+
+def _oracle_refusal(exc):
+    """Whether ``exc`` is one of the oracle's two refusals of an erasure it
+    cannot realize, which ``random_unrestricted_scenario`` reaches."""
+    return isinstance(exc, OracleError) and (
+        "was disturbed" in str(exc) or "overlaps an erased record" in str(exc))
+
+
+class TestSizeSymmetry:
+    """Both engines budget what they store, by one formula, the base dims
+    times the retained outcome counts, so they refuse the same scenarios for
+    size; ``TestBudgetEdge`` has both refuse the all-retained 24-chain with
+    one count.  Two asymmetries remain: the oracle gives every pointer an axis,
+    so past numpy's axis limit it refuses an erased chain that the path
+    engine holds on 2 axes, and only the oracle budgets fire blocks
+    (``TestCouplingBudget``)."""
+
+    def test_erased_chains_both_answer_and_the_oracle_stores_a_handful(self, monkeypatch):
+        real, sizes = oracle._apply, []
+
+        def spy(*args):
+            out = real(*args)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(oracle, "_apply", spy)
+        for n in range(20, 41):
+            s = erased_qubit_chain(n)
+            sizes.clear()
+            od = distribution(s)
+            assert max(sizes) <= 8, n
+            assert cli.equivalence_delta(paths.distribution(s), od) <= 1e-9, n
+
+    def test_all_retained_21_chain_both_answer_and_agree(self):
+        s = _all_retained(erased_qubit_chain(21))
+        assert cli.equivalence_delta(paths.distribution(s), distribution(s)) <= 1e-9
+
+    def test_erased_chain_past_the_axis_limit_is_refused_by_the_oracle_only(self):
+        # a qubit chain of n measurements dilates to 1 + n axes
+        fits, over = erased_qubit_chain(MAX_AXES - 1), erased_qubit_chain(MAX_AXES)
+        assert cli.equivalence_delta(paths.distribution(fits), distribution(fits)) <= 1e-9
+        with pytest.raises(OracleError) as info:
+            distribution(over)
+        assert str(info.value) == (f"dilated state needs {MAX_AXES + 1} axes, "
+                                   f"over numpy's limit of {MAX_AXES}")
+        assert len(paths.distribution(over).probs) == 2
+
+
+class TestStoredWithinBudget:
+    """Each engine budgets, before allocating, the most it will store, and a
+    spy on every state its walk stores shows that it stores no more.
+    ``distribution`` on either engine stores at most the base dims times
+    the retained outcome counts, including the oracle's sandwiches, which
+    fire an erased pointer only while the retained measurement ending its
+    chain of erasers, with at least as many outcomes, is still to come;
+    ``evolve`` stores at most the base dims times every outcome count.  The
+    sandwiches the oracle answers are in the ``2w2f`` regimes and the
+    diagonal kicks below; a disturbed record is spied on up to its refusal."""
+
+    @staticmethod
+    def _spies(monkeypatch):
+        checked, stored = [], []
+
+        def check(amplitudes, *args):
+            checked.append(amplitudes)
+            return check_budget(amplitudes, *args)
+
+        def storing(apply):
+            def spy(*args):
+                out = apply(*args)
+                stored.append(out.size)
+                return out
+            return spy
+
+        monkeypatch.setattr(oracle, "check_budget", check)
+        monkeypatch.setattr(paths, "check_budget", check)
+        monkeypatch.setattr(oracle, "_apply", storing(oracle._apply))
+        monkeypatch.setattr(paths, "apply_to_slots", storing(paths.apply_to_slots))
+        monkeypatch.setattr(paths, "split_slots", storing(paths.split_slots))
+        return checked, stored
+
+    @staticmethod
+    def _assert_within(s, checked, stored):
+        base = math.prod(s.dims)
+        retained = base * math.prod([len(e.labels) for _, e in s.retained()])
+        fired = base * math.prod([len(e.labels) for _, e in s.measurements()])
+        runs = [(paths.distribution, retained), (distribution, retained)]
+        try:
+            d = dilate(s)
+            runs.append((lambda s: evolve(d), fired))
+        except OracleError as exc:  # a partial overlap: ``evolve`` has no plan to run
+            assert _oracle_refusal(exc), exc
+        for run, budget in runs:
+            checked.clear()
+            stored.clear()
+            try:
+                run(s)
+            except OracleError as exc:
+                assert _oracle_refusal(exc), exc
+            assert checked == [budget] and max(stored, default=0) <= budget
+
+    @staticmethod
+    def _scenarios():
+        yield from (library.builtin(name) for name in library.builtin_names())
+        yield from (library.two_wigners(regime) for regime in library.RegimeTag)
+        for seed in range(200):
+            yield random_scenario(seed)
+            yield random_unpinned_scenario(seed)
+        yield from _unrestricted()
+        for joint in (False, True):
+            yield TestCouplingsAppliedOnce._diagonal_unitary_before_eraser(joint)
+
+    def test_largest_stored_state_is_within_the_budget(self, monkeypatch):
+        checked, stored = self._spies(monkeypatch)
+        for s in self._scenarios():
+            self._assert_within(s, checked, stored)
+
+
+class TestGateReach:
+    """How far the 1e-9 gate reaches on ``random_unrestricted_scenario``,
+    which keeps no rule: seeds 0-999 give 226 valid scenarios.  The path
+    engine answers all of them.  The oracle refuses 27 records disturbed
+    before their eraser and 37 measurements that partly overlap an erased
+    record, so both engines answer 162.  A wider oracle raises that floor."""
+
+    VALID, FLOOR = 226, 162
+
+    def test_both_engines_answer_the_floor_and_agree(self):
+        valid = answered = 0
+        for s in _unrestricted():
+            valid += 1
+            pd = paths.distribution(s)
+            try:
+                od = distribution(s)
+            except OracleError as exc:
+                assert _oracle_refusal(exc), exc
+                continue
+            assert cli.equivalence_delta(pd, od) <= 1e-9
+            answered += 1
+        assert valid == self.VALID
+        assert answered >= self.FLOOR
 
 
 def dense_coupling(plan):

@@ -1,7 +1,9 @@
 import dataclasses
 import gc
 import itertools
+import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -494,6 +496,22 @@ class TestAxisSumsAtScale:
         got = implication(d, ("A1", "m0"), ("A16", "m1")).counter_probability
         assert _same_bits(got, _reference_implication(d, ("A1", "m0"), ("A16", "m1")))
 
+    def test_dot_graph_costs_a_few_distributions(self, table):
+        # the axis sums take about 2x one ``distribution`` of the same chain,
+        # a per-row walk of the table about 600x; each the best of 3 runs
+        _, s = table
+        d = distribution(s)
+
+        def best(call):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                call()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best(lambda: real_path_graph(d, s)) <= 5 * best(lambda: distribution(s))
+
     @pytest.mark.parametrize("call, bound", [
         (lambda d, s: implication(d, ("A1", "m0"), ("A16", "m1")), 2),
         (lambda d, s: d.probability({}), 2),
@@ -642,7 +660,7 @@ class TestDefinitionalEquivalence:
 
 
 class TestLongErasedChain:
-    N = 25  # 2**25 virtual paths, 2 * 3**25 oracle amplitudes
+    N = 25  # 2**25 virtual paths, 2 * 3**25 dilated amplitudes
 
     def test_distribution_is_the_last_basis_born_rule(self):
         s = erased_qubit_chain(self.N)
@@ -658,21 +676,28 @@ class TestLongErasedChain:
             enumerate_paths(erased_qubit_chain(self.N))
 
     def test_oracle_refuses_before_allocating(self):
+        # ``evolve`` fires every pointer, 2 * 2^25 amplitudes, over the budget;
+        # ``distribution`` fires only the retained one and answers
         s = erased_qubit_chain(self.N)
+        d = oracle.dilate(s)
         tracemalloc.start()
         try:
-            with pytest.raises(oracle.OracleError, match="amplitudes"):
-                oracle.dilate(s)
+            with pytest.raises(oracle.OracleError, match="stored state needs 67108864 amplitudes"):
+                oracle.evolve(d)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+        od = oracle.distribution(s)
+        assert cli.equivalence_delta(distribution(s), od) <= 1e-9
 
     def test_cli_exits_2(self, tmp_path, capsys):
+        # the oracle budgets only the pointers its walk fires, so both engines answer
         target = tmp_path / "chain.scn"
         target.write_text(serialize_scenario(erased_qubit_chain(self.N)), "utf-8")
-        assert cli.main(["run", str(target), "--engine", "both"]) == 2
-        assert "amplitudes" in capsys.readouterr().err
+        assert cli.main(["run", str(target), "--engine", "both", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["delta"] <= 1e-9 and len(doc["outcomes"]) == 2
 
 
 @pytest.mark.parametrize("engine", [distribution, enumerate_paths], ids=lambda f: f.__name__)

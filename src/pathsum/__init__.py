@@ -34,7 +34,6 @@ from .paths import (
     OutcomeDistribution,
     PathEngineError,
     RealPathGraph,
-    VirtualPath,
     enumerate_paths,
     implication,
     marginal,

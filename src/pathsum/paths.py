@@ -9,25 +9,31 @@ altogether.  ``distribution`` therefore computes the Born rule over the
 retained events only and skips every erased one.  It works for any valid
 scenario.
 
-``enumerate_paths`` gives the signed-amplitude table: one complex amplitude
-per assignment of an outcome to every measurement event, the product of
-evolution matrix elements between consecutive branch states, and
-``reduce(enumerate_paths(s), s)`` is the definition ``distribution`` is
-tested against.  One walk over the events serves all three: it splits a
-batch of branch states on the labels it is given for each measurement, in
-one contraction with those labels' basis columns (``hilbert.split_slots``),
-and skips the other measurements.  ``distribution`` gives it the retained
-events, ``enumerate_paths`` every measurement, and ``path_amplitude`` every
-measurement with its one assigned label.  Scalar path amplitudes exist only
-when the final state of every subsystem is pinned by its last measurement,
-so ``enumerate_paths`` and ``path_amplitude`` require:
+``enumerate_paths`` gives the signed-amplitude table: one complex array,
+one axis per measurement event in time order, whose entry [l1, l2, ...] is
+the amplitude of the path with those outcomes, the product of evolution
+matrix elements between consecutive branch states.
+``reduce(enumerate_paths(s), s)`` adds it over the erased events' axes and
+squares; it is the definition ``distribution`` is tested against.  One walk
+over the events serves all three: it splits a batch of branch states on the
+labels it is given for each measurement, in one contraction with those
+labels' basis columns (``hilbert.split_slots``), and skips the other
+measurements.  ``distribution`` gives it the retained events,
+``enumerate_paths`` every measurement but each subsystem's last one (its
+final), and ``path_amplitude`` those with their one assigned label; both
+then apply each final's basis^dagger to its slots, which turns every
+subsystem axis into a label axis: one amplitude per path, as budgeted.
+Scalar path amplitudes exist only when the final state of every subsystem
+is pinned by its last measurement, so ``enumerate_paths`` and
+``path_amplitude`` require:
 
 * every subsystem is measured at least once,
 * no unitary acts on a subsystem after its last measurement,
 * a measurement on several subsystems jointly is the last event on all of
   its targets (its basis may be entangled, so no later event may split it).
 
-These hold for all built-in scenarios.
+Then the finals cover every subsystem once, each with a full basis.  These
+hold for all built-in scenarios.
 """
 
 from __future__ import annotations
@@ -42,26 +48,12 @@ import numpy as np
 from .hilbert import ATOL_PROB, ATOL_STRUCT, apply_to_slots, check_budget, split_slots
 from .scenario import Scenario, UnitaryEvent
 
-_MAX_PATHS = 1 << 20  # ``enumerate_paths``' paths: objects of ~1 KB, outside the amplitude budget
-
 # (agent, outcome label) per retained event, in time order
 OutcomeTuple = tuple[tuple[str, str], ...]
 
 
 class PathEngineError(ValueError):
     """Scenario outside the scalar-amplitude engine's supported class."""
-
-
-@dataclass(frozen=True)
-class VirtualPath:
-    """One outcome label per measurement event, with its amplitude."""
-
-    branches: tuple[tuple[int, str], ...]  # (event index, label), time order
-    amplitude: complex
-
-    @property
-    def is_zero(self) -> bool:
-        return abs(self.amplitude) <= ATOL_STRUCT
 
 
 @dataclass(frozen=True, eq=False)  # ``__eq__`` below: ``table`` is an ndarray
@@ -224,26 +216,29 @@ def _branch_states(s: Scenario, split: dict[int, tuple[str, ...]]) -> np.ndarray
     return state.transpose(tuple(range(d + k - 1, d - 1, -1)) + tuple(range(d)))
 
 
-def _scalarize(s: Scenario, finals: tuple[int, ...], assignment: dict[int, str],
-               state: np.ndarray) -> complex:
-    """Contract a walked state against the unit tensor that pins every
-    subsystem to the outcome of its final measurement in ``assignment``."""
-    ref = np.ones(())
-    slot_order: list[int] = []
+def _path_table(s: Scenario, finals: tuple[int, ...],
+                split: dict[int, tuple[str, ...]]) -> np.ndarray:
+    """Path amplitudes over the labels ``split`` gives each non-final
+    measurement and every label of each final one, one axis per measurement
+    in time order.
+
+    The branch states are split on the non-final measurements, then each
+    final's basis^dagger is applied to its slots: the finals cover every
+    slot once with a full basis, so each subsystem axis becomes a label axis
+    of its final, and the state's entries are the paths' amplitudes.
+    """
+    state = _branch_states(s, split)
+    k = len(split)
     for i in finals:
         e = s.events[i]
-        v = e.basis.matrix[:, e.labels.index(assignment[i])]
-        ref = np.multiply.outer(ref, v.reshape(e.basis.dims))
-        slot_order.extend(s.slots(e.targets))
-    ref = np.moveaxis(ref, range(len(slot_order)), slot_order)
-    amp = complex(np.vdot(ref, state))
-    residual = float(np.linalg.norm(state)) ** 2 - abs(amp) ** 2
-    if residual > 1e-10:
-        raise PathEngineError(
-            f"path state is not pinned by the final measurements "
-            f"(residual population {residual:.3g}); scenario outside engine class"
-        )
-    return amp
+        state = apply_to_slots(e.basis.matrix.conj().T, e.basis.dims,
+                               [k + x for x in s.slots(e.targets)], state)
+    position = {i: j for j, i in enumerate(split)}
+    order = []
+    for i, e in s.measurements():
+        order.extend([position[i]] if i in split else [k + x for x in s.slots(e.targets)])
+    return state.transpose(order).reshape([len(split.get(i, e.labels))
+                                           for i, e in s.measurements()])
 
 
 def path_amplitude(branches, s: Scenario) -> complex:
@@ -260,33 +255,23 @@ def path_amplitude(branches, s: Scenario) -> complex:
             f"branch assignment covers events {sorted(assignment)}, "
             f"expected {sorted(expected)}"
         )
-    state = _branch_states(s, {i: (label,) for i, label in assignment.items()})
-    return _scalarize(s, finals, assignment, state.reshape(s.dims))
+    table = _path_table(s, finals, {i: (label,) for i, label in assignment.items()
+                                    if i not in finals})
+    return complex(table[tuple(e.labels.index(assignment[i]) if i in finals else 0
+                               for i, e in s.measurements())])
 
 
-def enumerate_paths(s: Scenario) -> tuple[VirtualPath, ...]:
-    """All virtual paths (one outcome per measurement event) with amplitudes.
-
-    Paths come out row-major over the measurement events' labels.  Paths
-    with |amplitude| <= 1e-12 are kept and flagged via ``is_zero``.
+def enumerate_paths(s: Scenario) -> np.ndarray:
+    """The amplitude of every virtual path (one outcome per measurement
+    event), as one read-only complex array: one axis per measurement in
+    time order, as long as its ``labels``, so entry [l1, l2, ...] is the
+    path with those label indices.
     """
     finals = _engine_preconditions(s)
-    split = {i: e.labels for i, e in s.measurements()}  # time order, like the batch
-    n_paths = math.prod(len(labels) for labels in split.values())
-    if n_paths > _MAX_PATHS:
-        raise PathEngineError(f"{n_paths} virtual paths exceed the enumeration cap")
-    out = []
-    states = _branch_states(s, split).reshape((-1,) + s.dims)
-    for labels, state in zip(itertools.product(*split.values()), states):
-        assignment = dict(zip(split, labels))
-        out.append(VirtualPath(tuple(assignment.items()),
-                               _scalarize(s, finals, assignment, state)))
-    return tuple(out)
-
-
-def retained_keys(s: Scenario):
-    """Outcome tuples of the retained events, row-major over their labels."""
-    return itertools.product(*s.retained_axes())
+    table = _path_table(s, finals, {i: e.labels for i, e in s.measurements()
+                                    if i not in finals})
+    table.setflags(write=False)
+    return table
 
 
 def outcome_distribution(weights: np.ndarray, s: Scenario,
@@ -302,21 +287,16 @@ def outcome_distribution(weights: np.ndarray, s: Scenario,
                                s.regime_tag())
 
 
-def reduce(paths, s: Scenario) -> OutcomeDistribution:
-    """Group by retained outcomes, add amplitudes over erased branches, square.
+def reduce(table: np.ndarray, s: Scenario) -> OutcomeDistribution:
+    """Add a path table's amplitudes over the erased events' axes, square.
 
     The weights sum to 1 within 1e-9; then weights below 1e-12 are clamped
     to exact 0 so vanishing outcomes print as 0.
     """
-    retained = {i for i, e in s.retained()}
-    sums: dict[OutcomeTuple, complex] = {}
-    for p in paths:
-        key = tuple(
-            (s.events[i].agent, label) for i, label in p.branches if i in retained
-        )
-        sums[key] = sums.get(key, 0.0) + p.amplitude
-    return outcome_distribution([abs(sums[key]) ** 2 for key in retained_keys(s)], s,
-                                PathEngineError)
+    erased = {i for i, _ in s.erased()}
+    sums = np.sum(table, axis=tuple(k for k, (i, _) in enumerate(s.measurements())
+                                    if i in erased))
+    return outcome_distribution((abs(sums) ** 2).ravel(), s, PathEngineError)
 
 
 def distribution(s: Scenario) -> OutcomeDistribution:

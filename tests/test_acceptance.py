@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import itertools
 import math
 import random
 
@@ -43,12 +44,14 @@ def _labels(key):
 
 
 def test_criterion_01_twelve_amplitude_table():
-    virtual = paths.enumerate_paths(library.two_wigners(RegimeTag.BOTH_PRESERVED))
-    assert len(virtual) == 16
-    assert sum(not p.is_zero for p in virtual) == 12
-    for p in virtual:
-        expected = TWELVE_AMPLITUDE_SIGNS.get(_labels(p.branches), 0) * SQ12
-        assert abs(p.amplitude - expected) <= 1e-12, _labels(p.branches)
+    s = library.two_wigners(RegimeTag.BOTH_PRESERVED)
+    table = paths.enumerate_paths(s)
+    assert table.size == 16
+    assert np.count_nonzero(abs(table) > 1e-12) == 12
+    labels = itertools.product(*(e.labels for _, e in s.measurements()))
+    for path, amplitude in zip(labels, table.ravel().tolist()):
+        expected = TWELVE_AMPLITUDE_SIGNS.get(path, 0) * SQ12
+        assert abs(amplitude - expected) <= 1e-12, path
     _ok(1, "twelve signed path amplitudes = +-1/sqrt(12); 12 of 16 paths nonzero")
 
 

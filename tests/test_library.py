@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -159,3 +161,10 @@ class TestBuiltinResolution:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown built-in"):
             builtin("triple_slit")
+
+
+def test_readme_api_sketch_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pathsum import cli, library, oracle
+from pathsum import cli, library, oracle, paths
 from pathsum.hilbert import Basis, Operator, StateVector
 from pathsum.paths import (
     OutcomeDistribution,
@@ -22,18 +22,23 @@ from pathsum.paths import (
     path_amplitude,
     real_path_graph,
     reduce,
-    retained_keys,
 )
 from pathsum.scenario import (
     MeasurementEvent,
     Record,
     Scenario,
+    ScenarioValidationError,
     SubsystemSpec,
     UnitaryEvent,
     parse_scenario,
     serialize_scenario,
 )
-from pathsum.testing import erased_qubit_chain, random_scenario, random_unpinned_scenario
+from pathsum.testing import (
+    erased_qubit_chain,
+    random_scenario,
+    random_unpinned_scenario,
+    random_unrestricted_scenario,
+)
 
 SQ12 = 1.0 / math.sqrt(12.0)
 
@@ -91,8 +96,15 @@ def two_wigners(regime):
     return library.two_wigners(library.RegimeTag(regime))
 
 
-def labels_of(path):
-    return tuple(label for _, label in path.branches)
+def amplitudes_by_labels(s):
+    """The path table of ``s`` as {one label per measurement, in time order: amplitude}."""
+    labels = itertools.product(*(e.labels for _, e in s.measurements()))
+    return dict(zip(labels, enumerate_paths(s).ravel().tolist()))
+
+
+def branches_of(s, labels):
+    """The (event index, label) assignment giving each measurement its label."""
+    return tuple(zip((i for i, _ in s.measurements()), labels))
 
 
 def weights_by_labels(dist):
@@ -101,33 +113,31 @@ def weights_by_labels(dist):
 
 class TestTwelveAmplitudes:
     def test_sixteen_paths_twelve_nonzero(self):
-        paths = enumerate_paths(two_wigners("both_preserved"))
-        assert len(paths) == 16
-        assert sum(not p.is_zero for p in paths) == 12
+        table = enumerate_paths(two_wigners("both_preserved"))
+        assert table.size == 16
+        assert np.count_nonzero(abs(table) > 1e-12) == 12
 
     def test_signs_and_magnitudes(self):
-        paths = enumerate_paths(two_wigners("both_preserved"))
-        for p in paths:
-            expected = TWELVE_AMPLITUDES.get(labels_of(p), 0) * SQ12
-            assert p.amplitude == pytest.approx(expected, abs=1e-12), labels_of(p)
+        for labels, amp in amplitudes_by_labels(two_wigners("both_preserved")).items():
+            expected = TWELVE_AMPLITUDES.get(labels, 0) * SQ12
+            assert amp == pytest.approx(expected, abs=1e-12), labels
 
     def test_amplitudes_recomputable(self):
         s = two_wigners("both_erased")
-        for p in enumerate_paths(s):
-            again = path_amplitude(p.branches, s)
-            assert again == pytest.approx(p.amplitude, abs=1e-12)
+        for labels, amp in amplitudes_by_labels(s).items():
+            again = path_amplitude(branches_of(s, labels), s)
+            assert again == pytest.approx(amp, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_amplitudes_recomputable_random(self, seed):
         s = random_scenario(seed + 7000)
-        for p in enumerate_paths(s):
-            assert path_amplitude(p.branches, s) == pytest.approx(p.amplitude, abs=1e-12)
+        for labels, amp in amplitudes_by_labels(s).items():
+            assert path_amplitude(branches_of(s, labels), s) == pytest.approx(amp, abs=1e-12)
 
     def test_regime_does_not_change_amplitudes(self):
         a = enumerate_paths(two_wigners("both_erased"))
         b = enumerate_paths(two_wigners("both_preserved"))
-        for pa, pb in zip(a, b):
-            assert pa.amplitude == pytest.approx(pb.amplitude, abs=1e-14)
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
 
 
 class TestSimplePaths:
@@ -136,7 +146,7 @@ class TestSimplePaths:
             "subsystem sys up down\nstate 1 0\n"
             "measure 1 F sys retained up: 1 0 down: 0 1\n"
         )
-        amps = {labels_of(p): p.amplitude for p in enumerate_paths(s)}
+        amps = amplitudes_by_labels(s)
         assert amps[("up",)] == pytest.approx(1.0, abs=1e-12)
         assert amps[("down",)] == pytest.approx(0.0, abs=1e-12)
 
@@ -144,7 +154,7 @@ class TestSimplePaths:
         alpha, beta, gamma, delta = library.HADAMARD
         s0 = (0.6, 0.8)
         s = library.double_slit(alpha, beta, gamma, delta, s0)
-        amps = {labels_of(p): p.amplitude for p in enumerate_paths(s)}
+        amps = amplitudes_by_labels(s)
         assert len(amps) == 4
         overlaps = {"fail": (alpha, beta), "ok": (gamma, delta)}
         for i, way in enumerate(("up", "down")):
@@ -634,11 +644,102 @@ class TestEnginePreconditions:
 
 
 def _assert_matches_definition(s):
+    table = enumerate_paths(s)
+    assert abs(np.vdot(table, table).real - 1.0) <= 1e-12  # sum over paths of |A|^2
     got = distribution(s).weights
-    want = reduce(enumerate_paths(s), s).weights
+    want = reduce(table, s).weights
     assert set(got) == set(want)
     for key, w in want.items():
         assert got[key] == pytest.approx(w, abs=1e-12), key
+
+
+def _pinned(scenarios):
+    """The scenarios in the class ``enumerate_paths`` answers."""
+    for s in scenarios:
+        try:
+            paths._engine_preconditions(s)
+        except PathEngineError:
+            continue
+        yield s
+
+
+def _unrestricted(seeds):
+    """The valid scenarios ``random_unrestricted_scenario`` gives on ``seeds``."""
+    for seed in seeds:
+        try:
+            yield random_unrestricted_scenario(seed)
+        except ScenarioValidationError:
+            pass
+
+
+def _reference_enumerate_paths(s):
+    """The per-path definition of ``enumerate_paths``: split the branch
+    states on every measurement, then contract each path's state, one path
+    at a time, with the unit tensor that pins every subsystem to its final
+    measurement's outcome on that path; nothing of the state may be left
+    outside that tensor."""
+    finals = paths._engine_preconditions(s)
+    split = {i: e.labels for i, e in s.measurements()}
+    states = paths._branch_states(s, split).reshape((-1,) + s.dims)
+    amps = []
+    for labels, state in zip(itertools.product(*split.values()), states):
+        assignment = dict(zip(split, labels))
+        ref = np.ones(())
+        slot_order = []
+        for i in finals:
+            e = s.events[i]
+            v = e.basis.matrix[:, e.labels.index(assignment[i])]
+            ref = np.multiply.outer(ref, v.reshape(e.basis.dims))
+            slot_order.extend(s.slots(e.targets))
+        ref = np.moveaxis(ref, range(len(slot_order)), slot_order)
+        amp = complex(np.vdot(ref, state))
+        assert float(np.linalg.norm(state)) ** 2 - abs(amp) ** 2 <= 1e-10, labels
+        amps.append(amp)
+    return np.array(amps).reshape([len(labels) for labels in split.values()])
+
+
+class TestPathTable:
+    """``enumerate_paths`` returns one read-only complex array, one axis per
+    measurement in time order, equal to the per-path definition."""
+
+    @staticmethod
+    def _scenarios():
+        """The built-ins, the four 2w2f regimes and random_scenario seeds 0-499."""
+        yield from (library.builtin(name) for name in library.builtin_names())
+        yield from (two_wigners(regime.value) for regime in library.RegimeTag)
+        yield from (random_scenario(seed) for seed in range(500))
+
+    def test_table_is_the_per_path_reference(self):
+        count = 0
+        for s in self._scenarios():
+            got, want = enumerate_paths(s), _reference_enumerate_paths(s)
+            assert got.shape == want.shape == tuple(len(e.labels) for _, e in s.measurements())
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=str(s))
+            count += 1
+        assert count == 511
+
+    def test_table_is_read_only_complex(self):
+        table = enumerate_paths(two_wigners("both_erased"))
+        assert table.dtype == np.complex128 and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0, 0] = 1.0
+
+    def test_erased_chain_table_takes_a_few_distributions(self):
+        # the erased 16-chain's 2^16 paths took about 1x one ``distribution`` of
+        # the all-retained 16-chain's 2^16 tuples, one object per path about
+        # 85x; each the best of 3 runs
+        erased = erased_qubit_chain(16)
+        kept = _all_kept(erased)
+
+        def best(call):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                call()
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert best(lambda: enumerate_paths(erased)) <= 5 * best(lambda: distribution(kept))
 
 
 class TestDefinitionalEquivalence:
@@ -658,6 +759,20 @@ class TestDefinitionalEquivalence:
         for seed in range(start, start + 100):
             _assert_matches_definition(random_scenario(seed))
 
+    def test_unpinned_scenarios_in_the_pinned_class(self):
+        # 65 of random_unpinned_scenario's seeds 0-199 keep every subsystem pinned
+        pinned = list(_pinned(random_unpinned_scenario(seed) for seed in range(200)))
+        assert len(pinned) == 65
+        for s in pinned:
+            _assert_matches_definition(s)
+
+    def test_unrestricted_scenarios_in_the_pinned_class(self):
+        # seeds 0-999 give 226 valid scenarios, 29 of them in the pinned class
+        pinned = list(_pinned(_unrestricted(range(1000))))
+        assert len(pinned) == 29
+        for s in pinned:
+            _assert_matches_definition(s)
+
 
 class TestLongErasedChain:
     N = 25  # 2**25 virtual paths, 2 * 3**25 dilated amplitudes
@@ -672,8 +787,16 @@ class TestLongErasedChain:
             assert dist.weights[((f"A{self.N}", label),)] == pytest.approx(born, abs=1e-12)
 
     def test_enumeration_hits_its_cap(self):
-        with pytest.raises(PathEngineError, match="enumeration cap"):
-            enumerate_paths(erased_qubit_chain(self.N))
+        # one amplitude per path, 2^25, over the amplitude budget
+        s = erased_qubit_chain(self.N)
+        tracemalloc.start()
+        try:
+            with pytest.raises(PathEngineError, match="branch states need 33554432 amplitudes"):
+                enumerate_paths(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_oracle_refuses_before_allocating(self):
         # ``evolve`` fires every pointer, 2 * 2^25 amplitudes, over the budget;
@@ -700,27 +823,39 @@ class TestLongErasedChain:
         assert doc["delta"] <= 1e-9 and len(doc["outcomes"]) == 2
 
 
-@pytest.mark.parametrize("engine", [distribution, enumerate_paths], ids=lambda f: f.__name__)
-def test_distribution_refuses_oversized_batch_before_allocating(engine):
-    # 13 qubits each measured once: 2**13 tuples (and paths) of 2**13 amplitudes each
+def _thirteen_qubits():
+    """13 qubits in |0...0>, each measured once: 2**13 tuples and 2**13 paths."""
     n = 13
     basis = Basis((2,), ("0", "1"), [[1, 0], [0, 1]])
     initial = np.zeros(2**n)
     initial[0] = 1.0
-    s = Scenario(
+    return Scenario(
         tuple(SubsystemSpec(f"q{k}", 2, ("0", "1")) for k in range(n)),
         StateVector((2,) * n, initial),
         tuple(MeasurementEvent(1, f"A{k}", (f"q{k}",), basis, Record.RETAINED)
               for k in range(n)),
     )
+
+
+def test_distribution_refuses_oversized_batch_before_allocating():
+    # 2**13 tuples of 2**13 amplitudes each
+    s = _thirteen_qubits()
     tracemalloc.start()
     try:
-        with pytest.raises(PathEngineError, match="amplitudes"):
-            engine(s)
+        with pytest.raises(PathEngineError, match="branch states need 67108864 amplitudes"):
+            distribution(s)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_enumerate_paths_answers_the_oversized_batch():
+    # every measurement is its subsystem's final, so the table is the rotated
+    # state: one amplitude per path, 2**13, all but one of them 0
+    table = enumerate_paths(_thirteen_qubits())
+    assert table.shape == (2,) * 13
+    assert np.count_nonzero(table) == 1 and table[(0,) * 13] == 1.0
 
 
 @pytest.mark.parametrize("regime", [r.value for r in library.RegimeTag])
@@ -765,7 +900,7 @@ class TestDeterminism:
         # both engines emit their rows row-major over the retained events'
         # labels, which is the sorted order, so renderers print them as built
         for s in _order_scenarios():
-            keys = list(retained_keys(s))
+            keys = list(itertools.product(*s.retained_axes()))
             for engine in (distribution, oracle.distribution):
                 d = engine(s)
                 assert list(d.weights) == keys
@@ -773,5 +908,5 @@ class TestDeterminism:
 
     def test_reduce_is_deterministic(self):
         s = two_wigners("both_erased")
-        paths = enumerate_paths(s)
-        assert reduce(paths, s).weights == reduce(paths, s).weights
+        table = enumerate_paths(s)
+        assert reduce(table, s).weights == reduce(table, s).weights

@@ -26,9 +26,10 @@ of a file.  Only a basis that fails it is checked again vector by vector,
 to name the first violation.
 
 Before allocating, both engines pass ``check_budget`` the amplitudes and
-axes of what they are about to store: ``MAX_AMPLITUDES`` bounds the
-stored state, and a step holds its input and its output, so a run peaks
-near twice that, 512 MiB.  ``MAX_AXES`` is numpy's limit on an array's axes.
+axes of what they are about to store: ``MAX_AMPLITUDES`` bounds the stored
+state, and a step holds its input and its output, so a run peaks near
+twice that, 512 MiB (``paths.enumerate_paths`` holds a copy too: three
+times).  ``MAX_AXES`` is numpy's limit on an array's axes.
 
 Every state update in both engines makes one ``np.dot``: ``apply_to_slots``
 and ``split_slots`` transpose the target axes into place, reshape, make
@@ -47,7 +48,7 @@ import numpy as np
 
 ATOL_STRUCT = 1e-12
 ATOL_PROB = 1e-9
-MAX_AMPLITUDES = 1 << 24  # bounds a stored state, 256 MiB; a step also holds its input, so 2x peak
+MAX_AMPLITUDES = 1 << 24  # a stored state, 256 MiB; a run peaks at 2x, enumerate_paths at 3x
 # the most axes an ndarray may have: 64 from numpy 2.0, 32 before
 MAX_AXES = 64 if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else 32
 

@@ -9,47 +9,43 @@ end they are expectation values of pointer projectors on the evolved state.
 Record erasure is realized the way an observer who measures a whole
 laboratory does: when a later measurement's targets cover an erased record
 still in place, its coupling is taken in the composite basis that
-entangles the erased ancilla with the erased event's own basis vectors.
-Operationally the coupling is conjugated by the erased event's coupling
-chain L, which maps the plain basis onto exactly that composite basis.
-This is realizable only if the record is not disturbed between its
-creation and its erasure.
-
-The erased measurement's own ``CouplingPlan`` is the only record of its
-lift L = F C: the plan's ``chain``, its coupling C followed by the lifts F
-it consumed.  L stays active on the record's targets until a later erased
-measurement consumes it into its own lift.  ``evolve`` stores the state
-with every active lift factored out, so conjugating by L costs nothing:
-an erased measurement E that consumes L leaves the stored state as it is,
+entangles the erased ancilla with the erased event's own basis vectors,
+that is, conjugated by the erased event's lift L = F C: the chain of its
+``CouplingPlan``, its coupling C followed by the lifts F it consumed.  L
+stays active on the record's targets until a later erased measurement
+consumes it into its own lift.  ``evolve`` stores the state with every
+active lift factored out, so conjugating by L costs nothing: an erased
+measurement E that consumes L leaves the stored state as it is,
 (L C_E)^dagger (L C_E L^dagger) L = 1; a retained measurement applies
-only its own coupling; a unitary U acts directly once the record is
-erased, and as C^dagger U C before the eraser.  Active lifts sit on
-disjoint slots and commute.  ``evolve`` applies each chain still active
-once, after the last event, for ``psi``, ``joint_probability`` and
-``inspect_record``.  ``distribution`` never does: a lift acts on erased
-pointers and their targets only, so it commutes with the retained pointer
-projectors it reads.
+only its own coupling; a unitary acts directly on the stored state.
+Active lifts sit on disjoint slots and commute.  ``evolve`` applies each
+chain still active once, after the last event, for ``psi``,
+``joint_probability`` and ``inspect_record``.  ``distribution`` never
+does: a lift acts on erased pointers and their targets only, so it
+commutes with the retained pointer projectors it reads.
+
+``dilate`` decides from the scenario alone whether the unitaries between
+a record and its eraser leave the erasure realizable: either every one
+commutes with the record's projectors, so the lift is unchanged, or every
+one acts inside the eraser's targets, which then measures in the basis of
+L' = U L U^dagger and runs the laboratory's evolution back (Deutsch's
+reversible friend).  ``evolve`` and ``erasure_basis`` refuse past a
+unitary that reversed a lift; ``distribution`` never applies one.
 
 Each pointer axis of the stored state holds one of two ranges of levels,
 kept next to the tensor: {0} (untriggered, length 1) or {1..n} (fired,
 length n).  A coupling fires a {0} axis by writing the n projections
 P_k psi onto levels 1..n (``fire_block``, the block of C from pointer 0 to
 pointers 1..n), so a chain of N qubit measurements keeps 2 * 2^N of its
-2 * 3^N dilated amplitudes.  C is completed involutively, so a sandwich's
-C^dagger un-fires the pointer through ``fire_block``^dagger, back to {0},
-and leaves (1 - P_k) psi_k on level k: the population U moved out of the
-record's branch.  Above 1e-12 that is a disturbed record, refused at the
-unitary.  After ``evolve`` every pointer is fired.  A run is budgeted on
-what it stores, on one axis per subsystem and per measurement: ``evolve``
-stores the base dims times every outcome count, ``distribution`` the base
-dims times the retained ones (the path engine's count, checked before
-``dilate`` runs).  A sandwich fires an erased pointer only while the
-retained measurement ending its chain of erasers, which covers it and so
-has at least as many outcomes, is still to come.  ``dilate`` budgets the couplings' fire
-blocks, which it then builds in one stacked product per (side, n) shape.
-The walk checks the norm after every event it applies, from one dot over
-the state's memory.  ``DilatedState.psi`` spans the full dilated dims; it
-is built on first access, and budgeted then.
+2 * 3^N dilated amplitudes.  After ``evolve`` every pointer is fired.  A
+run is budgeted on what it stores, on one axis per subsystem and per
+measurement: ``evolve`` stores the base dims times every outcome count,
+``distribution`` the base dims times the retained ones (the path engine's
+count, checked before ``dilate`` runs).  ``dilate`` budgets the couplings'
+fire blocks, which it then builds in one stacked product per (side, n)
+shape.  The walk checks the norm after every event it applies.
+``DilatedState.psi`` spans the full dilated dims; it is built on first
+access, and budgeted then.
 
 The 1e-9 gate between this engine and ``paths`` compares two kernels and
 two readouts: fire blocks and a pointer marginal against the path
@@ -91,10 +87,7 @@ class CouplingPlan:
         """Rows (k, targets), columns targets: the projectors P_k stacked.
 
         The block of the coupling C from pointer 0 to pointers 1..n, all C
-        does to an untriggered pointer.  C is completed involutively
-        (|k> x w_k swaps back to |0> x w_k, every other sector is left
-        alone), so its block from pointers 1..n to pointer 0 is the
-        conjugate transpose.
+        does to an untriggered pointer.
 
         Built in ``dilate`` for its plans; a plan built elsewhere (a
         relabelled copy) builds its own on first read, on a stack of one.
@@ -129,7 +122,14 @@ class DilatedScenario:
     ancillas: dict[int, int]  # measurement event index -> its pointer slot
     couplings: tuple[CouplingPlan, ...]
     erasure_map: dict[int, int]  # erased event index -> eraser event index
-    frames: dict[int, tuple[CouplingPlan, ...]]  # unitary event index -> active lifts there
+    reversed_lifts: dict[int, int]  # erased event index -> time of the unitary reversing its lift
+
+    def _refuse_reversed(self, erased_events) -> None:
+        """Refuse the first record whose lift L a unitary U reversed to U L U^dagger."""
+        for j in erased_events:
+            if j in self.reversed_lifts:
+                raise OracleError(f"the unitary at time {self.reversed_lifts[j]} reversed the "
+                                  f"lift of {self.base.events[j].agent!r}'s erased record")
 
     def erasure_basis(self, erased_event: int) -> np.ndarray:
         """Columns of the composite basis |E_k> = L(|0...0> x w_k) that erased a record.
@@ -137,10 +137,11 @@ class DilatedScenario:
         L is the chain the eraser consumed and w_k its basis vectors, over
         the consumed ancilla slots followed by the eraser's target slots.
         Built on call: the run never reads it, only inspection does.  The
-        composite dims are budgeted first.
+        composite dims are budgeted first; a reversed lift in L is refused.
         """
         i = self.erasure_map[erased_event]
         plan = next(p for p in self.couplings if p.event_index == i)
+        self._refuse_reversed([q.event_index for q in plan.consumed])
         composite = plan.consumed_anc_slots + plan.slots[1:]
         axis = {slot: a for a, slot in enumerate(composite)}  # the last axis is k
         dims = tuple(self.dims[sl] for sl in composite) + plan.columns.shape[1:]
@@ -209,15 +210,15 @@ def dilate(s: Scenario) -> DilatedScenario:
 
     couplings = []
     erasure_map: dict[int, int] = {}
-    frames: dict[int, tuple[CouplingPlan, ...]] = {}
     # erased record's target slots -> its plan; the keys are pairwise disjoint
     active: dict[frozenset[int], CouplingPlan] = {}
+    between: dict[CouplingPlan, list[int]] = {}  # erased record -> unitaries before its eraser
     for i, e in enumerate(s.events):
         tslots = s.slots(e.targets)
         hit = [key for key in active if key.intersection(tslots)]
         if isinstance(e, UnitaryEvent):
-            if hit:
-                frames[i] = tuple([active[key] for key in hit])
+            for p in [active[key] for key in hit if active[key].event_index not in erasure_map]:
+                between.setdefault(p, []).append(i)
             continue
         for key in hit:
             if not key.issubset(tslots):
@@ -246,29 +247,57 @@ def dilate(s: Scenario) -> DilatedScenario:
         for plan, block in zip(plans, _fire_blocks([p.columns for p in plans])):
             plan.__dict__["fire_block"] = block  # the cached_property's slot
 
-    return DilatedScenario(s, dims, ancillas, tuple(couplings), erasure_map, frames)
+    reversed_lifts = {}
+    for p, unitaries in between.items():
+        # realizable if every U commutes with P_k or every U acts inside the eraser's targets
+        residual = [(s.events[u].time_index, _commutator(s, p, s.events[u])) for u in unitaries]
+        moved = [(t, r) for t, r in residual if r > ATOL_STRUCT]
+        eraser = s.events[erasure_map[p.event_index]]
+        inside = set(s.slots(eraser.targets)).issuperset
+        if moved and not all(inside(s.slots(s.events[u].targets)) for u in unitaries):
+            raise OracleError(
+                f"erased record was disturbed before {eraser.agent!r}'s measurement by the "
+                f"unitary at time {moved[0][0]} (commutator residual {moved[0][1]:.3g}), and not "
+                f"every unitary in between acts inside its targets; this erasure is not realizable"
+            )
+        if moved:
+            reversed_lifts[p.event_index] = moved[0][0]
+    return DilatedScenario(s, dims, ancillas, tuple(couplings), erasure_map, reversed_lifts)
+
+
+def _commutator(s: Scenario, p: CouplingPlan, u: UnitaryEvent) -> float:
+    """max_k ||[U, P_k]||_F, for the unitary event ``u`` and the record ``p``'s projectors,
+    from ``p``'s fire block and U, each applied to an identity over their slots' union."""
+    union = sorted(set(p.slots[1:]).union(s.slots(u.targets)))
+    axis = {slot: a for a, slot in enumerate(union, 1)}  # axis 0 is the pointer
+    dims = [s.dims[sl] for sl in union]
+    side, n = math.prod(dims), p.columns.shape[1]
+    check_budget(n * side * side, len(union) + 2, OracleError, "commutator needs")
+    eye = np.eye(side, dtype=complex).reshape([1] + dims + [side])
+    tdims = tuple(s.dims[sl] for sl in p.slots[1:])
+    proj = apply_to_slots(p.fire_block, (n,) + tdims, (0,) + tuple(axis[sl] for sl in p.slots[1:]),
+                          eye, (1,) + tdims).reshape(n, side, side)
+    op = apply_to_slots(u.op.entries, u.op.dims, tuple(axis[sl] for sl in s.slots(u.targets)),
+                        eye).reshape(side, side)
+    return float(np.linalg.norm(proj @ op - op @ proj, axis=(1, 2)).max())
 
 
 def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
     """Apply free unitaries and couplings in time order; norm is conserved.
 
-    The stored state is the physical one with the lift of every active
-    erased record factored out: physical = (product of their chains) stored.
-    An erased measurement therefore applies nothing (its lift replaces the
-    lifts it consumes), a retained one applies its own coupling C, and a
-    unitary acts directly, sandwiched as C^dagger U C by the coupling of each
-    record on its targets whose eraser is still to come.  The chains still
-    active after the last event are applied once, so that ``psi``,
-    ``joint_probability`` and ``inspect_record`` read the physical state.
-
-    Every pointer starts at {0}.  A coupling fires it to {1..n} (see
-    ``_couple``), and a sandwich's C^dagger takes it back to {0} (see
-    ``_unfire``), so after a full run every pointer is fired.  The returned
-    state keeps those ranges; its ``psi`` spans the full dims.
+    The walk stores the physical state with every active lift factored out;
+    the chains still active after the last event are applied once, so that
+    ``psi``, ``joint_probability`` and ``inspect_record`` read the physical
+    state.  A run past a unitary that reversed a lift is refused before it
+    starts.  Every pointer starts at {0} and a coupling fires it to {1..n}
+    (see ``_couple``); the returned state keeps those ranges, and its
+    ``psi`` spans the full dims.
 
     ``upto_time`` stops after the last event with time_index <= upto_time,
     which exposes intermediate states for inspection.  A full run is budgeted.
     """
+    d._refuse_reversed([j for j, t in d.reversed_lifts.items()
+                       if upto_time is None or t <= upto_time])
     _check_stored(d.base, d.base.measurements())
     state, ranges, time, active = _walk(d, upto_time)
     for p in active:
@@ -295,12 +324,7 @@ def _walk(d: DilatedScenario, upto_time: int | None):
             break
         time = e.time_index
         if isinstance(e, UnitaryEvent):
-            recording = [p for p in d.frames.get(i, ()) if d.erasure_map[p.event_index] > i]
-            for p in recording:
-                state = _couple(p, state, ranges, d.dims)
             state = apply_to_slots(e.op.entries, e.op.dims, s.slots(e.targets), state)
-            for p in recording:
-                state = _unfire(p, state, ranges, s.events[d.erasure_map[p.event_index]].agent)
         elif e.record is Record.ERASED:
             plan = plan_by_event[i]
             active = [p for p in active if p not in plan.lifts]
@@ -320,49 +344,23 @@ def _couple(plan, state, ranges, dims):
     return _apply(plan.fire_block, plan.slots, [len(r) for r in ranges], state)
 
 
-def _unfire(plan, state, ranges, agent):
-    """Apply C^dagger to ``plan``'s fired pointer, taking it back to {0}.
-
-    The block of C^dagger from levels 1..n to level 0 is ``fire_block``
-    conjugate-transposed; what C^dagger leaves on level k is (1 - P_k) psi_k,
-    the record's population outside the composite-basis block, which the
-    eraser ``agent`` cannot realize.
-    """
-    before = _norm(state) ** 2
-    ranges[plan.slots[0]] = _UNTRIGGERED
-    state = _apply(plan.fire_block.conj().T, plan.slots, [len(r) for r in ranges], state)
-    leak = before - _norm(state) ** 2
-    if leak > ATOL_STRUCT:
-        raise OracleError(
-            f"erased record was disturbed before {agent!r}'s measurement "
-            f"(population {leak:.3g} outside the composite-basis block); "
-            f"this erasure is not realizable"
-        )
-    return state
-
-
 def _apply(matrix, slots, dims, state):
     """``matrix`` on the axes ``slots``, giving them lengths ``dims[slot]``.
 
     ``slots`` are a pointer and its targets.  The matrix's column count
     gives the pointer's length before: a ``fire_block`` maps an untriggered
-    pointer (length 1) to its fired levels, its conjugate transpose maps
-    them back.
+    pointer (length 1) to its fired levels.
     """
     out = tuple(dims[x] for x in slots)
     in_dims = (matrix.shape[1] // math.prod(out[1:]),) + out[1:]
     return apply_to_slots(matrix, out, slots, state, in_dims)
 
 
-def _norm(state) -> float:
-    """The state's norm, from one dot over its memory: the walked state is
-    dense in a permuted axis order, so ``ravel(order="K")`` is a view."""
-    flat = state.ravel(order="K")
-    return math.sqrt(np.vdot(flat, flat).real)
-
-
 def _check_norm(state, time_index):
-    drift = abs(_norm(state) - 1.0)
+    """Refuse a norm drift over 1e-12; ``ravel(order="K")`` views the walked
+    state, dense in a permuted axis order, so the norm is one dot."""
+    flat = state.ravel(order="K")
+    drift = abs(math.sqrt(np.vdot(flat, flat).real) - 1.0)
     if not drift <= ATOL_STRUCT:  # a NaN drifts too
         raise OracleError(f"norm drifted by {drift:.3g} at time {time_index}")
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import tracemalloc
@@ -24,7 +25,6 @@ from pathsum.scenario import (
     Record,
     RecordErasedError,
     Scenario,
-    ScenarioValidationError,
     SubsystemSpec,
     UnitaryEvent,
     parse_scenario,
@@ -36,8 +36,9 @@ from pathsum.testing import (
     random_scenario,
     random_unitary,
     random_unpinned_scenario,
-    random_unrestricted_scenario,
 )
+
+from conftest import unrestricted_scenarios
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SQ3 = 1.0 / math.sqrt(3.0)
@@ -138,34 +139,68 @@ class TestEvolve:
         for idx in ((0, 1, 1, 2, 0, 0), (1, 0, 2, 1, 0, 0), (1, 1, 2, 2, 0, 0)):
             assert psi[idx] == pytest.approx(SQ3, abs=1e-12)
 
-    def test_disturbed_record_raises(self):
-        bad = parse_scenario(
-            "subsystem sys up down\n"
-            "state 0.6 0.8\n"
-            "measure 1 F sys erased up: 1 0 down: 0 1\n"
-            "unitary 2 sys 1/sqrt(2) 1/sqrt(2) 1/sqrt(2) -1/sqrt(2)\n"
-            "measure 3 W sys retained fail: 1/sqrt(2) 1/sqrt(2) ok: 1/sqrt(2) -1/sqrt(2)\n"
-        )
-        with pytest.raises(OracleError, match="disturbed"):
-            evolve(dilate(bad))
+    # the Hadamard on F's record does not commute with its projectors, but
+    # acts inside W's targets: W measures in the basis of H L H^dagger
+    REVERSED = (
+        "subsystem sys up down\n"
+        "state 0.6 0.8\n"
+        "measure 1 F sys erased up: 1 0 down: 0 1\n"
+        "unitary 2 sys 1/sqrt(2) 1/sqrt(2) 1/sqrt(2) -1/sqrt(2)\n"
+        "measure 3 W sys retained fail: 1/sqrt(2) 1/sqrt(2) ok: 1/sqrt(2) -1/sqrt(2)\n"
+    )
+    # a CNOT from an ancilla in |+> spreads F's record before W, which measures only sys
+    SPREAD = (
+        "subsystem anc a0 a1\n"
+        "subsystem sys up down\n"
+        "state 0.6/sqrt(2) 0.8/sqrt(2) 0.6/sqrt(2) 0.8/sqrt(2)\n"
+        "measure 1 F sys erased up: 1 0 down: 0 1\n"
+        "unitary 2 anc,sys 1 0 0 0 0 1 0 0 0 0 0 1 0 0 1 0\n"
+        "measure 3 W sys retained fail: 1/sqrt(2) 1/sqrt(2) ok: 1/sqrt(2) -1/sqrt(2)\n"
+    )
 
-    def test_disturbed_record_raises_at_the_unitary(self):
-        # the Hadamard leaves half of F's branch population outside the
-        # composite basis; C^dagger after it finds that before W measures
-        bad = parse_scenario(
-            "subsystem sys up down\n"
-            "state 0.6 0.8\n"
-            "measure 1 F sys erased up: 1 0 down: 0 1\n"
-            "unitary 2 sys 1/sqrt(2) 1/sqrt(2) 1/sqrt(2) -1/sqrt(2)\n"
-            "measure 3 W sys retained fail: 1/sqrt(2) 1/sqrt(2) ok: 1/sqrt(2) -1/sqrt(2)\n"
-        )
-        message = ("erased record was disturbed before 'W''s measurement (population 0.5 "
-                   "outside the composite-basis block); this erasure is not realizable")
-        d = dilate(bad)
-        for t in (2, None):
+    def test_record_moved_inside_its_eraser_is_answered(self):
+        s = parse_scenario(self.REVERSED)
+        pd, od = paths.distribution(s), distribution(s)
+        assert cli.equivalence_delta(pd, od) <= 1e-9
+        # the Hadamard maps W's basis vectors to up and down: fail 0.36, ok 0.64
+        assert od.probability({"W": "fail"}) == pytest.approx(0.36, abs=1e-12)
+
+    def test_evolve_refuses_past_the_unitary_that_reversed_the_lift(self):
+        s = parse_scenario(self.REVERSED)
+        assert cli.equivalence_delta(paths.distribution(s), distribution(s)) <= 1e-9
+        d = dilate(s)
+        assert d.reversed_lifts == {0: 2}
+        message = "the unitary at time 2 reversed the lift of 'F''s erased record"
+        np.testing.assert_allclose(evolve(d, upto_time=1).psi.as_tensor(), eager_evolve(d, 1),
+                                   rtol=0, atol=1e-12)
+        for t in (2, 3, None):
             with pytest.raises(OracleError) as info:
                 evolve(d, upto_time=t)
             assert str(info.value) == message
+        with pytest.raises(OracleError) as info:
+            d.erasure_basis(0)
+        assert str(info.value) == message
+
+    def test_record_spread_outside_its_eraser_is_refused_by_dilate(self):
+        # the CNOT does not commute with F's projectors, and the ancilla lies
+        # outside W's targets
+        s = parse_scenario(self.SPREAD)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleError) as info:
+                dilate(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert str(info.value) == (
+            "erased record was disturbed before 'W''s measurement by the unitary at time 2 "
+            "(commutator residual 1.41), and not every unitary in between acts inside its "
+            "targets; this erasure is not realizable")
+        with pytest.raises(OracleError, match="was disturbed"):
+            distribution(s)
+        # X leaves 0.6|up> + 0.8|down> with the same |<fail|.>|^2, 0.98
+        assert paths.distribution(s).probability({"W": "fail"}) == pytest.approx(0.98, abs=1e-12)
 
 
 class TestCouplingBudget:
@@ -203,6 +238,34 @@ class TestCouplingBudget:
             assert cli.main(["run", str(target), "--engine", engine]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: couplings need") and "Traceback" not in err
+
+
+class TestCommutatorBudget:
+    """A record on a qubit a and a 16-level c, moved by a unitary on a and a
+    32-level b: the realizability check's commutator spans a, b and c, 1024
+    levels, so 32 * 1024^2 entries, and is refused before it is built,
+    though the record's fire block and the unitary are each small."""
+
+    def test_dilate_refuses_before_allocating(self):
+        rng = np.random.default_rng(4)
+        subsystems = tuple(SubsystemSpec(name, dim, tuple(f"{name}{k}" for k in range(dim)))
+                           for name, dim in (("a", 2), ("b", 32), ("c", 16)))
+        initial = StateVector((2, 32, 16), np.eye(2 * 32 * 16)[0])
+        s = Scenario(subsystems, initial, (
+            MeasurementEvent(1, "F", ("a", "c"), random_basis(rng, (2, 16)), Record.ERASED),
+            UnitaryEvent(2, ("a", "b"), Operator((2, 32), random_unitary(rng, 64))),
+            MeasurementEvent(3, "W", ("a", "c"), random_basis(rng, (2, 16)), Record.RETAINED),
+        ))
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleError) as info:
+                dilate(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == (f"commutator needs {32 * 1024**2} amplitudes, "
+                                   f"over the budget of {MAX_AMPLITUDES}")
+        assert peak < 2 << 20  # the two fire blocks, 0.5 MiB each; the commutator is 512 MiB
 
 
 class TestStoredBudget:
@@ -422,20 +485,25 @@ class TestBudgetEdge:
         assert "branch states need 33554432 amplitudes" in capsys.readouterr().err
 
 
-def _unrestricted(seeds=range(1000)):
-    """The valid scenarios ``random_unrestricted_scenario`` gives on ``seeds``."""
-    for seed in seeds:
-        try:
-            yield random_unrestricted_scenario(seed)
-        except ScenarioValidationError:
-            pass
-
-
 def _oracle_refusal(exc):
     """Whether ``exc`` is one of the oracle's two refusals of an erasure it
     cannot realize, which ``random_unrestricted_scenario`` reaches."""
     return isinstance(exc, OracleError) and (
         "was disturbed" in str(exc) or "overlaps an erased record" in str(exc))
+
+
+@functools.cache
+def _answered_unrestricted():
+    """Seed -> the ``random_unrestricted_scenario`` scenario the oracle answers."""
+    answered = {}
+    for seed, s in unrestricted_scenarios().items():
+        try:
+            distribution(s)
+        except OracleError as exc:
+            assert _oracle_refusal(exc), exc
+            continue
+        answered[seed] = s
+    return answered
 
 
 class TestSizeSymmetry:
@@ -482,20 +550,20 @@ class TestStoredWithinBudget:
     """Each engine budgets, before allocating, the most it will store, and a
     spy on every state its walk stores shows that it stores no more.
     ``distribution`` on either engine stores at most the base dims times
-    the retained outcome counts, including the oracle's sandwiches, which
-    fire an erased pointer only while the retained measurement ending its
-    chain of erasers, with at least as many outcomes, is still to come;
-    ``evolve`` stores at most the base dims times every outcome count.  The
-    sandwiches the oracle answers are in the ``2w2f`` regimes and the
-    diagonal kicks below; a disturbed record is spied on up to its refusal."""
+    the retained outcome counts, since the oracle's walk fires only the
+    retained pointers; ``evolve`` stores at most the base dims times every
+    outcome count.  ``dilate``'s realizability check budgets each
+    commutator it builds on its own, which the spy leaves out; a scenario
+    it refuses, or whose lift a unitary reversed, has no ``evolve`` run."""
 
     @staticmethod
     def _spies(monkeypatch):
         checked, stored = [], []
 
-        def check(amplitudes, *args):
-            checked.append(amplitudes)
-            return check_budget(amplitudes, *args)
+        def check(amplitudes, axes, error, needs, *args):
+            if needs != "commutator needs":  # not a stored state
+                checked.append(amplitudes)
+            return check_budget(amplitudes, axes, error, needs, *args)
 
         def storing(apply):
             def spy(*args):
@@ -519,9 +587,11 @@ class TestStoredWithinBudget:
         runs = [(paths.distribution, retained), (distribution, retained)]
         try:
             d = dilate(s)
-            runs.append((lambda s: evolve(d), fired))
-        except OracleError as exc:  # a partial overlap: ``evolve`` has no plan to run
+        except OracleError as exc:  # ``evolve`` has no plan to run
             assert _oracle_refusal(exc), exc
+        else:
+            if not d.reversed_lifts:  # ``evolve`` refuses to run past a reversed lift
+                runs.append((lambda s: evolve(d), fired))
         for run, budget in runs:
             checked.clear()
             stored.clear()
@@ -538,7 +608,7 @@ class TestStoredWithinBudget:
         for seed in range(200):
             yield random_scenario(seed)
             yield random_unpinned_scenario(seed)
-        yield from _unrestricted()
+        yield from unrestricted_scenarios().values()
         for joint in (False, True):
             yield TestCouplingsAppliedOnce._diagonal_unitary_before_eraser(joint)
 
@@ -551,26 +621,28 @@ class TestStoredWithinBudget:
 class TestGateReach:
     """How far the 1e-9 gate reaches on ``random_unrestricted_scenario``,
     which keeps no rule: seeds 0-999 give 226 valid scenarios.  The path
-    engine answers all of them.  The oracle refuses 27 records disturbed
-    before their eraser and 37 measurements that partly overlap an erased
-    record, so both engines answer 162.  A wider oracle raises that floor."""
+    engine answers all of them.  The oracle refuses 13 records disturbed
+    beyond their eraser's targets and 37 measurements that partly overlap
+    an erased record, so both engines answer 176.  A wider oracle raises
+    that floor."""
 
-    VALID, FLOOR = 226, 162
+    VALID, FLOOR = 226, 176
+    DISTURBED, PARTIAL = 13, 37
 
     def test_both_engines_answer_the_floor_and_agree(self):
-        valid = answered = 0
-        for s in _unrestricted():
-            valid += 1
-            pd = paths.distribution(s)
-            try:
-                od = distribution(s)
-            except OracleError as exc:
-                assert _oracle_refusal(exc), exc
-                continue
-            assert cli.equivalence_delta(pd, od) <= 1e-9
-            answered += 1
-        assert valid == self.VALID
-        assert answered >= self.FLOOR
+        answered = _answered_unrestricted()
+        for s in answered.values():
+            assert cli.equivalence_delta(paths.distribution(s), distribution(s)) <= 1e-9
+        kinds = {"was disturbed": 0, "overlaps an erased record": 0}
+        for seed, s in unrestricted_scenarios().items():
+            if seed not in answered:
+                assert paths.distribution(s).probs
+                with pytest.raises(OracleError) as info:
+                    dilate(s)
+                kinds[next(k for k in kinds if k in str(info.value))] += 1
+        assert len(unrestricted_scenarios()) == self.VALID
+        assert len(answered) >= self.FLOOR
+        assert list(kinds.values()) == [self.DISTURBED, self.PARTIAL]
 
 
 def dense_coupling(plan):
@@ -656,22 +728,26 @@ class TestCouplingsAppliedOnce:
         _assert_matches_eager(erased_qubit_chain(6))
 
     def test_unrestricted_scenarios(self):
-        # of the 162 scenarios both engines answer on seeds 0-999, 6 put a
+        # of the 176 scenarios both engines answer on seeds 0-999, 6 put a
         # unitary on an erased record's subsystems after its eraser, which
         # ``evolve`` conjugates by the lift and ``eager_evolve`` applies as it
-        # is, so only their probabilities are compared, with the path engine's
-        eager, conjugated = 0, []
-        for seed in range(1000):
-            try:
-                s = random_unrestricted_scenario(seed)
-                d = dilate(s)
-                distribution(s)
-            except ScenarioValidationError:
-                continue
-            except OracleError as exc:
-                assert _oracle_refusal(exc), exc
-                continue
-            if _unitary_after_eraser(d):
+        # is, so only their probabilities are compared, with the path engine's;
+        # 14 move a record by a unitary inside its eraser's targets, where
+        # ``evolve`` matches up to that unitary and refuses from there on
+        eager, conjugated, reversed_ = 0, [], []
+        for seed, s in _answered_unrestricted().items():
+            d = dilate(s)
+            if d.reversed_lifts:
+                first = min(d.reversed_lifts.values())
+                for t in sorted({0} | {e.time_index for e in s.events}):
+                    if t < first:
+                        np.testing.assert_allclose(evolve(d, upto_time=t).psi.as_tensor(),
+                                                   eager_evolve(d, t), rtol=0, atol=1e-12)
+                    else:
+                        with pytest.raises(OracleError, match="reversed the lift"):
+                            evolve(d, upto_time=t)
+                reversed_.append(seed)
+            elif _unitary_after_eraser(d):
                 st = evolve(d)
                 for key, w in paths.distribution(s).weights.items():
                     assert joint_probability(st, dict(key)) == pytest.approx(w, abs=1e-12), seed
@@ -680,6 +756,7 @@ class TestCouplingsAppliedOnce:
                 _assert_matches_eager(s)
                 eager += 1
         assert eager == 156 and conjugated == [10, 218, 283, 331, 584, 958]
+        assert reversed_ == [117, 200, 286, 316, 458, 464, 529, 561, 606, 613, 630, 815, 832, 844]
 
     @pytest.mark.parametrize("start", range(0, 200, 50))
     def test_unpinned_scenarios(self, start):
@@ -742,13 +819,13 @@ class TestCouplingsAppliedOnce:
             " w3: 0 -0.8 0.6 0 w4: 0 0 0 1\n"
         )
 
-    @pytest.mark.parametrize("joint,applies", [(False, 4), (True, 5)])
-    def test_unitary_between_record_and_eraser_applies_the_chain_first(
+    @pytest.mark.parametrize("joint,applies", [(False, 2), (True, 3)])
+    def test_unitary_between_record_and_eraser_acts_directly(
         self, monkeypatch, joint, applies
     ):
-        # W erases F's record after the unitary, so the unitary is sandwiched
-        # between F's coupling and its inverse; W applies its own coupling,
-        # R its own, and F's chain is applied once at the end
+        # W erases F's record after the unitary, which commutes with F's
+        # projectors and so acts directly; W applies its own coupling, R its
+        # own, and F's chain is applied once at the end
         s = self._diagonal_unitary_before_eraser(joint)
         assert self._count_applies(monkeypatch, s) == applies
         _assert_matches_eager(s)
@@ -992,14 +1069,26 @@ class TestFireBlocks:
             assert np.array_equal(plan.fire_block, _single_fire_block(plan))
 
 
+def _answered_unrestricted_scenario(seed):
+    """The answered ``random_unrestricted_scenario`` scenario ``seed`` picks."""
+    answered = tuple(_answered_unrestricted().values())
+    return answered[seed % len(answered)]
+
+
 class TestInsertedErasedMeasurement:
     """The paper's claim: a record erased by the very next measurement of its
-    subsystem leaves no trace in the retained statistics."""
+    subsystem leaves no trace in the retained statistics.
+
+    On the unrestricted scenarios the inserted record may sit inside a joint
+    erased record, which its one-subsystem measurement partly overlaps, or
+    become the eraser of a record that a joint unitary moved: there the
+    oracle refuses the new scenario, and only the path engine is compared."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10**6), st.integers(0, 10**6))
-    def test_distribution_unchanged_on_both_engines(self, scenario_seed, insert_seed):
-        s = random_scenario(scenario_seed)
+    @given(st.sampled_from([random_scenario, _answered_unrestricted_scenario]),
+           st.integers(0, 10**6), st.integers(0, 10**6))
+    def test_distribution_unchanged_on_both_engines(self, generate, scenario_seed, insert_seed):
+        s = generate(scenario_seed)
         rng = np.random.default_rng(insert_seed)
         candidates = [(e, target) for _, e in s.measurements() for target in e.targets]
         eraser, target = candidates[int(rng.integers(len(candidates)))]
@@ -1008,7 +1097,14 @@ class TestInsertedErasedMeasurement:
                                     random_basis(rng, (dim,)), Record.ERASED)
         doubled = tuple(replace(e, time_index=2 * e.time_index) for e in s.events)
         s2 = Scenario(s.subsystems, s.initial, doubled + (inserted,))
-        for engine in (paths.distribution, distribution):
+        engines = [paths.distribution, distribution]
+        if generate is not random_scenario:
+            try:
+                dilate(s2)
+            except OracleError as exc:
+                assert _oracle_refusal(exc), exc
+                engines.pop()
+        for engine in engines:
             before, after = engine(s).weights, engine(s2).weights
             assert set(before) == set(after)
             for key, w in before.items():
@@ -1023,7 +1119,8 @@ def _assert_same_distribution(s, s2):
             assert after[key] == pytest.approx(w, abs=1e-9), (engine.__module__, key)
 
 
-_generators = st.sampled_from([random_scenario, random_unpinned_scenario])
+_generators = st.sampled_from([random_scenario, random_unpinned_scenario,
+                               _answered_unrestricted_scenario])
 _seeds = st.integers(0, 10**6)
 
 
@@ -1083,6 +1180,47 @@ class TestInvariances:
         ]
         _assert_same_distribution(Scenario(s.subsystems, s.initial, tuple(events)),
                                   Scenario(s.subsystems, s.initial, tuple(split)))
+
+
+class TestReversedLift:
+    """A unitary U and then U^dagger between an erased record and its eraser,
+    on the record's subsystems, inside the eraser's targets: the eraser
+    measures in the basis of U L U^dagger, runs the record's evolution back,
+    and every retained statistic is the original scenario's, on both
+    engines.  Two Hadamards on one record are one instance."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([random_scenario, random_unpinned_scenario]), _seeds, _seeds)
+    def test_distribution_unchanged_on_both_engines(self, generate, seed, insert_seed):
+        s = generate(seed)
+        while not s.erased():  # about a third of random_scenario's seeds erase a record
+            seed += 1
+            s = generate(seed)
+        rng = np.random.default_rng(insert_seed)
+        erased, _ = s.erased()[int(rng.integers(len(s.erased())))]
+        record = s.events[erased]
+        dims = tuple(s.dims[sl] for sl in s.slots(record.targets))
+        u = random_unitary(rng, math.prod(dims))
+        t = 3 * record.time_index  # every time tripled: two free times after the record
+        s2 = Scenario(s.subsystems, s.initial, tuple(
+            replace(e, time_index=3 * e.time_index) for e in s.events) + (
+            UnitaryEvent(t + 1, record.targets, Operator(dims, u)),
+            UnitaryEvent(t + 2, record.targets, Operator(dims, u.conj().T))))
+        assert s2.agent_event(record.agent)[0] in dilate(s2).reversed_lifts
+        _assert_same_distribution(s, s2)
+
+    def test_hadamard_twice_is_answered(self):
+        had = "1/sqrt(2) 1/sqrt(2) 1/sqrt(2) -1/sqrt(2)"
+        s = parse_scenario(
+            "subsystem sys up down\nstate 0.6 0.8\n"
+            "measure 1 F sys erased up: 1 0 down: 0 1\n"
+            f"unitary 2 sys {had}\nunitary 3 sys {had}\n"
+            "measure 4 W sys retained fail: 1/sqrt(2) 1/sqrt(2) ok: 1/sqrt(2) -1/sqrt(2)\n"
+        )
+        assert dilate(s).reversed_lifts == {0: 2}
+        pd, od = paths.distribution(s), distribution(s)
+        assert cli.equivalence_delta(pd, od) <= 1e-9
+        assert od.probability({"W": "fail"}) == pytest.approx(0.98, abs=1e-12)
 
 
 class TestJointProbability:
@@ -1302,7 +1440,9 @@ class TestErasureTopologies:
             UnitaryEvent(5, ("a", "b"), Operator((2, 2), random_unitary(rng, 4))),
             MeasurementEvent(6, "T", ("a", "b"), random_basis(rng, (2, 2)), Record.RETAINED),
         ))
-        assert [p.event_index for p in dilate(s).frames[4]] == [0, 1]
+        # the unitary acts after both erasers, where no realizability check runs
+        d = dilate(s)
+        assert d.erasure_map == {0: 2, 1: 3} and d.reversed_lifts == {}
         assert self._delta(s)[2] <= 1e-9
 
     def test_unitary_after_an_erased_eraser(self):

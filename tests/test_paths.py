@@ -27,18 +27,14 @@ from pathsum.scenario import (
     MeasurementEvent,
     Record,
     Scenario,
-    ScenarioValidationError,
     SubsystemSpec,
     UnitaryEvent,
     parse_scenario,
     serialize_scenario,
 )
-from pathsum.testing import (
-    erased_qubit_chain,
-    random_scenario,
-    random_unpinned_scenario,
-    random_unrestricted_scenario,
-)
+from pathsum.testing import erased_qubit_chain, random_scenario, random_unpinned_scenario
+
+from conftest import unrestricted_scenarios
 
 SQ12 = 1.0 / math.sqrt(12.0)
 
@@ -663,15 +659,6 @@ def _pinned(scenarios):
         yield s
 
 
-def _unrestricted(seeds):
-    """The valid scenarios ``random_unrestricted_scenario`` gives on ``seeds``."""
-    for seed in seeds:
-        try:
-            yield random_unrestricted_scenario(seed)
-        except ScenarioValidationError:
-            pass
-
-
 def _reference_enumerate_paths(s):
     """The per-path definition of ``enumerate_paths``: split the branch
     states on every measurement, then contract each path's state, one path
@@ -768,7 +755,7 @@ class TestDefinitionalEquivalence:
 
     def test_unrestricted_scenarios_in_the_pinned_class(self):
         # seeds 0-999 give 226 valid scenarios, 29 of them in the pinned class
-        pinned = list(_pinned(_unrestricted(range(1000))))
+        pinned = list(_pinned(unrestricted_scenarios().values()))
         assert len(pinned) == 29
         for s in pinned:
             _assert_matches_definition(s)

@@ -12,25 +12,28 @@ still in place, its coupling is taken in the composite basis that
 entangles the erased ancilla with the erased event's own basis vectors,
 that is, conjugated by the erased event's lift L = F C: the chain of its
 ``CouplingPlan``, its coupling C followed by the lifts F it consumed.  L
-stays active on the record's targets until a later erased measurement
-consumes it into its own lift.  ``evolve`` stores the state with every
-active lift factored out, so conjugating by L costs nothing: an erased
-measurement E that consumes L leaves the stored state as it is,
-(L C_E)^dagger (L C_E L^dagger) L = 1; a retained measurement applies
-only its own coupling; a unitary acts directly on the stored state.
-Active lifts sit on disjoint slots and commute.  ``evolve`` applies each
-chain still active once, after the last event, for ``psi``,
-``joint_probability`` and ``inspect_record``.  ``distribution`` never
-does: a lift acts on erased pointers and their targets only, so it
-commutes with the retained pointer projectors it reads.
+stays active until a later erased measurement consumes it into its own
+lift.  ``evolve`` stores the state with every active lift factored out,
+so conjugating by L costs nothing: an erased measurement E that consumes
+L leaves the stored state as it is, (L C_E)^dagger (L C_E L^dagger) L = 1;
+a retained measurement applies only its own coupling; a unitary acts
+directly on the stored state.  Active lifts that no unitary reversed sit
+on disjoint slots and commute.  ``evolve`` applies each chain still
+active once, after the last event, for ``psi``, ``joint_probability`` and
+``inspect_record``.  ``distribution`` never does: a lift acts on erased
+pointers and subsystems only, so it commutes with the retained pointer
+projectors it reads.
 
-``dilate`` decides from the scenario alone whether the unitaries between
-a record and its eraser leave the erasure realizable: either every one
-commutes with the record's projectors, so the lift is unchanged, or every
-one acts inside the eraser's targets, which then measures in the basis of
-L' = U L U^dagger and runs the laboratory's evolution back (Deutsch's
-reversible friend).  ``evolve`` and ``erasure_basis`` refuse past a
-unitary that reversed a lift; ``distribution`` never applies one.
+A unitary acts directly only where the erasure stays realizable, which
+``dilate`` decides from the scenario alone, at each eraser W.  Either
+every unitary on the lift since its record commutes with the projectors
+of its chain, and L is unchanged; or every unitary on the support the
+record spreads over acts inside W's targets and no other measurement
+meets that support, and W measures in the basis of V L V^dagger, V those
+unitaries, which runs the laboratory's evolution back (Deutsch's
+reversible friend).  The lift then spans that support, and a later
+measurement that meets it must cover the record.  ``evolve`` and
+``erasure_basis`` refuse past a unitary that reversed a lift.
 
 Each pointer axis of the stored state holds one of two ranges of levels,
 kept next to the tensor: {0} (untriggered, length 1) or {1..n} (fired,
@@ -89,8 +92,9 @@ class CouplingPlan:
         The block of the coupling C from pointer 0 to pointers 1..n, all C
         does to an untriggered pointer.
 
-        Built in ``dilate`` for its plans; a plan built elsewhere (a
-        relabelled copy) builds its own on first read, on a stack of one.
+        Built in ``dilate`` for its plans; a plan read earlier (by the
+        realizability check) or built elsewhere (a relabelled copy) builds
+        its own on first read, on a stack of one.
         """
         return _fire_blocks([self.columns])[0]
 
@@ -125,7 +129,7 @@ class DilatedScenario:
     reversed_lifts: dict[int, int]  # erased event index -> time of the unitary reversing its lift
 
     def _refuse_reversed(self, erased_events) -> None:
-        """Refuse the first record whose lift L a unitary U reversed to U L U^dagger."""
+        """Refuse the first record whose lift L the unitaries V reversed to V L V^dagger."""
         for j in erased_events:
             if j in self.reversed_lifts:
                 raise OracleError(f"the unitary at time {self.reversed_lifts[j]} reversed the "
@@ -210,21 +214,27 @@ def dilate(s: Scenario) -> DilatedScenario:
 
     couplings = []
     erasure_map: dict[int, int] = {}
+    reversed_lifts: dict[int, int] = {}
     # erased record's target slots -> its plan; the keys are pairwise disjoint
     active: dict[frozenset[int], CouplingPlan] = {}
-    between: dict[CouplingPlan, list[int]] = {}  # erased record -> unitaries before its eraser
+    span: dict[CouplingPlan, set[int]] = {}  # erased record -> the subsystems its lift acts on
+    # erased record before its eraser -> its support (its span and the targets
+    # of every unitary on the support since) and the events on that support
+    pending: dict[CouplingPlan, tuple[set[int], list[int]]] = {}
     for i, e in enumerate(s.events):
         tslots = s.slots(e.targets)
-        hit = [key for key in active if key.intersection(tslots)]
         if isinstance(e, UnitaryEvent):
-            for p in [active[key] for key in hit if active[key].event_index not in erasure_map]:
-                between.setdefault(p, []).append(i)
+            for support, on in pending.values():
+                if support.intersection(tslots):
+                    support.update(tslots)
+                    on.append(i)
             continue
+        hit = [key for key, p in active.items() if span[p].intersection(tslots)]
         for key in hit:
             if not key.issubset(tslots):
                 raise OracleError(
                     f"measurement by {e.agent!r} overlaps an erased record on "
-                    f"subsystem slots {sorted(key)} without covering it; "
+                    f"subsystem slots {sorted(span[active[key]])} without covering it; "
                     f"no composite-basis erasure exists"
                 )
         plan = CouplingPlan(i, (ancillas[i],) + tslots, e.basis.matrix,
@@ -233,11 +243,17 @@ def dilate(s: Scenario) -> DilatedScenario:
         for p in plan.lifts:
             # the first consumer is the eraser; later measurements through
             # the same lift do not destroy anything new
-            erasure_map.setdefault(p.event_index, i)
+            if erasure_map.setdefault(p.event_index, i) == i:
+                support, on = pending.pop(p)
+                if _lift_reversed(s, p, span[p], e, on, reversed_lifts):
+                    span[p] = support
+        for support, on in pending.values():
+            if support.intersection(tslots):
+                on.append(i)
         if e.record is Record.ERASED:
-            for key in hit:
-                del active[key]
+            span[plan] = set(tslots).union(*[span.pop(active.pop(key)) for key in hit])
             active[frozenset(tslots)] = plan
+            pending[plan] = (set(span[plan]), [])
 
     # every fire block, one stacked product per (side, n) shape, after the budget above
     shapes: dict[tuple[int, int], list[CouplingPlan]] = {}
@@ -246,40 +262,58 @@ def dilate(s: Scenario) -> DilatedScenario:
     for plans in shapes.values():
         for plan, block in zip(plans, _fire_blocks([p.columns for p in plans])):
             plan.__dict__["fire_block"] = block  # the cached_property's slot
-
-    reversed_lifts = {}
-    for p, unitaries in between.items():
-        # realizable if every U commutes with P_k or every U acts inside the eraser's targets
-        residual = [(s.events[u].time_index, _commutator(s, p, s.events[u])) for u in unitaries]
-        moved = [(t, r) for t, r in residual if r > ATOL_STRUCT]
-        eraser = s.events[erasure_map[p.event_index]]
-        inside = set(s.slots(eraser.targets)).issuperset
-        if moved and not all(inside(s.slots(s.events[u].targets)) for u in unitaries):
-            raise OracleError(
-                f"erased record was disturbed before {eraser.agent!r}'s measurement by the "
-                f"unitary at time {moved[0][0]} (commutator residual {moved[0][1]:.3g}), and not "
-                f"every unitary in between acts inside its targets; this erasure is not realizable"
-            )
-        if moved:
-            reversed_lifts[p.event_index] = moved[0][0]
     return DilatedScenario(s, dims, ancillas, tuple(couplings), erasure_map, reversed_lifts)
 
 
-def _commutator(s: Scenario, p: CouplingPlan, u: UnitaryEvent) -> float:
-    """max_k ||[U, P_k]||_F, for the unitary event ``u`` and the record ``p``'s projectors,
-    from ``p``'s fire block and U, each applied to an identity over their slots' union."""
-    union = sorted(set(p.slots[1:]).union(s.slots(u.targets)))
+def _lift_reversed(s: Scenario, p: CouplingPlan, span, eraser, on, reversed_lifts) -> bool:
+    """Whether the unitaries among the events ``on`` the erased record ``p``'s
+    support before its ``eraser`` reversed its lift L, which acts on
+    ``span``; a reversed one is put in ``reversed_lifts``.  Refuses an
+    erasure they leave unrealizable.  A chain holding a reversed lift is
+    reversed by any unitary on ``span``."""
+    for u in [s.events[j] for j in on]:
+        if isinstance(u, UnitaryEvent) and span.intersection(s.slots(u.targets)):
+            chain_reversed = any(q.event_index in reversed_lifts for q in p.consumed)
+            residual = math.inf if chain_reversed else _commutator(s, p.chain, u)
+            if residual**2 > ATOL_STRUCT:  # a population, like the norm check's
+                break
+    else:
+        return False
+    inside = set(s.slots(eraser.targets)).issuperset
+    for f in [s.events[j] for j in on]:
+        if not (isinstance(f, UnitaryEvent) and inside(s.slots(f.targets))):
+            what = (f"the unitary at time {f.time_index} acts on its support beyond its targets"
+                    if isinstance(f, UnitaryEvent) else
+                    f"{f.agent!r}'s measurement at time {f.time_index} meets its support")
+            raise OracleError(
+                f"erased record was disturbed before {eraser.agent!r}'s measurement by the "
+                f"unitary at time {u.time_index} (commutator residual {residual:.3g}), "
+                f"and {what}; this erasure is not realizable"
+            )
+    reversed_lifts[p.event_index] = u.time_index
+    return True
+
+
+def _commutator(s: Scenario, chain, u: UnitaryEvent) -> float:
+    """max_k ||[U, P_k]||_F over the couplings in ``chain`` and the unitary event
+    ``u``, each applied to an identity over the union of their slots."""
+    union = sorted(set(chain[0].slots[1:]).union(s.slots(u.targets)))
     axis = {slot: a for a, slot in enumerate(union, 1)}  # axis 0 is the pointer
     dims = [s.dims[sl] for sl in union]
-    side, n = math.prod(dims), p.columns.shape[1]
-    check_budget(n * side * side, len(union) + 2, OracleError, "commutator needs")
+    side = math.prod(dims)
+    check_budget(max([q.columns.shape[1] for q in chain]) * side * side, len(union) + 2,
+                 OracleError, "commutator needs")
     eye = np.eye(side, dtype=complex).reshape([1] + dims + [side])
-    tdims = tuple(s.dims[sl] for sl in p.slots[1:])
-    proj = apply_to_slots(p.fire_block, (n,) + tdims, (0,) + tuple(axis[sl] for sl in p.slots[1:]),
-                          eye, (1,) + tdims).reshape(n, side, side)
-    op = apply_to_slots(u.op.entries, u.op.dims, tuple(axis[sl] for sl in s.slots(u.targets)),
+    op = apply_to_slots(u.op.entries, u.op.dims, [axis[sl] for sl in s.slots(u.targets)],
                         eye).reshape(side, side)
-    return float(np.linalg.norm(proj @ op - op @ proj, axis=(1, 2)).max())
+    residual = 0.0
+    for q in chain:
+        tdims = tuple(s.dims[sl] for sl in q.slots[1:])
+        proj = apply_to_slots(q.fire_block, q.columns.shape[1:] + tdims,
+                              [0] + [axis[sl] for sl in q.slots[1:]], eye, (1,) + tdims)
+        proj = proj.reshape(-1, side, side)
+        residual = max(residual, np.linalg.norm(proj @ op - op @ proj, axis=(1, 2)).max())
+    return float(residual)
 
 
 def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
@@ -431,8 +465,9 @@ def distribution(s: Scenario) -> OutcomeDistribution:
     """Full retained-outcome distribution from pointer projectors.
 
     Read from the walked state; the lifts still active are never applied.
-    They hold only erased measurements' couplings, on erased pointers and
-    their targets, so they commute with every retained pointer projector.
+    They hold only erased measurements' couplings, and the unitaries of a
+    reversed lift, on erased pointers and subsystems, so they commute with
+    every retained pointer projector.
     One reduction: every retained pointer is fired, so its stored levels
     are 1..n; sum |psi|^2 over all axes but the retained pointers, whose
     slots are in time order, which leaves the tuples in row-major order.

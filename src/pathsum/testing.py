@@ -40,6 +40,7 @@ from .scenario import (
     MeasurementEvent,
     Record,
     Scenario,
+    ScenarioValidationError,
     SubsystemSpec,
     UnitaryEvent,
 )
@@ -222,3 +223,16 @@ def random_unrestricted_scenario(seed: int) -> Scenario:
             events.append(MeasurementEvent(time, f"A{time}", targets,
                                            random_basis(rng, tdims), record))
     return Scenario(subsystems, initial, tuple(events))
+
+
+@functools.cache
+def unrestricted_scenarios(seeds: range = range(1000)) -> dict[int, Scenario]:
+    """Seed -> the valid scenario ``random_unrestricted_scenario`` gives on it,
+    for ``seeds``: 226 of seeds 0-999.  Built once per ``seeds``."""
+    valid = {}
+    for seed in seeds:
+        try:
+            valid[seed] = random_unrestricted_scenario(seed)
+        except ScenarioValidationError:
+            pass
+    return valid

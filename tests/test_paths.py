@@ -32,9 +32,12 @@ from pathsum.scenario import (
     parse_scenario,
     serialize_scenario,
 )
-from pathsum.testing import erased_qubit_chain, random_scenario, random_unpinned_scenario
-
-from conftest import unrestricted_scenarios
+from pathsum.testing import (
+    erased_qubit_chain,
+    random_scenario,
+    random_unpinned_scenario,
+    unrestricted_scenarios,
+)
 
 SQ12 = 1.0 / math.sqrt(12.0)
 

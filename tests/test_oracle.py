@@ -813,9 +813,11 @@ def _assert_matches_eager(s):
 
 
 def _unitary_after_eraser(d):
-    """Whether a unitary acts on an erased record's subsystems after its eraser."""
+    """Whether a unitary acts on an erased record's subsystems after its
+    eraser; a record a unitary moved counts its eraser's, which hold it."""
     events = d.base.events
-    return any(isinstance(f, UnitaryEvent) and set(f.targets) & set(events[i].targets)
+    return any(isinstance(f, UnitaryEvent)
+               and set(f.targets) & set(events[j if i in d.reversed_lifts else i].targets)
                for i, j in d.erasure_map.items() for f in events[j + 1:])
 
 

@@ -25,15 +25,17 @@ pointers and subsystems only, so it commutes with the retained pointer
 projectors it reads.
 
 A unitary acts directly only where the erasure stays realizable, which
-``dilate`` decides from the scenario alone, at each eraser W.  Either
-every unitary on the lift since its record commutes with the projectors
-of its chain, and L is unchanged; or every unitary on the support the
-record spreads over acts inside W's targets and no other measurement
-meets that support, and W measures in the basis of V L V^dagger, V those
-unitaries, which runs the laboratory's evolution back (Deutsch's
-reversible friend).  The lift then spans that support, and a later
-measurement that meets it must cover the record.  ``evolve`` and
-``erasure_basis`` refuse past a unitary that reversed a lift.
+``dilate`` decides from the scenario alone, at each eraser W, from the
+events between W and the record it erases.  The record's support starts
+as the subsystems its lift acts on and grows by the targets of every
+unitary that meets it.  Either every unitary on the lift commutes with the
+projectors of its chain, and L is unchanged; or every unitary on the
+support acts inside W's targets and no other measurement meets the
+support, and W measures in the basis of V L V^dagger, V those unitaries,
+which runs the laboratory's evolution back (Deutsch's reversible friend).
+The lift then spans the support, and a later measurement that meets it
+must cover the record.  ``evolve`` and ``erasure_basis`` refuse past a
+unitary that reversed a lift.
 
 Each pointer axis of the stored state holds one of two ranges of levels,
 kept next to the tensor: {0} (untriggered, length 1) or {1..n} (fired,
@@ -45,8 +47,8 @@ run is budgeted on what it stores, on one axis per subsystem and per
 measurement: ``evolve`` stores the base dims times every outcome count,
 ``distribution`` the base dims times the retained ones (the path engine's
 count, checked before ``dilate`` runs).  ``dilate`` budgets the couplings'
-fire blocks, which it then builds in one stacked product per (side, n)
-shape.  The walk checks the norm after every event it applies.
+fire blocks and builds them all before its pass, in one stacked product
+per (side, n) shape.  The walk checks the norm after every event it applies.
 ``DilatedState.psi`` spans the full dilated dims; it is built on first
 access, and budgeted then.
 
@@ -84,19 +86,9 @@ class CouplingPlan:
     slots: tuple[int, ...]  # (ancilla slot, *target slots)
     columns: np.ndarray = field(repr=False)  # basis vectors w_k, in label order
     lifts: tuple[CouplingPlan, ...]  # the erased records' plans this measurement consumed
-
-    @cached_property
-    def fire_block(self) -> np.ndarray:
-        """Rows (k, targets), columns targets: the projectors P_k stacked.
-
-        The block of the coupling C from pointer 0 to pointers 1..n, all C
-        does to an untriggered pointer.
-
-        Built in ``dilate`` for its plans; a plan read earlier (by the
-        realizability check) or built elsewhere (a relabelled copy) builds
-        its own on first read, on a stack of one.
-        """
-        return _fire_blocks([self.columns])[0]
+    # rows (k, targets), columns targets: the projectors P_k stacked, the block
+    # of the coupling C from pointer 0 to pointers 1..n; built by ``dilate``
+    fire_block: np.ndarray = field(repr=False)
 
     @property  # not cached: a plan holding a tuple of itself would be a reference cycle
     def chain(self) -> tuple[CouplingPlan, ...]:
@@ -212,75 +204,69 @@ def dilate(s: Scenario) -> DilatedScenario:
             f"couplings need {n_entries} matrix entries, over the budget of {MAX_AMPLITUDES}"
         )
 
+    # every fire block, one stacked product per (side, n) shape, after the budget above
+    shapes: dict[tuple[int, int], list[int]] = {}
+    for i, e in measurements:
+        shapes.setdefault(e.basis.matrix.shape, []).append(i)
+    blocks = {}
+    for events in shapes.values():
+        blocks.update(zip(events, _fire_blocks([s.events[i].basis.matrix for i in events])))
+
     couplings = []
     erasure_map: dict[int, int] = {}
     reversed_lifts: dict[int, int] = {}
-    # erased record's target slots -> its plan; the keys are pairwise disjoint
-    active: dict[frozenset[int], CouplingPlan] = {}
-    span: dict[CouplingPlan, set[int]] = {}  # erased record -> the subsystems its lift acts on
-    # erased record before its eraser -> its support (its span and the targets
-    # of every unitary on the support since) and the events on that support
-    pending: dict[CouplingPlan, tuple[set[int], list[int]]] = {}
+    # erased record -> the subsystems its lift acts on; the records' own
+    # targets are pairwise disjoint, and this order is each plan's ``lifts``'
+    active: dict[CouplingPlan, set[int]] = {}
     for i, e in enumerate(s.events):
-        tslots = s.slots(e.targets)
         if isinstance(e, UnitaryEvent):
-            for support, on in pending.values():
-                if support.intersection(tslots):
-                    support.update(tslots)
-                    on.append(i)
             continue
-        hit = [key for key, p in active.items() if span[p].intersection(tslots)]
-        for key in hit:
-            if not key.issubset(tslots):
+        tslots = s.slots(e.targets)
+        hit = [p for p, span in active.items() if span.intersection(tslots)]
+        for p in hit:
+            if not set(tslots).issuperset(p.slots[1:]):
                 raise OracleError(
                     f"measurement by {e.agent!r} overlaps an erased record on "
-                    f"subsystem slots {sorted(span[active[key]])} without covering it; "
+                    f"subsystem slots {sorted(active[p])} without covering it; "
                     f"no composite-basis erasure exists"
                 )
-        plan = CouplingPlan(i, (ancillas[i],) + tslots, e.basis.matrix,
-                            tuple([active[key] for key in hit]))
+        plan = CouplingPlan(i, (ancillas[i],) + tslots, e.basis.matrix, tuple(hit), blocks[i])
         couplings.append(plan)
-        for p in plan.lifts:
+        for p in hit:
             # the first consumer is the eraser; later measurements through
             # the same lift do not destroy anything new
             if erasure_map.setdefault(p.event_index, i) == i:
-                support, on = pending.pop(p)
-                if _lift_reversed(s, p, span[p], e, on, reversed_lifts):
-                    span[p] = support
-        for support, on in pending.values():
-            if support.intersection(tslots):
-                on.append(i)
+                active[p] = _lift_reversed(s, p, active[p], i, reversed_lifts) or active[p]
         if e.record is Record.ERASED:
-            span[plan] = set(tslots).union(*[span.pop(active.pop(key)) for key in hit])
-            active[frozenset(tslots)] = plan
-            pending[plan] = (set(span[plan]), [])
-
-    # every fire block, one stacked product per (side, n) shape, after the budget above
-    shapes: dict[tuple[int, int], list[CouplingPlan]] = {}
-    for plan in couplings:
-        shapes.setdefault(plan.columns.shape, []).append(plan)
-    for plans in shapes.values():
-        for plan, block in zip(plans, _fire_blocks([p.columns for p in plans])):
-            plan.__dict__["fire_block"] = block  # the cached_property's slot
+            active[plan] = set(tslots).union(*[active.pop(p) for p in hit])
     return DilatedScenario(s, dims, ancillas, tuple(couplings), erasure_map, reversed_lifts)
 
 
-def _lift_reversed(s: Scenario, p: CouplingPlan, span, eraser, on, reversed_lifts) -> bool:
-    """Whether the unitaries among the events ``on`` the erased record ``p``'s
-    support before its ``eraser`` reversed its lift L, which acts on
-    ``span``; a reversed one is put in ``reversed_lifts``.  Refuses an
-    erasure they leave unrealizable.  A chain holding a reversed lift is
-    reversed by any unitary on ``span``."""
-    for u in [s.events[j] for j in on]:
+def _lift_reversed(s: Scenario, p: CouplingPlan, span, eraser_index, reversed_lifts):
+    """The support the erased record ``p``'s lift L spans if the unitaries
+    between ``p`` and its eraser reversed L, else None.  L acts on
+    ``span``; the support is ``span`` grown by the targets of every unitary
+    that meets it.  A reversed lift is put in ``reversed_lifts``; an
+    erasure the events on the support leave unrealizable is refused.  A
+    chain holding a reversed lift is reversed by any unitary on ``span``."""
+    support, on = set(span), []  # ``on``: the events that meet the support, in time order
+    for f in s.events[p.event_index + 1:eraser_index]:
+        tslots = s.slots(f.targets)
+        if support.intersection(tslots):
+            if isinstance(f, UnitaryEvent):
+                support.update(tslots)
+            on.append(f)
+    for u in on:
         if isinstance(u, UnitaryEvent) and span.intersection(s.slots(u.targets)):
             chain_reversed = any(q.event_index in reversed_lifts for q in p.consumed)
             residual = math.inf if chain_reversed else _commutator(s, p.chain, u)
             if residual**2 > ATOL_STRUCT:  # a population, like the norm check's
                 break
     else:
-        return False
+        return None
+    eraser = s.events[eraser_index]
     inside = set(s.slots(eraser.targets)).issuperset
-    for f in [s.events[j] for j in on]:
+    for f in on:
         if not (isinstance(f, UnitaryEvent) and inside(s.slots(f.targets))):
             what = (f"the unitary at time {f.time_index} acts on its support beyond its targets"
                     if isinstance(f, UnitaryEvent) else
@@ -291,12 +277,16 @@ def _lift_reversed(s: Scenario, p: CouplingPlan, span, eraser, on, reversed_lift
                 f"and {what}; this erasure is not realizable"
             )
     reversed_lifts[p.event_index] = u.time_index
-    return True
+    return support
 
 
 def _commutator(s: Scenario, chain, u: UnitaryEvent) -> float:
     """max_k ||[U, P_k]||_F over the couplings in ``chain`` and the unitary event
-    ``u``, each applied to an identity over the union of their slots."""
+    ``u``, each applied to an identity over the union of their slots.
+
+    One projector at a time: the check holds five side^2 arrays (the
+    identity, U, P_k and the two products), not the n-projector stack it is
+    budgeted on."""
     union = sorted(set(chain[0].slots[1:]).union(s.slots(u.targets)))
     axis = {slot: a for a, slot in enumerate(union, 1)}  # axis 0 is the pointer
     dims = [s.dims[sl] for sl in union]
@@ -308,11 +298,13 @@ def _commutator(s: Scenario, chain, u: UnitaryEvent) -> float:
                         eye).reshape(side, side)
     residual = 0.0
     for q in chain:
-        tdims = tuple(s.dims[sl] for sl in q.slots[1:])
-        proj = apply_to_slots(q.fire_block, q.columns.shape[1:] + tdims,
-                              [0] + [axis[sl] for sl in q.slots[1:]], eye, (1,) + tdims)
-        proj = proj.reshape(-1, side, side)
-        residual = max(residual, np.linalg.norm(proj @ op - op @ proj, axis=(1, 2)).max())
+        tdims = (1,) + tuple(s.dims[sl] for sl in q.slots[1:])
+        slots = [0] + [axis[sl] for sl in q.slots[1:]]
+        for rows in np.split(q.fire_block, q.columns.shape[1]):
+            proj = apply_to_slots(rows, tdims, slots, eye, tdims).reshape(side, side)
+            # axis=(0, 1) sums |.|^2 as the stacked check did, bit for bit;
+            # without it the norm takes a dot product instead
+            residual = max(residual, np.linalg.norm(proj @ op - op @ proj, axis=(0, 1)))
     return float(residual)
 
 
@@ -469,15 +461,14 @@ def distribution(s: Scenario) -> OutcomeDistribution:
     reversed lift, on erased pointers and subsystems, so they commute with
     every retained pointer projector.
     One reduction: every retained pointer is fired, so its stored levels
-    are 1..n; sum |psi|^2 over all axes but the retained pointers, whose
-    slots are in time order, which leaves the tuples in row-major order.
+    are 1..n, and every erased one is an untriggered axis of length 1; sum
+    |psi|^2 over the subsystem axes, which leaves the retained pointers, in
+    time order, and the tuples in row-major order.
     """
     _check_stored(s, s.retained())
-    d = dilate(s)
-    state = _walk(d, None)[0]
-    pointers = {d.ancillas[i] for i, _ in s.retained()}
+    state = _walk(dilate(s), None)[0]
     density = state.real**2 + state.imag**2
     del state  # the stored state, and the density below, are released before the table is built
-    weights = density.sum(axis=tuple([x for x in range(density.ndim) if x not in pointers]))
+    weights = density.sum(axis=tuple(range(len(s.dims))))
     del density
     return outcome_distribution(weights.reshape(-1), s, OracleError)

@@ -342,6 +342,29 @@ class TestCommutatorBudget:
         assert d.reversed_lifts == {}
         _assert_matches_eager(s)
 
+    def test_check_peaks_within_twice_its_budget(self):
+        # a record on a 4-level a and a unitary over a 64-level b and a: the
+        # budget is 4 projectors over 256 levels, 4 MiB; the check holds one
+        # projector at a time
+        rng = np.random.default_rng(6)
+        subsystems = tuple(SubsystemSpec(name, dim, tuple(f"{name}{k}" for k in range(dim)))
+                           for name, dim in (("a", 4), ("b", 64)))
+        s = Scenario(subsystems, StateVector((4, 64), random_state(rng, 256).amps), (
+            MeasurementEvent(1, "F", ("a",), random_basis(rng, (4,)), Record.ERASED),
+            MeasurementEvent(2, "W", ("a",), random_basis(rng, (4,)), Record.RETAINED),
+            UnitaryEvent(3, ("b", "a"), Operator((64, 4), random_unitary(rng, 256))),
+            MeasurementEvent(4, "X", ("a",), random_basis(rng, (4,)), Record.RETAINED),
+        ))
+        chain = dilate(s).couplings[0].chain
+        tracemalloc.start()
+        try:
+            residual = oracle._commutator(s, chain, s.events[2])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert residual > 1
+        assert peak <= 2 * (4 * 256**2) * 16
+
 
 class TestStoredBudget:
     """The 16-chain, erased or all retained, stores 2 * 2^16 amplitudes, within
@@ -1125,9 +1148,9 @@ def _single_fire_block(plan):
 
 
 class TestFireBlocks:
-    """``dilate`` builds its plans' fire blocks in one stacked product per
-    (side, n) shape; every block is bit for bit the plan's own product, and
-    a relabelled copy, built outside ``dilate``, builds the same block."""
+    """``dilate`` builds every plan's fire block before its pass, in one
+    stacked product per (side, n) shape; every block is bit for bit the
+    plan's own product, and a relabelled copy carries its plan's block."""
 
     @staticmethod
     def _mixed_shapes():
@@ -1169,22 +1192,42 @@ class TestFireBlocks:
         pd, od = paths.distribution(s), distribution(s)
         assert cli.equivalence_delta(pd, od) <= 1e-9
 
-    def test_relabelled_copies_build_the_same_block(self, monkeypatch):
+    def test_relabelled_copies_carry_the_plans_block(self, monkeypatch):
         real, copies = oracle._couple, []
 
         def spy(plan, *args):
-            copies.append((plan, "fire_block" in vars(plan)))
+            copies.append(plan)
             return real(plan, *args)
 
         monkeypatch.setattr(oracle, "_couple", spy)
         for s in self._scenarios():
             d = dilate(s)
+            built = {p.event_index: p.fire_block for p in d.couplings}
             for erased in d.erasure_map:
                 d.erasure_basis(erased)
-        assert len(copies) > 100
-        for plan, built in copies:
-            assert not built  # a copy's block is built on first read
-            assert np.array_equal(plan.fire_block, _single_fire_block(plan))
+            for plan in copies:
+                assert plan.fire_block is built[plan.event_index]
+                assert np.array_equal(plan.fire_block, _single_fire_block(plan))
+            copies.clear()
+
+    @pytest.mark.parametrize("regime", [library.RegimeTag.BOTH_ERASED,
+                                        library.RegimeTag.F_PRESERVED])
+    def test_one_stacked_product_per_shape(self, monkeypatch, regime):
+        # the realizability check reads the erased records' blocks mid-pass:
+        # they exist already, so the four qubit measurements are one stack
+        real, stacks = oracle._fire_blocks, []
+
+        def spy(columns):
+            stacks.append(len(columns))
+            return real(columns)
+
+        monkeypatch.setattr(oracle, "_fire_blocks", spy)
+        dilate(library.two_wigners(regime))
+        assert stacks == [4]
+        for s in self._scenarios():
+            stacks.clear()
+            shapes = [p.columns.shape for p in dilate(s).couplings]
+            assert stacks == [shapes.count(shape) for shape in dict.fromkeys(shapes)]
 
 
 def _answered_unrestricted_scenario(seed):

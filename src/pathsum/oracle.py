@@ -284,27 +284,33 @@ def _commutator(s: Scenario, chain, u: UnitaryEvent) -> float:
     """max_k ||[U, P_k]||_F over the couplings in ``chain`` and the unitary event
     ``u``, each applied to an identity over the union of their slots.
 
-    One projector at a time: the check holds five side^2 arrays (the
-    identity, U, P_k and the two products), not the n-projector stack it is
-    budgeted on."""
+    One projector at a time, each from its own identity, which is dropped
+    once P_k is built: the check holds at most four side^2 arrays (U, P_k and
+    the two products), not the n-projector stack it is budgeted on."""
     union = sorted(set(chain[0].slots[1:]).union(s.slots(u.targets)))
     axis = {slot: a for a, slot in enumerate(union, 1)}  # axis 0 is the pointer
     dims = [s.dims[sl] for sl in union]
     side = math.prod(dims)
     check_budget(max([q.columns.shape[1] for q in chain]) * side * side, len(union) + 2,
                  OracleError, "commutator needs")
-    eye = np.eye(side, dtype=complex).reshape([1] + dims + [side])
+
+    def eye():
+        return np.eye(side, dtype=complex).reshape([1] + dims + [side])
+
     op = apply_to_slots(u.op.entries, u.op.dims, [axis[sl] for sl in s.slots(u.targets)],
-                        eye).reshape(side, side)
+                        eye()).reshape(side, side)
     residual = 0.0
     for q in chain:
         tdims = (1,) + tuple(s.dims[sl] for sl in q.slots[1:])
         slots = [0] + [axis[sl] for sl in q.slots[1:]]
         for rows in np.split(q.fire_block, q.columns.shape[1]):
-            proj = apply_to_slots(rows, tdims, slots, eye, tdims).reshape(side, side)
-            # axis=(0, 1) sums |.|^2 as the stacked check did, bit for bit;
-            # without it the norm takes a dot product instead
-            residual = max(residual, np.linalg.norm(proj @ op - op @ proj, axis=(0, 1)))
+            proj = apply_to_slots(rows, tdims, slots, eye(), tdims).reshape(side, side)
+            comm = proj @ op
+            comm -= op @ proj
+            del proj  # the norm below takes two temporaries of its own
+            # axis=(0, 1) sums |.|^2 elementwise; without it the norm takes a
+            # dot product, which rounds differently
+            residual = max(residual, np.linalg.norm(comm, axis=(0, 1)))
     return float(residual)
 
 

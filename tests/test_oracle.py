@@ -342,18 +342,22 @@ class TestCommutatorBudget:
         assert d.reversed_lifts == {}
         _assert_matches_eager(s)
 
-    def test_check_peaks_within_twice_its_budget(self):
-        # a record on a 4-level a and a unitary over a 64-level b and a: the
-        # budget is 4 projectors over 256 levels, 4 MiB; the check holds one
-        # projector at a time
+    @pytest.mark.parametrize("levels", [4, 2])
+    def test_check_peaks_within_twice_its_budget(self, levels):
+        # a record on a 4- or 2-level a and a unitary over a and b, 256 levels
+        # in all: the budget is 4 or 2 projectors, 4 or 2 MiB; the check holds
+        # U, one projector and its two products, 4 MiB, plus a few KiB of
+        # bookkeeping
         rng = np.random.default_rng(6)
         subsystems = tuple(SubsystemSpec(name, dim, tuple(f"{name}{k}" for k in range(dim)))
-                           for name, dim in (("a", 4), ("b", 64)))
-        s = Scenario(subsystems, StateVector((4, 64), random_state(rng, 256).amps), (
-            MeasurementEvent(1, "F", ("a",), random_basis(rng, (4,)), Record.ERASED),
-            MeasurementEvent(2, "W", ("a",), random_basis(rng, (4,)), Record.RETAINED),
-            UnitaryEvent(3, ("b", "a"), Operator((64, 4), random_unitary(rng, 256))),
-            MeasurementEvent(4, "X", ("a",), random_basis(rng, (4,)), Record.RETAINED),
+                           for name, dim in (("a", levels), ("b", 256 // levels)))
+        s = Scenario(subsystems, StateVector((levels, 256 // levels),
+                                             random_state(rng, 256).amps), (
+            MeasurementEvent(1, "F", ("a",), random_basis(rng, (levels,)), Record.ERASED),
+            MeasurementEvent(2, "W", ("a",), random_basis(rng, (levels,)), Record.RETAINED),
+            UnitaryEvent(3, ("b", "a"), Operator((256 // levels, levels),
+                                                 random_unitary(rng, 256))),
+            MeasurementEvent(4, "X", ("a",), random_basis(rng, (levels,)), Record.RETAINED),
         ))
         chain = dilate(s).couplings[0].chain
         tracemalloc.start()
@@ -363,7 +367,7 @@ class TestCommutatorBudget:
         finally:
             tracemalloc.stop()
         assert residual > 1
-        assert peak <= 2 * (4 * 256**2) * 16
+        assert peak <= 2 * (levels * 256**2) * 16 + (64 << 10)
 
 
 class TestStoredBudget:
@@ -1200,6 +1204,7 @@ class TestFireBlocks:
             return real(plan, *args)
 
         monkeypatch.setattr(oracle, "_couple", spy)
+        total = 0
         for s in self._scenarios():
             d = dilate(s)
             built = {p.event_index: p.fire_block for p in d.couplings}
@@ -1208,7 +1213,9 @@ class TestFireBlocks:
             for plan in copies:
                 assert plan.fire_block is built[plan.event_index]
                 assert np.array_equal(plan.fire_block, _single_fire_block(plan))
+            total += len(copies)
             copies.clear()
+        assert total > 100
 
     @pytest.mark.parametrize("regime", [library.RegimeTag.BOTH_ERASED,
                                         library.RegimeTag.F_PRESERVED])

@@ -108,10 +108,6 @@ class StateVector:
         amps = _frozen_array(self.amps, shape=(math.prod(self.dims),))
         object.__setattr__(self, "amps", amps)
 
-    @property
-    def dim(self) -> int:
-        return self.amps.shape[0]
-
     def norm(self) -> float:
         return self._norm
 

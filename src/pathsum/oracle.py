@@ -117,7 +117,6 @@ class DilatedScenario:
     dims: tuple[int, ...]  # base dims followed by ancilla dims, event order
     ancillas: dict[int, int]  # measurement event index -> its pointer slot
     couplings: tuple[CouplingPlan, ...]
-    erasure_map: dict[int, int]  # erased event index -> eraser event index
     reversed_lifts: dict[int, int]  # erased event index -> time of the unitary reversing its lift
 
     def _refuse_reversed(self, erased_events) -> None:
@@ -135,7 +134,7 @@ class DilatedScenario:
         Built on call: the run never reads it, only inspection does.  The
         composite dims are budgeted first; a reversed lift in L is refused.
         """
-        i = self.erasure_map[erased_event]
+        i = self.base.erasers()[erased_event]
         plan = next(p for p in self.couplings if p.event_index == i)
         self._refuse_reversed([q.event_index for q in plan.consumed])
         composite = plan.consumed_anc_slots + plan.slots[1:]
@@ -212,8 +211,7 @@ def dilate(s: Scenario) -> DilatedScenario:
     for events in shapes.values():
         blocks.update(zip(events, _fire_blocks([s.events[i].basis.matrix for i in events])))
 
-    couplings = []
-    erasure_map: dict[int, int] = {}
+    couplings, erasers = [], s.erasers()
     reversed_lifts: dict[int, int] = {}
     # erased record -> the subsystems its lift acts on; the records' own
     # targets are pairwise disjoint, and this order is each plan's ``lifts``'
@@ -233,13 +231,12 @@ def dilate(s: Scenario) -> DilatedScenario:
         plan = CouplingPlan(i, (ancillas[i],) + tslots, e.basis.matrix, tuple(hit), blocks[i])
         couplings.append(plan)
         for p in hit:
-            # the first consumer is the eraser; later measurements through
-            # the same lift do not destroy anything new
-            if erasure_map.setdefault(p.event_index, i) == i:
+            # later measurements through the same lift destroy nothing new
+            if erasers[p.event_index] == i:
                 active[p] = _lift_reversed(s, p, active[p], i, reversed_lifts) or active[p]
         if e.record is Record.ERASED:
             active[plan] = set(tslots).union(*[active.pop(p) for p in hit])
-    return DilatedScenario(s, dims, ancillas, tuple(couplings), erasure_map, reversed_lifts)
+    return DilatedScenario(s, dims, ancillas, tuple(couplings), reversed_lifts)
 
 
 def _lift_reversed(s: Scenario, p: CouplingPlan, span, eraser_index, reversed_lifts):
@@ -449,7 +446,7 @@ def inspect_record(st: DilatedState, agent: str, pointer_label: str | None,
         raise ValueError(
             f"record of agent {agent!r} is retained; use joint_probability"
         )
-    eraser_time = d.base.events[d.erasure_map[i]].time_index
+    eraser_time = d.base.events[d.base.erasers()[i]].time_index
     if st.time_index < eraser_time:
         raise OracleError(
             f"state at time {st.time_index} has not evolved past the erasing "

@@ -179,15 +179,14 @@ def _engine_preconditions(s: Scenario) -> tuple[int, ...]:
                     f"unitary at time {e.time_index} acts on {late[0]!r} "
                     f"after its last measurement"
                 )
+    # no unitary follows a last measurement, so an event after a joint
+    # measurement on its targets means a later measurement on one of them
     for i, e in s.measurements():
-        if len(e.targets) < 2:
-            continue
-        for j, f in enumerate(s.events):
-            if j > i and set(f.targets) & set(e.targets):
-                raise PathEngineError(
-                    f"joint measurement by {e.agent!r} is followed by another "
-                    f"event on its targets; entangled branch states cannot be split"
-                )
+        if len(e.targets) > 1 and any(last[slot] != i for slot in s.slots(e.targets)):
+            raise PathEngineError(
+                f"joint measurement by {e.agent!r} is followed by another "
+                f"event on its targets; entangled branch states cannot be split"
+            )
     return tuple(sorted(set(last.values())))
 
 

@@ -12,7 +12,6 @@ The ``.scn`` format is line oriented (UTF-8, ``#`` comments)::
     state COMPLEX...                      # prod(dims) amplitudes, row-major
     unitary TIME TARGETS COMPLEX...       # d^2 matrix entries, row-major
     measure TIME AGENT TARGETS RECORD (LABEL: COMPLEX...)...
-    final TIME                            # optional, defaults to last event
 
     TIME    := [0-9]+                     # ASCII digits only
     TARGETS := NAME[,NAME...]             # coordinate order as written
@@ -142,8 +141,9 @@ class Scenario:
     Constructing one enforces every scenario rule; a violation raises
     ScenarioValidationError naming the first rule broken.  A valid scenario
     then derives its index once: its dims, the slot of each subsystem name,
-    its measurements, retained and erased, the (agent, label) axes of its
-    retained outcomes and its regime tag, which every reader shares.
+    its measurements, retained and erased, each erased record's eraser, the
+    (agent, label) axes of its retained outcomes and its regime tag, which
+    every reader shares.
     The index is not a field, so equality, repr and ``dataclasses.replace``
     see only the fields, and a replaced scenario derives its own.
     """
@@ -151,7 +151,6 @@ class Scenario:
     subsystems: tuple[SubsystemSpec, ...]
     initial: StateVector
     events: tuple[Event, ...]
-    final_time: int = -1
 
     def __post_init__(self):
         object.__setattr__(self, "subsystems", tuple(self.subsystems))
@@ -170,11 +169,7 @@ class Scenario:
                 )
             )
         object.__setattr__(self, "events", events)
-        if self.final_time < 0 and events:
-            object.__setattr__(
-                self, "final_time", max(e.time_index for e in events)
-            )
-        _check(self)
+        erasers = _check(self)
         measurements = tuple(
             (i, e) for i, e in enumerate(events) if isinstance(e, MeasurementEvent)
         )
@@ -189,6 +184,7 @@ class Scenario:
             _measurements=measurements,
             _retained=retained,
             _erased=erased,
+            _erasers=erasers,
             _retained_axes=tuple([tuple([(e.agent, label) for label in e.labels])
                                   for _, e in retained]),
             _regime_tag=tag,
@@ -228,18 +224,21 @@ class Scenario:
         """``retained=A,B``, then ``; erased=C`` when a record is erased."""
         return self._regime_tag
 
+    def erasers(self) -> dict[int, int]:
+        """Erased event index -> the index of its eraser, the first later
+        measurement that covers its targets, in the eraser's time order."""
+        return self._erasers
+
     def agent_event(self, agent: str) -> tuple[int, MeasurementEvent]:
         for i, e in self._measurements:
             if e.agent == agent:
                 return i, e
         raise ScenarioValidationError(f"unknown agent {agent!r}")
 
-    def agents(self) -> tuple[str, ...]:
-        return tuple(e.agent for _, e in self._measurements)
 
-
-def _check(s: Scenario) -> None:
-    """Raise ScenarioValidationError for the first violated invariant.
+def _check(s: Scenario) -> dict[int, int]:
+    """Raise ScenarioValidationError for the first violated invariant, or
+    return each erased record's eraser (see ``Scenario.erasers``).
 
     One pass over the events raises an event's own violation at once and
     keeps the first violation of each scenario-wide rule, which is raised
@@ -271,6 +270,7 @@ def _check(s: Scenario) -> None:
     agents: list[str] = []
     unfinished: Event | None = None  # rule B
     pending: list[tuple[int, MeasurementEvent, set[str]]] = []  # rule F
+    erasers: dict[int, int] = {}
     for j, e in enumerate(s.events):
         targets = e.targets
         cover = set(targets)
@@ -295,8 +295,12 @@ def _check(s: Scenario) -> None:
         measured = isinstance(e, MeasurementEvent)
         if measured:
             agents.append(e.agent)
-            # rule F: an erased record must be destroyed by a later measurement
-            pending = [p for p in pending if not p[2] <= cover]
+            # rule F: an erased record must be destroyed by a later
+            # measurement; the first that covers its targets is its eraser
+            kept = [p for p in pending if not p[2] <= cover]
+            if len(kept) < len(pending):
+                erasers.update([(p[0], j) for p in pending if p[2] <= cover])
+                pending = kept
             if e.record is Record.ERASED:
                 pending.append((j, e, cover))
         # rule B: the experiment must end on surviving records
@@ -314,8 +318,6 @@ def _check(s: Scenario) -> None:
         raise ScenarioValidationError("scenario has no measurements")
     if len(set(agents)) != len(agents):
         raise ScenarioValidationError("agent names are not unique across measurement events")
-    if s.final_time < t_max:
-        raise ScenarioValidationError("final_time is earlier than the last event")
     if unfinished is not None:
         raise ScenarioValidationError(
             "no surviving final record (last event must be a retained measurement)", unfinished
@@ -327,6 +329,7 @@ def _check(s: Scenario) -> None:
             f"(needs a later measurement covering {e.targets})",
             e,
         )
+    return erasers
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +577,6 @@ def parse_scenario(text: str | bytes) -> Scenario:
     items: list[_Item] = []
     flat: list[str] = []  # every amplitude token, in source order
     state_line = 0
-    explicit_final: int | None = None
     error = None
 
     try:
@@ -638,12 +640,6 @@ def parse_scenario(text: str | bytes) -> Scenario:
                 flat += amps
                 if malformed is not None:
                     raise malformed
-            elif head == "final":
-                if n_rest != 1:
-                    raise ln.error(0, "final takes one time index")
-                if explicit_final is not None:
-                    raise ln.error(0, "final already declared")
-                explicit_final = _int(ln, 1, "final time")
             else:
                 raise ln.error(0, f"unknown directive {head!r}")
     except ScenarioParseError as exc:
@@ -660,10 +656,7 @@ def parse_scenario(text: str | bytes) -> Scenario:
         raise ScenarioParseError("no events declared", 1, 1)
 
     try:
-        return Scenario(
-            tuple(subsystems), initial, tuple(events),
-            -1 if explicit_final is None else explicit_final,
-        )
+        return Scenario(tuple(subsystems), initial, tuple(events))
     except ScenarioValidationError as exc:
         # events were sorted by time inside Scenario; map back to source lines
         line = next((ln for ev, ln in zip(events, event_lines) if ev is exc.event),
@@ -832,8 +825,6 @@ def serialize_scenario(s: Scenario) -> str:
             lines.append(
                 f"measure {e.time_index} {e.agent} {targets} {e.record.value.lower()} {groups}"
             )
-    if s.events and s.final_time != max(e.time_index for e in s.events):
-        lines.append(f"final {s.final_time}")
     return "\n".join(lines) + "\n"
 
 
@@ -860,7 +851,7 @@ def scenario_equal(a: Scenario, b: Scenario, atol: float = ATOL_STRUCT) -> bool:
                 return False
             if not np.allclose(ea.basis.matrix, eb.basis.matrix, rtol=0.0, atol=atol):
                 return False
-    return a.final_time == b.final_time
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -886,7 +877,6 @@ def scenario_to_json(s: Scenario) -> str:
             "amps": [_c2j(a) for a in s.initial.amps],
         },
         "events": [],
-        "final_time": s.final_time,
     }
     for e in s.events:
         if isinstance(e, UnitaryEvent):
@@ -950,7 +940,6 @@ def scenario_from_json(text: str | bytes) -> Scenario:
     where = "document"
     try:
         subs, init, evs = doc["subsystems"], doc["initial"], doc["events"]
-        final_time = _integer(doc.get("final_time", -1), "final_time")
         subsystems = []
         for k, d in enumerate(subs):
             where = f"subsystems[{k}]"
@@ -982,6 +971,6 @@ def scenario_from_json(text: str | bytes) -> Scenario:
     except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
         raise ScenarioParseError(f"{where}: {exc!r}") from None
     try:
-        return Scenario(tuple(subsystems), initial, tuple(events), final_time)
+        return Scenario(tuple(subsystems), initial, tuple(events))
     except ScenarioValidationError as exc:
         raise ScenarioParseError(str(exc)) from None

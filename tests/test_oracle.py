@@ -79,13 +79,13 @@ class TestDilate:
         s = library.wfs("II")
         d = dilate(s)
         (erased_event, _), = s.erased()
-        eraser = s.events[d.erasure_map[erased_event]]
+        eraser = s.events[d.base.erasers()[erased_event]]
         assert eraser.agent == "W"
 
     def test_erasure_basis_entangles_pointer_with_branch(self):
         # composite vectors alpha |D(up)> x |up> + beta |D(down)> x |down>
         d = dilate(library.wfs("II"))
-        fail_col = d.erasure_basis(next(iter(d.erasure_map)))[:, 0]
+        fail_col = d.erasure_basis(next(iter(d.base.erasers())))[:, 0]
         # axes (ancilla dim 3, system dim 2); pointer up = 1, down = 2
         expected = np.zeros(6, dtype=complex)
         expected[2] = ALPHA  # (ptr=up, sys=up)
@@ -767,7 +767,8 @@ def dense_coupling(plan):
 def _reversal(d, p):
     """V for the erased record ``p``: the unitaries between it and its eraser
     that act inside the eraser's targets, as (matrix, slots) in time order."""
-    s, j = d.base, d.erasure_map[p.event_index]
+    s = d.base
+    j = s.erasers()[p.event_index]
     inside = set(s.events[j].targets).issuperset
     return [(e.op.entries, s.slots(e.targets)) for e in s.events[p.event_index + 1:j]
             if isinstance(e, UnitaryEvent) and inside(e.targets)]
@@ -845,7 +846,7 @@ def _unitary_after_eraser(d):
     events = d.base.events
     return any(isinstance(f, UnitaryEvent)
                and set(f.targets) & set(events[j if i in d.reversed_lifts else i].targets)
-               for i, j in d.erasure_map.items() for f in events[j + 1:])
+               for i, j in d.base.erasers().items() for f in events[j + 1:])
 
 
 class TestCouplingsAppliedOnce:
@@ -1208,7 +1209,7 @@ class TestFireBlocks:
         for s in self._scenarios():
             d = dilate(s)
             built = {p.event_index: p.fire_block for p in d.couplings}
-            for erased in d.erasure_map:
+            for erased in d.base.erasers():
                 d.erasure_basis(erased)
             for plan in copies:
                 assert plan.fire_block is built[plan.event_index]
@@ -1612,7 +1613,7 @@ class TestErasureTopologies:
         ))
         # the unitary acts after both erasers, where no realizability check runs
         d = dilate(s)
-        assert d.erasure_map == {0: 2, 1: 3} and d.reversed_lifts == {}
+        assert d.base.erasers() == {0: 2, 1: 3} and d.reversed_lifts == {}
         assert self._delta(s)[2] <= 1e-9
 
     def test_unitary_after_an_erased_eraser(self):

@@ -253,10 +253,6 @@ class TestParser:
         assert (err.value.line, err.value.col) == (4, 9)
         assert err.value.message == f"time must be an integer, got {time!r}"
 
-    def test_final_time_is_ascii_digits_only(self):
-        with pytest.raises(ScenarioParseError, match="final time must be an integer, got '1_0'"):
-            parse_scenario(MINIMAL + "final 1_0\n")
-
     def test_negative_time_rejected(self):
         with pytest.raises(ScenarioParseError, match="time must be non-negative"):
             parse_scenario(MINIMAL.replace("measure 1", "measure -3"))
@@ -351,7 +347,6 @@ class TestRoundTrip:
             (("subsystems", 0, "dim"), True, "subsystems[0]: TypeError('dim"),
             (("initial", "dims"), [2.0], "initial: TypeError('dims entry"),
             (("events", 0, "basis", "dims"), [False], "events[0]: TypeError('dims entry"),
-            (("final_time",), 1.5, "document: TypeError('final_time"),
         ],
     )
     def test_non_integer_json_numbers_name_the_entry(self, path, value, entry):
@@ -364,22 +359,6 @@ class TestRoundTrip:
         with pytest.raises(ScenarioParseError) as info:
             scenario_from_json(json.dumps(doc))
         assert entry in str(info.value)
-
-    def test_explicit_final_time_round_trips(self):
-        s = Scenario(
-            parse_scenario(MINIMAL).subsystems,
-            parse_scenario(MINIMAL).initial,
-            parse_scenario(MINIMAL).events,
-            final_time=9,
-        )
-        text = serialize_scenario(s)
-        assert "final 9" in text
-        again = parse_scenario(text)
-        assert again.final_time == 9 and scenario_equal(s, again)
-
-    def test_final_before_last_event_rejected(self):
-        with pytest.raises(ScenarioParseError, match="final_time is earlier"):
-            parse_scenario(MINIMAL + "final 0\n")
 
     def test_scenario_equal_detects_record_flip(self):
         a = library.two_wigners(library.RegimeTag.BOTH_ERASED)
@@ -457,8 +436,6 @@ def _rule_cases():
         ("erased_never_erased", (ab, up_a, (m(1, "F", "a", Record.ERASED), m(2, "W", "b"))),
          "event 0: ERASED record of agent 'F' is never erased "
          "(needs a later measurement covering ('a',))", 0),
-        ("final_before_last_event", (sys_, up, (m(1, "F", "sys"),), 0),
-         "final_time is earlier than the last event", None),
     ]
 
 
@@ -544,7 +521,7 @@ class TestIndex:
     def test_index_is_not_a_field(self):
         s = parse_scenario(MINIMAL)
         assert [f.name for f in dataclasses.fields(s)] == [
-            "subsystems", "initial", "events", "final_time"]
+            "subsystems", "initial", "events"]
         assert "_slot" not in repr(s)
 
     @pytest.mark.parametrize("name", ["spin", ""])
@@ -593,7 +570,6 @@ class TestEquality:
             variants.append(dataclasses.replace(s, events=s.events[:i] + (changed,) + s.events[i + 1:]))
         for variant in variants:
             assert variant != s and s != variant
-        assert dataclasses.replace(s, final_time=s.final_time + 1) != s
 
 def _first_overlap_pairwise(events):
     """The pairwise scan the one-pass check replaced: the first pair i < j of

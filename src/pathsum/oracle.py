@@ -35,7 +35,10 @@ support, and W measures in the basis of V L V^dagger, V those unitaries,
 which runs the laboratory's evolution back (Deutsch's reversible friend).
 The lift then spans the support, and a later measurement that meets it
 must cover the record.  ``evolve`` and ``erasure_basis`` refuse past a
-unitary that reversed a lift.
+unitary that reversed a lift.  A retained W leaves L active, and the
+stored state would take a later unitary U on L's span as L U L^dagger;
+so ``dilate`` refuses, at U, one that fails the same commutator test,
+and any U on the span of a chain holding a reversed lift.
 
 Each pointer axis of the stored state holds one of two ranges of levels,
 kept next to the tensor: {0} (untriggered, length 1) or {1..n} (fired,
@@ -217,9 +220,20 @@ def dilate(s: Scenario) -> DilatedScenario:
     # targets are pairwise disjoint, and this order is each plan's ``lifts``'
     active: dict[CouplingPlan, set[int]] = {}
     for i, e in enumerate(s.events):
-        if isinstance(e, UnitaryEvent):
-            continue
         tslots = s.slots(e.targets)
+        if isinstance(e, UnitaryEvent):
+            # a lift still active after its eraser is factored out of the
+            # stored state, which is physical only if the unitary commutes with it
+            for p, span in active.items():
+                if erasers[p.event_index] < i and span.intersection(tslots):
+                    residual = _disturbance(s, p, e, reversed_lifts)
+                    if residual**2 > ATOL_STRUCT:
+                        raise OracleError(
+                            f"erased record was disturbed after "
+                            f"{s.events[erasers[p.event_index]].agent!r}'s measurement by the "
+                            f"unitary at time {e.time_index} (commutator residual {residual:.3g})"
+                        )
+            continue
         hit = [p for p, span in active.items() if span.intersection(tslots)]
         for p in hit:
             if not set(tslots).issuperset(p.slots[1:]):
@@ -255,8 +269,7 @@ def _lift_reversed(s: Scenario, p: CouplingPlan, span, eraser_index, reversed_li
             on.append(f)
     for u in on:
         if isinstance(u, UnitaryEvent) and span.intersection(s.slots(u.targets)):
-            chain_reversed = any(q.event_index in reversed_lifts for q in p.consumed)
-            residual = math.inf if chain_reversed else _commutator(s, p.chain, u)
+            residual = _disturbance(s, p, u, reversed_lifts)
             if residual**2 > ATOL_STRUCT:  # a population, like the norm check's
                 break
     else:
@@ -275,6 +288,15 @@ def _lift_reversed(s: Scenario, p: CouplingPlan, span, eraser_index, reversed_li
             )
     reversed_lifts[p.event_index] = u.time_index
     return support
+
+
+def _disturbance(s: Scenario, p: CouplingPlan, u: UnitaryEvent, reversed_lifts) -> float:
+    """How far the unitary event ``u`` disturbs the erased record ``p``: the
+    commutator residual of ``p``'s chain, or inf if a unitary reversed a
+    lift in the chain."""
+    if any(q.event_index in reversed_lifts for q in p.chain):
+        return math.inf
+    return _commutator(s, p.chain, u)
 
 
 def _commutator(s: Scenario, chain, u: UnitaryEvent) -> float:

@@ -7,10 +7,10 @@ composite-basis erasure can realize:
 * once a subsystem hosts an erased record, no unitary ever acts on it again,
 * joint measurements appear only in the tail, where nothing follows them.
 
-The second rule is stricter than the oracle needs: only a unitary between a
-record and its eraser can disturb the record, and the oracle conjugates one
-after the eraser by the erased lift.  The rule is kept so that every seed
-keeps its scenario.
+The second rule is stricter than the oracle needs, which accepts any
+unitary on a record's subsystems that commutes with the record's lift,
+and before the eraser one inside the eraser's targets that moves the
+record.  The rule is kept so that every seed keeps its scenario.
 
 Within that class the generator exercises erasure chains, superset erasers
 (a joint tail measurement erasing a single-subsystem record), interleaved
@@ -141,8 +141,8 @@ def random_unpinned_scenario(seed: int) -> Scenario:
     subsystem's last measurement.  Erased records sit on one subsystem, so
     every eraser covers its record, and a subsystem that ever hosted one is
     never touched by a unitary again.  The oracle needs the second rule only
-    between a record and its eraser; it is kept so that every seed keeps its
-    scenario.
+    for a unitary that does not commute with the record's lift; it is kept
+    so that every seed keeps its scenario.
     """
     rng = np.random.default_rng(seed)
     n_sub = int(rng.integers(1, 4))

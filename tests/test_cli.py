@@ -218,6 +218,11 @@ class TestRun:
         with pytest.raises(CliError, match="unknown scenario"):
             run("no_such_thing")
 
+    def test_unknown_engine(self):
+        with pytest.raises(CliError) as info:
+            run("wfs_case1", engine="fast")
+        assert str(info.value) == "engine must be paths, oracle or both, got 'fast'"
+
     def test_query_evaluation(self):
         report = run("2w2f", regime="fbar_preserved", queries=("Ok=>Heads",))
         (q,) = report.queries

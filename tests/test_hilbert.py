@@ -323,6 +323,13 @@ class TestBasisValidation:
         with pytest.raises(HilbertError, match="duplicate"):
             Basis((2,), ("a", "a"), columns(q(1, 0), q(0, 1)))
 
+    def test_vector_of_an_unknown_label_rejected(self):
+        basis = Basis((2,), ("up", "down"), columns(q(1, 0), q(0, 1)))
+        assert basis.vector("down") == q(0, 1)
+        with pytest.raises(HilbertError) as info:
+            basis.vector("left")
+        assert str(info.value) == "unknown basis label 'left'"
+
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.05, math.pi / 2 - 0.05), st.floats(0, 2 * math.pi),
            st.floats(0, 2 * math.pi))

@@ -133,6 +133,12 @@ class TestTwelveAmplitudes:
         for labels, amp in amplitudes_by_labels(s).items():
             assert path_amplitude(branches_of(s, labels), s) == pytest.approx(amp, abs=1e-12)
 
+    def test_assignment_must_cover_every_measurement(self):
+        s = library.builtin("wfs_case1")
+        with pytest.raises(PathEngineError) as info:
+            path_amplitude([(0, "up")], s)
+        assert str(info.value) == "branch assignment covers events [0], expected [0, 1]"
+
     def test_regime_does_not_change_amplitudes(self):
         a = enumerate_paths(two_wigners("both_erased"))
         b = enumerate_paths(two_wigners("both_preserved"))

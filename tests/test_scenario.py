@@ -27,7 +27,12 @@ from pathsum.scenario import (
     scenario_to_json,
     serialize_scenario,
 )
-from pathsum.testing import erased_qubit_chain, random_scenario, random_unpinned_scenario
+from pathsum.testing import (
+    erased_qubit_chain,
+    random_scenario,
+    random_unpinned_scenario,
+    unrestricted_scenarios,
+)
 
 MINIMAL = """
 subsystem sys up down
@@ -253,6 +258,13 @@ class TestParser:
         assert (err.value.line, err.value.col) == (4, 9)
         assert err.value.message == f"time must be an integer, got {time!r}"
 
+    def test_final_is_an_unknown_directive(self):
+        # the experiment ends at its last event; there is no knob for it
+        with pytest.raises(ScenarioParseError) as err:
+            parse_scenario(MINIMAL + "  final 1\n")
+        assert (err.value.line, err.value.col) == (5, 3)
+        assert err.value.message == "unknown directive 'final'"
+
     def test_negative_time_rejected(self):
         with pytest.raises(ScenarioParseError, match="time must be non-negative"):
             parse_scenario(MINIMAL.replace("measure 1", "measure -3"))
@@ -295,6 +307,68 @@ class TestParser:
     def test_bytes_input_accepted(self):
         assert scenario_equal(parse_scenario(MINIMAL.encode("utf-8")), parse_scenario(MINIMAL))
 
+
+
+_SYS = "subsystem sys up down\n"
+_MEASURE = "measure 1 F sys retained up: 1 0 down: 0 1\n"
+
+
+class TestDiagnostics:
+    """Each structural diagnostic is its typed error, with its message and,
+    for ``.scn`` input, its line and column."""
+
+    @pytest.mark.parametrize("text, line, col, message", [
+        ("subsystem sys\n", 1, 1, "subsystem needs a name and at least one label"),
+        (_SYS + "subsystem sys a b\n", 2, 11, "subsystem 'sys' already declared"),
+        (_SYS + "state 1 0\nsubsystem b x y\n", 3, 1, "subsystem declared after state/events"),
+        ("# no subsystem yet\nstate 1 0\n", 2, 1, "no subsystems declared"),
+        ("# nothing\n", 1, 1, "no subsystems declared"),
+        (_SYS + "state 1 0\nstate 1 0\n", 3, 1, "state already declared"),
+        (_SYS + "state 1 0\nunitary 1\n", 3, 1, "unitary needs a time and targets"),
+        (_SYS + _MEASURE, 1, 1, "no initial state declared"),
+        (_SYS + "state 1 0\n", 1, 1, "no events declared"),
+        (_SYS + "state 1 0\nmeasure 1 F sys retained up: 1 0 up: 0 1\n", 3, 1,
+         "invalid measurement basis: duplicate basis labels in ('up', 'up')"),
+    ], ids=["subsystem_unnamed", "subsystem_twice", "subsystem_late", "state_first",
+            "no_subsystems", "state_twice", "unitary_short", "no_state", "no_events",
+            "duplicate_outcome_labels"])
+    def test_scn(self, text, line, col, message):
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(text)
+        assert (info.value.line, info.value.col, info.value.message) == (line, col, message)
+
+    def test_subsystem_spec(self):
+        with pytest.raises(ScenarioValidationError) as info:
+            SubsystemSpec("q", 0, ())
+        assert str(info.value) == "subsystem 'q' has dim 0"
+        with pytest.raises(ScenarioValidationError) as info:
+            SubsystemSpec("q", 2, ("a",))
+        assert str(info.value) == "subsystem 'q': 1 labels for dim 2"
+
+    def test_scenario_rules(self):
+        q = SubsystemSpec("q", 1, ("z",))
+        one, point = StateVector((1,), [1]), Basis((1,), ("z",), [[1]])
+        late = MeasurementEvent(1, "F", ("q",), point, Record.RETAINED)
+        with pytest.raises(ScenarioValidationError) as info:
+            Scenario((), one, (late,))
+        assert str(info.value) == "no subsystems declared" and info.value.event is None
+        with pytest.raises(ScenarioValidationError) as info:
+            Scenario((q, q), StateVector((1, 1), [1]), (late,))
+        assert str(info.value) == "duplicate subsystem names" and info.value.event is None
+        early = dataclasses.replace(late, time_index=-1)
+        with pytest.raises(ScenarioValidationError) as info:
+            Scenario((q,), one, (early,))
+        assert str(info.value) == "event 0: negative time index" and info.value.event is early
+
+    @pytest.mark.parametrize("text, message", [
+        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ("[" * 100_000, "maximum recursion depth exceeded"),  # the rest names the C scanner
+    ], ids=["undecodable", "too_deep"])
+    def test_json_errors_beyond_syntax(self, text, message):
+        with pytest.raises(ScenarioParseError) as info:
+            scenario_from_json(text)
+        assert (info.value.line, info.value.col) == (1, 1)
+        assert info.value.message.startswith(f"invalid JSON: {message}")
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", library.builtin_names())
@@ -491,6 +565,16 @@ def _assert_index_is_its_definition(s):
     names = [sub.name for sub in s.subsystems]
     for e in s.events:
         assert s.slots(e.targets) == tuple(names.index(t) for t in e.targets)
+    _assert_erasers_are_the_first_covering_measurements(s)
+
+
+def _assert_erasers_are_the_first_covering_measurements(s):
+    """``erasers()`` maps each erased record to the first later measurement
+    that covers its targets, ordered by eraser, then by record."""
+    erasers = {i: next(j for j, f in s.measurements()
+                       if j > i and set(e.targets) <= set(f.targets))
+               for i, e in s.erased()}
+    assert list(s.erasers().items()) == sorted(erasers.items(), key=lambda m: (m[1], m[0]))
 
 
 class TestIndex:
@@ -508,6 +592,13 @@ class TestIndex:
             assert s.erased() is s.erased()
             assert s.dims is s.dims
             assert s.retained_axes() is s.retained_axes()
+            assert s.erasers() is s.erasers()
+
+    def test_erasers_of_unrestricted_scenarios(self):
+        # records moved by unitaries and erasers that partly overlap others
+        for s in unrestricted_scenarios().values():
+            _assert_erasers_are_the_first_covering_measurements(s)
+        assert erased_qubit_chain(4).erasers() == {0: 1, 1: 2, 2: 3}
 
     def test_replace_derives_its_own_index(self):
         chain = erased_qubit_chain(5)

@@ -308,9 +308,7 @@ class TestParser:
         assert scenario_equal(parse_scenario(MINIMAL.encode("utf-8")), parse_scenario(MINIMAL))
 
 
-
 _SYS = "subsystem sys up down\n"
-_MEASURE = "measure 1 F sys retained up: 1 0 down: 0 1\n"
 
 
 class TestDiagnostics:
@@ -325,7 +323,8 @@ class TestDiagnostics:
         ("# nothing\n", 1, 1, "no subsystems declared"),
         (_SYS + "state 1 0\nstate 1 0\n", 3, 1, "state already declared"),
         (_SYS + "state 1 0\nunitary 1\n", 3, 1, "unitary needs a time and targets"),
-        (_SYS + _MEASURE, 1, 1, "no initial state declared"),
+        (_SYS + "measure 1 F sys retained up: 1 0 down: 0 1\n", 1, 1,
+         "no initial state declared"),
         (_SYS + "state 1 0\n", 1, 1, "no events declared"),
         (_SYS + "state 1 0\nmeasure 1 F sys retained up: 1 0 up: 0 1\n", 3, 1,
          "invalid measurement basis: duplicate basis labels in ('up', 'up')"),
@@ -369,6 +368,7 @@ class TestDiagnostics:
             scenario_from_json(text)
         assert (info.value.line, info.value.col) == (1, 1)
         assert info.value.message.startswith(f"invalid JSON: {message}")
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", library.builtin_names())

@@ -272,6 +272,16 @@ def validate_basis(matrix: np.ndarray) -> list[str]:
     return report
 
 
+def fire_blocks(columns) -> np.ndarray:
+    """The fire blocks of bases whose columns ``columns`` share one shape
+    (side, n), stacked, from one einsum: rows (k, i), column j hold
+    w_k[i] conj(w_k[j]), the projectors P_k stacked, one product per
+    entry, so a stack of one gives the same block bit for bit."""
+    cols = np.array([c.T for c in columns])  # (measurement, k, target)
+    g, n, side = cols.shape
+    return np.einsum("gki,gkj->gkij", cols, cols.conj()).reshape(g, n * side, side)
+
+
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; dims concatenate, amplitudes kron in row-major order."""
     return StateVector(a.dims + b.dims, np.kron(a.amps, b.amps))

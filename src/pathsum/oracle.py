@@ -25,20 +25,11 @@ pointers and subsystems only, so it commutes with the retained pointer
 projectors it reads.
 
 A unitary acts directly only where the erasure stays realizable, which
-``dilate`` decides from the scenario alone, at each eraser W, from the
-events between W and the record it erases.  The record's support starts
-as the subsystems its lift acts on and grows by the targets of every
-unitary that meets it.  Either every unitary on the lift commutes with the
-projectors of its chain, and L is unchanged; or every unitary on the
-support acts inside W's targets and no other measurement meets the
-support, and W measures in the basis of V L V^dagger, V those unitaries,
-which runs the laboratory's evolution back (Deutsch's reversible friend).
-The lift then spans the support, and a later measurement that meets it
-must cover the record.  ``evolve`` and ``erasure_basis`` refuse past a
-unitary that reversed a lift.  A retained W leaves L active, and the
-stored state would take a later unitary U on L's span as L U L^dagger;
-so ``dilate`` refuses, at U, one that fails the same commutator test,
-and any U on the span of a chain holding a reversed lift.
+the scenario decides once, for both engines (``Scenario.erasures``):
+``dilate`` refuses what it cannot realize and takes each plan's consumed
+lifts from it.  A unitary that moved a record inside its eraser's
+targets reversed its lift to V L V^dagger; ``evolve`` and
+``erasure_basis`` refuse past it.
 
 Each pointer axis of the stored state holds one of two ranges of levels,
 kept next to the tensor: {0} (untriggered, length 1) or {1..n} (fired,
@@ -50,8 +41,8 @@ run is budgeted on what it stores, on one axis per subsystem and per
 measurement: ``evolve`` stores the base dims times every outcome count,
 ``distribution`` the base dims times the retained ones (the path engine's
 count, checked before ``dilate`` runs).  ``dilate`` budgets the couplings'
-fire blocks and builds them all before its pass, in one stacked product
-per (side, n) shape.  The walk checks the norm after every event it applies.
+fire blocks and builds them all, in one stacked product per (side, n)
+shape.  The walk checks the norm after every event it applies.
 ``DilatedState.psi`` spans the full dilated dims; it is built on first
 access, and budgeted then.
 
@@ -71,7 +62,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import ATOL_STRUCT, MAX_AMPLITUDES, StateVector, apply_to_slots, check_budget
+from .hilbert import (ATOL_STRUCT, MAX_AMPLITUDES, StateVector, apply_to_slots, check_budget,
+                      fire_blocks)
 from .paths import OutcomeDistribution, outcome_distribution
 from .scenario import Record, RecordErasedError, Scenario, UnitaryEvent
 
@@ -120,13 +112,13 @@ class DilatedScenario:
     dims: tuple[int, ...]  # base dims followed by ancilla dims, event order
     ancillas: dict[int, int]  # measurement event index -> its pointer slot
     couplings: tuple[CouplingPlan, ...]
-    reversed_lifts: dict[int, int]  # erased event index -> time of the unitary reversing its lift
 
     def _refuse_reversed(self, erased_events) -> None:
         """Refuse the first record whose lift L the unitaries V reversed to V L V^dagger."""
+        reversed_at = self.base.erasures(OracleError)[1]
         for j in erased_events:
-            if j in self.reversed_lifts:
-                raise OracleError(f"the unitary at time {self.reversed_lifts[j]} reversed the "
+            if j in reversed_at:
+                raise OracleError(f"the unitary at time {reversed_at[j]} reversed the "
                                   f"lift of {self.base.events[j].agent!r}'s erased record")
 
     def erasure_basis(self, erased_event: int) -> np.ndarray:
@@ -169,16 +161,6 @@ class DilatedState:
         return StateVector(dims, _embed(self.stored, self.ranges, dims).reshape(-1))
 
 
-def _fire_blocks(columns) -> np.ndarray:
-    """The fire blocks of plans whose basis columns ``columns`` share one
-    shape (side, n), stacked on a first axis, from one einsum.  A plan's
-    row (k, i), column j holds w_k[i] conj(w_k[j]), one product per entry,
-    so a stack of one gives the same block bit for bit."""
-    cols = np.array([c.T for c in columns])  # (plan, k, target)
-    g, n, side = cols.shape
-    return np.einsum("gki,gkj->gkij", cols, cols.conj()).reshape(g, n * side, side)
-
-
 def _check_stored(s: Scenario, fired) -> None:
     """Budget a walk of ``s`` that fires the pointers of the measurements ``fired``."""
     check_budget(math.prod(s.dims) * math.prod([len(e.labels) for _, e in fired]),
@@ -194,7 +176,8 @@ def _embed(stored, ranges, dims):
 
 
 def dilate(s: Scenario) -> DilatedScenario:
-    """Attach one pointer ancilla per measurement and plan all couplings."""
+    """Attach one pointer ancilla per measurement and plan all couplings;
+    refuse, after the fire blocks' budget, what no eraser realizes."""
     measurements, base = s.measurements(), s.dims
     ancillas = {i: len(base) + k for k, (i, _) in enumerate(measurements)}
     outcomes = [len(e.labels) for _, e in measurements]
@@ -205,132 +188,20 @@ def dilate(s: Scenario) -> DilatedScenario:
         raise OracleError(
             f"couplings need {n_entries} matrix entries, over the budget of {MAX_AMPLITUDES}"
         )
-
-    # every fire block, one stacked product per (side, n) shape, after the budget above
+    lifts = s.erasures(OracleError)[0]
+    # every fire block, one stacked product per (side, n) shape
     shapes: dict[tuple[int, int], list[int]] = {}
     for i, e in measurements:
         shapes.setdefault(e.basis.matrix.shape, []).append(i)
     blocks = {}
     for events in shapes.values():
-        blocks.update(zip(events, _fire_blocks([s.events[i].basis.matrix for i in events])))
+        blocks.update(zip(events, fire_blocks([s.events[i].basis.matrix for i in events])))
 
-    couplings, erasers = [], s.erasers()
-    reversed_lifts: dict[int, int] = {}
-    # erased record -> the subsystems its lift acts on; the records' own
-    # targets are pairwise disjoint, and this order is each plan's ``lifts``'
-    active: dict[CouplingPlan, set[int]] = {}
-    for i, e in enumerate(s.events):
-        tslots = s.slots(e.targets)
-        if isinstance(e, UnitaryEvent):
-            # a lift still active after its eraser is factored out of the
-            # stored state, which is physical only if the unitary commutes with it
-            for p, span in active.items():
-                if erasers[p.event_index] < i and span.intersection(tslots):
-                    residual = _disturbance(s, p, e, reversed_lifts)
-                    if residual**2 > ATOL_STRUCT:
-                        raise OracleError(
-                            f"erased record was disturbed after "
-                            f"{s.events[erasers[p.event_index]].agent!r}'s measurement by the "
-                            f"unitary at time {e.time_index} (commutator residual {residual:.3g})"
-                        )
-            continue
-        hit = [p for p, span in active.items() if span.intersection(tslots)]
-        for p in hit:
-            if not set(tslots).issuperset(p.slots[1:]):
-                raise OracleError(
-                    f"measurement by {e.agent!r} overlaps an erased record on "
-                    f"subsystem slots {sorted(active[p])} without covering it; "
-                    f"no composite-basis erasure exists"
-                )
-        plan = CouplingPlan(i, (ancillas[i],) + tslots, e.basis.matrix, tuple(hit), blocks[i])
-        couplings.append(plan)
-        for p in hit:
-            # later measurements through the same lift destroy nothing new
-            if erasers[p.event_index] == i:
-                active[p] = _lift_reversed(s, p, active[p], i, reversed_lifts) or active[p]
-        if e.record is Record.ERASED:
-            active[plan] = set(tslots).union(*[active.pop(p) for p in hit])
-    return DilatedScenario(s, dims, ancillas, tuple(couplings), reversed_lifts)
-
-
-def _lift_reversed(s: Scenario, p: CouplingPlan, span, eraser_index, reversed_lifts):
-    """The support the erased record ``p``'s lift L spans if the unitaries
-    between ``p`` and its eraser reversed L, else None.  L acts on
-    ``span``; the support is ``span`` grown by the targets of every unitary
-    that meets it.  A reversed lift is put in ``reversed_lifts``; an
-    erasure the events on the support leave unrealizable is refused.  A
-    chain holding a reversed lift is reversed by any unitary on ``span``."""
-    support, on = set(span), []  # ``on``: the events that meet the support, in time order
-    for f in s.events[p.event_index + 1:eraser_index]:
-        tslots = s.slots(f.targets)
-        if support.intersection(tslots):
-            if isinstance(f, UnitaryEvent):
-                support.update(tslots)
-            on.append(f)
-    for u in on:
-        if isinstance(u, UnitaryEvent) and span.intersection(s.slots(u.targets)):
-            residual = _disturbance(s, p, u, reversed_lifts)
-            if residual**2 > ATOL_STRUCT:  # a population, like the norm check's
-                break
-    else:
-        return None
-    eraser = s.events[eraser_index]
-    inside = set(s.slots(eraser.targets)).issuperset
-    for f in on:
-        if not (isinstance(f, UnitaryEvent) and inside(s.slots(f.targets))):
-            what = (f"the unitary at time {f.time_index} acts on its support beyond its targets"
-                    if isinstance(f, UnitaryEvent) else
-                    f"{f.agent!r}'s measurement at time {f.time_index} meets its support")
-            raise OracleError(
-                f"erased record was disturbed before {eraser.agent!r}'s measurement by the "
-                f"unitary at time {u.time_index} (commutator residual {residual:.3g}), "
-                f"and {what}; this erasure is not realizable"
-            )
-    reversed_lifts[p.event_index] = u.time_index
-    return support
-
-
-def _disturbance(s: Scenario, p: CouplingPlan, u: UnitaryEvent, reversed_lifts) -> float:
-    """How far the unitary event ``u`` disturbs the erased record ``p``: the
-    commutator residual of ``p``'s chain, or inf if a unitary reversed a
-    lift in the chain."""
-    if any(q.event_index in reversed_lifts for q in p.chain):
-        return math.inf
-    return _commutator(s, p.chain, u)
-
-
-def _commutator(s: Scenario, chain, u: UnitaryEvent) -> float:
-    """max_k ||[U, P_k]||_F over the couplings in ``chain`` and the unitary event
-    ``u``, each applied to an identity over the union of their slots.
-
-    One projector at a time, each from its own identity, which is dropped
-    once P_k is built: the check holds at most four side^2 arrays (U, P_k and
-    the two products), not the n-projector stack it is budgeted on."""
-    union = sorted(set(chain[0].slots[1:]).union(s.slots(u.targets)))
-    axis = {slot: a for a, slot in enumerate(union, 1)}  # axis 0 is the pointer
-    dims = [s.dims[sl] for sl in union]
-    side = math.prod(dims)
-    check_budget(max([q.columns.shape[1] for q in chain]) * side * side, len(union) + 2,
-                 OracleError, "commutator needs")
-
-    def eye():
-        return np.eye(side, dtype=complex).reshape([1] + dims + [side])
-
-    op = apply_to_slots(u.op.entries, u.op.dims, [axis[sl] for sl in s.slots(u.targets)],
-                        eye()).reshape(side, side)
-    residual = 0.0
-    for q in chain:
-        tdims = (1,) + tuple(s.dims[sl] for sl in q.slots[1:])
-        slots = [0] + [axis[sl] for sl in q.slots[1:]]
-        for rows in np.split(q.fire_block, q.columns.shape[1]):
-            proj = apply_to_slots(rows, tdims, slots, eye(), tdims).reshape(side, side)
-            comm = proj @ op
-            comm -= op @ proj
-            del proj  # the norm below takes two temporaries of its own
-            # axis=(0, 1) sums |.|^2 elementwise; without it the norm takes a
-            # dot product, which rounds differently
-            residual = max(residual, np.linalg.norm(comm, axis=(0, 1)))
-    return float(residual)
+    plans: dict[int, CouplingPlan] = {}
+    for i, e in measurements:
+        plans[i] = CouplingPlan(i, (ancillas[i],) + s.slots(e.targets), e.basis.matrix,
+                                tuple([plans[p] for p in lifts[i]]), blocks[i])
+    return DilatedScenario(s, dims, ancillas, tuple(plans.values()))
 
 
 def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
@@ -347,8 +218,8 @@ def evolve(d: DilatedScenario, upto_time: int | None = None) -> DilatedState:
     ``upto_time`` stops after the last event with time_index <= upto_time,
     which exposes intermediate states for inspection.  A full run is budgeted.
     """
-    d._refuse_reversed([j for j, t in d.reversed_lifts.items()
-                       if upto_time is None or t <= upto_time])
+    d._refuse_reversed([j for j, t in d.base.erasures(OracleError)[1].items()
+                        if upto_time is None or t <= upto_time])
     _check_stored(d.base, d.base.measurements())
     state, ranges, time, active = _walk(d, upto_time)
     for p in active:

@@ -6,8 +6,9 @@ added before squaring; RETAINED outcomes distinguish paths, so their
 probabilities are added.  Summing over an erased event's outcomes inserts
 sum_k |v_k><v_k| = I, so the erased event drops out of the amplitude
 altogether.  ``distribution`` therefore computes the Born rule over the
-retained events only and skips every erased one.  It works for any valid
-scenario.
+retained events only and skips every erased one.  All three entry points
+refuse, with the oracle's text, what the dilation cannot realize
+(``Scenario.erasures``), so both engines answer the same scenarios.
 
 ``enumerate_paths`` gives the signed-amplitude table: one complex array,
 one axis per measurement event in time order, whose entry [l1, l2, ...] is
@@ -204,6 +205,7 @@ def _branch_states(s: Scenario, split: dict[int, tuple[str, ...]]) -> np.ndarray
     d, k = len(dims), len(split)
     check_budget(math.prod(len(labels) for labels in split.values()) * math.prod(dims),
                  d + max(1, k), PathEngineError, "branch states need")
+    s.erasures(PathEngineError)  # refuse what the dilation cannot realize
     state = s.initial.as_tensor()[..., np.newaxis]
     for i, e in enumerate(s.events):
         if isinstance(e, UnitaryEvent):

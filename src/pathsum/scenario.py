@@ -44,6 +44,9 @@ from .hilbert import (
     HilbertError,
     Operator,
     StateVector,
+    apply_to_slots,
+    check_budget,
+    fire_blocks,
     gram_defects,
 )
 
@@ -132,6 +135,9 @@ class MeasurementEvent:
 
 
 Event = UnitaryEvent | MeasurementEvent
+# measurement event index -> the erased records whose lifts it consumes, in
+# order; erased event index -> the time of the unitary that reversed its lift
+Erasures = tuple[dict[int, tuple[int, ...]], dict[int, int]]
 
 
 @dataclass(frozen=True)
@@ -143,7 +149,8 @@ class Scenario:
     then derives its index once: its dims, the slot of each subsystem name,
     its measurements, retained and erased, each erased record's eraser, the
     (agent, label) axes of its retained outcomes and its regime tag, which
-    every reader shares.
+    every reader shares.  Whether the erasures are realizable is decided on
+    first use of ``erasures`` and kept.
     The index is not a field, so equality, repr and ``dataclasses.replace``
     see only the fields, and a replaced scenario derives its own.
     """
@@ -228,6 +235,19 @@ class Scenario:
         """Erased event index -> the index of its eraser, the first later
         measurement that covers its targets, in the eraser's time order."""
         return self._erasers
+
+    def erasures(self, error: type[ValueError]) -> Erasures:
+        """How the dilation realizes the erased records (see ``_realize``),
+        decided on first use and kept; raises ``error`` with the refusal if
+        no eraser can realize them, so both engines refuse the same ones."""
+        if "_erasures" not in self.__dict__:
+            try:
+                self.__dict__["_erasures"] = _realize(self)
+            except _Unrealizable as exc:
+                self.__dict__["_erasures"] = str(exc)
+        if isinstance(self._erasures, str):
+            raise error(self._erasures)
+        return self._erasures
 
     def agent_event(self, agent: str) -> tuple[int, MeasurementEvent]:
         for i, e in self._measurements:
@@ -330,6 +350,143 @@ def _check(s: Scenario) -> dict[int, int]:
             e,
         )
     return erasers
+
+
+class _Unrealizable(ValueError):
+    """An erasure the dilation cannot realize; ``Scenario.erasures`` keeps its text."""
+
+
+def _realize(s: Scenario) -> Erasures:
+    """``Scenario.erasures``' two maps, from one pass over the events; raise
+    _Unrealizable at the first event that leaves an erasure unrealizable.
+
+    An erased record's lift L, its coupling and then the lifts it consumed,
+    acts on its span; a measurement that meets the span consumes L and must
+    cover the record.  At its eraser W, the events since the record decide
+    (``_lift_reversed``).  A retained W leaves L factored out of the
+    oracle's stored state, which would take a later unitary U on L's span
+    as L U L^dagger, so U must commute with L, and no U may act on a
+    reversed lift.
+    """
+    erasers = s.erasers()
+    lifts: dict[int, tuple[int, ...]] = {}
+    reversed_at: dict[int, int] = {}
+    chains: dict[int, tuple[int, ...]] = {}  # erased record -> the records of its lift's chain
+    # erased record -> the subsystems its lift acts on; the records' own
+    # targets are pairwise disjoint, and this order is each ``lifts`` entry's
+    active: dict[int, set[int]] = {}
+    for i, e in enumerate(s.events):
+        tslots = s.slots(e.targets)
+        if isinstance(e, UnitaryEvent):
+            for p, span in active.items():
+                if erasers[p] < i and span.intersection(tslots):
+                    residual = _disturbance(s, chains[p], e, reversed_at)
+                    if residual**2 > ATOL_STRUCT:
+                        raise _Unrealizable(
+                            f"erased record was disturbed after "
+                            f"{s.events[erasers[p]].agent!r}'s measurement by the "
+                            f"unitary at time {e.time_index} (commutator residual {residual:.3g})"
+                        )
+            continue
+        lifts[i] = hit = tuple([p for p, span in active.items() if span.intersection(tslots)])
+        for p in hit:
+            if not set(tslots).issuperset(s.slots(s.events[p].targets)):
+                raise _Unrealizable(
+                    f"measurement by {e.agent!r} overlaps an erased record on "
+                    f"subsystem slots {sorted(active[p])} without covering it; "
+                    f"no composite-basis erasure exists"
+                )
+        for p in hit:
+            # later measurements through the same lift destroy nothing new
+            if erasers[p] == i:
+                active[p] = _lift_reversed(s, p, active[p], i, chains[p], reversed_at) or active[p]
+        if e.record is Record.ERASED:
+            chains[i] = (i,) + tuple([q for p in hit for q in chains[p]])
+            active[i] = set(tslots).union(*[active.pop(p) for p in hit])
+    return lifts, reversed_at
+
+
+def _lift_reversed(s: Scenario, p: int, span, eraser_index, chain, reversed_at):
+    """The support the erased record ``p``'s lift L spans if the unitaries
+    between ``p`` and its eraser W reversed L, else None.  L acts on
+    ``span``, and ``chain`` holds its records; the support is ``span``
+    grown by the targets of every unitary that meets it.  Either every
+    unitary on the span commutes with the projectors of L's chain, and L is
+    unchanged; or every unitary on the support acts inside W's targets and
+    no other measurement meets it, and W measures in the basis of
+    V L V^dagger, V those unitaries, which runs the laboratory's evolution
+    back (Deutsch's reversible friend).  A reversed lift is put in
+    ``reversed_at``; a disturbed lift that is not reversed is refused."""
+    support, on = set(span), []  # ``on``: the events that meet the support, in time order
+    for f in s.events[p + 1:eraser_index]:
+        tslots = s.slots(f.targets)
+        if support.intersection(tslots):
+            if isinstance(f, UnitaryEvent):
+                support.update(tslots)
+            on.append(f)
+    for u in on:
+        if isinstance(u, UnitaryEvent) and span.intersection(s.slots(u.targets)):
+            residual = _disturbance(s, chain, u, reversed_at)
+            if residual**2 > ATOL_STRUCT:  # a population, like the norm check's
+                break
+    else:
+        return None
+    eraser = s.events[eraser_index]
+    inside = set(s.slots(eraser.targets)).issuperset
+    for f in on:
+        if not (isinstance(f, UnitaryEvent) and inside(s.slots(f.targets))):
+            what = (f"the unitary at time {f.time_index} acts on its support beyond its targets"
+                    if isinstance(f, UnitaryEvent) else
+                    f"{f.agent!r}'s measurement at time {f.time_index} meets its support")
+            raise _Unrealizable(
+                f"erased record was disturbed before {eraser.agent!r}'s measurement by the "
+                f"unitary at time {u.time_index} (commutator residual {residual:.3g}), "
+                f"and {what}; this erasure is not realizable"
+            )
+    reversed_at[p] = u.time_index
+    return support
+
+
+def _disturbance(s: Scenario, chain, u: UnitaryEvent, reversed_at) -> float:
+    """How far the unitary event ``u`` disturbs the erased record whose lift
+    holds the records ``chain``: their commutator residual, or inf if a
+    unitary reversed a lift in the chain."""
+    return math.inf if reversed_at.keys() & set(chain) else _commutator(s, chain, u)
+
+
+def _commutator(s: Scenario, chain, u: UnitaryEvent) -> float:
+    """max_k ||[U, P_k]||_F over the measurement events ``chain`` and the
+    unitary event ``u``, each applied to an identity over the union of their
+    slots; the P_k of a measurement are the rows of its fire block.
+
+    One projector at a time, each from its own identity, which is dropped
+    once P_k is built: the check holds at most four side^2 arrays (U, P_k and
+    the two products), not the n-projector stack it is budgeted on."""
+    union = sorted(set(s.slots(s.events[chain[0]].targets)).union(s.slots(u.targets)))
+    axis = {slot: a for a, slot in enumerate(union, 1)}  # axis 0 is the pointer
+    dims = [s.dims[sl] for sl in union]
+    side = math.prod(dims)
+    check_budget(max([len(s.events[q].labels) for q in chain]) * side * side, len(union) + 2,
+                 _Unrealizable, "commutator needs")
+
+    def eye():
+        return np.eye(side, dtype=complex).reshape([1] + dims + [side])
+
+    op = apply_to_slots(u.op.entries, u.op.dims, [axis[sl] for sl in s.slots(u.targets)],
+                        eye()).reshape(side, side)
+    residual = 0.0
+    for q in chain:
+        basis, tdims = s.events[q].basis, (1,) + s.events[q].basis.dims
+        slots = [0] + [axis[sl] for sl in s.slots(s.events[q].targets)]
+        for rows in np.split(fire_blocks([basis.matrix])[0], len(basis.labels)):
+            proj = apply_to_slots(rows, tdims, slots, eye(), tdims).reshape(side, side)
+            comm = proj @ op
+            comm -= op @ proj
+            del proj  # the norm below takes two temporaries of its own
+            # axis=(0, 1) sums |.|^2 elementwise; without it the norm takes a
+            # dot product, which rounds differently
+            residual = max(residual, np.linalg.norm(comm, axis=(0, 1)))
+    return float(residual)
 
 
 # ---------------------------------------------------------------------------
@@ -788,20 +945,16 @@ def _prechecked(cls, **fields):
 # serializer
 # ---------------------------------------------------------------------------
 
-def _fmt_real(x: float) -> str:
-    return repr(float(x))
-
-
 def format_complex(z: complex) -> str:
     """Text that parses back to ``z`` bit for bit; a part is left out only
     if it is +0.0, so a -0.0 keeps its sign."""
     z = complex(z)
     if z.imag == 0.0 and math.copysign(1.0, z.imag) > 0:
-        return _fmt_real(z.real)
+        return repr(z.real)
     if z.real == 0.0 and math.copysign(1.0, z.real) > 0:
-        return _fmt_real(z.imag) + "i"
+        return repr(z.imag) + "i"
     sign = "+" if math.copysign(1.0, z.imag) > 0 else "-"
-    return f"{_fmt_real(z.real)}{sign}{_fmt_real(abs(z.imag))}i"
+    return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
 def serialize_scenario(s: Scenario) -> str:
@@ -863,6 +1016,9 @@ def _c2j(z: complex) -> list[float]:
 
 
 def _j2c(pair) -> complex:
+    if not (isinstance(pair, list) and len(pair) == 2 and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
+        raise TypeError(f"a complex number must be a list of two numbers, got {pair!r}")
     return complex(float(pair[0]), float(pair[1]))
 
 

@@ -7,10 +7,8 @@ composite-basis erasure can realize:
 * once a subsystem hosts an erased record, no unitary ever acts on it again,
 * joint measurements appear only in the tail, where nothing follows them.
 
-The second rule is stricter than the oracle needs, which accepts any
-unitary on a record's subsystems that commutes with the record's lift,
-and before the eraser one inside the eraser's targets that moves the
-record.  The rule is kept so that every seed keeps its scenario.
+The second rule is stricter than the engines need (``Scenario.erasures``),
+and is kept so that every seed keeps its scenario.
 
 Within that class the generator exercises erasure chains, superset erasers
 (a joint tail measurement erasing a single-subsystem record), interleaved
@@ -23,7 +21,7 @@ answer but ``enumerate_paths`` refuses.
 
 ``random_unrestricted_scenario`` keeps no rule at all: it puts unitaries
 between records and their erasers and measurements that partly overlap an
-erased record, which the oracle may refuse, so it measures how far the
+erased record, which both engines may refuse, so it measures how far the
 engine-equivalence check reaches.  Most of its seeds break a scenario rule
 and raise ``ScenarioValidationError``.
 """
@@ -140,9 +138,7 @@ def random_unpinned_scenario(seed: int) -> Scenario:
     measurements can be followed by anything, and unitaries may come after a
     subsystem's last measurement.  Erased records sit on one subsystem, so
     every eraser covers its record, and a subsystem that ever hosted one is
-    never touched by a unitary again.  The oracle needs the second rule only
-    for a unitary that does not commute with the record's lift; it is kept
-    so that every seed keeps its scenario.
+    never touched by a unitary again, as in ``random_scenario``.
     """
     rng = np.random.default_rng(seed)
     n_sub = int(rng.integers(1, 4))

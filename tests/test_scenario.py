@@ -421,6 +421,11 @@ class TestRoundTrip:
             (("subsystems", 0, "dim"), True, "subsystems[0]: TypeError('dim"),
             (("initial", "dims"), [2.0], "initial: TypeError('dims entry"),
             (("events", 0, "basis", "dims"), [False], "events[0]: TypeError('dims entry"),
+            # a complex is a list of exactly two numbers, never strings or booleans
+            (("initial", "amps"), [["1", False], [0, "0"]], 'initial: TypeError("a complex'),
+            (("events", 0, "basis", "vectors"), [[[True, False], [0, 0]], [[0, 0], [1, 0]]],
+             "events[0]: TypeError('a complex"),
+            (("initial", "amps"), [[1, 0, 5], [0, 0]], "initial: TypeError('a complex"),
         ],
     )
     def test_non_integer_json_numbers_name_the_entry(self, path, value, entry):

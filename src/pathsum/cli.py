@@ -43,7 +43,6 @@ class RunReport:
     oracle_dist: paths.OutcomeDistribution | None
     delta: float | None
     queries: list[QueryOutcome]
-    scenario: Scenario | None = None
 
     @property
     def dist(self) -> paths.OutcomeDistribution:
@@ -126,7 +125,6 @@ def run(source: str, engine: str = "both", regime: str | None = None,
         report.queries.append(
             QueryOutcome(q, given, then, result.holds, result.counter_probability)
         )
-    report.scenario = scenario
     return report
 
 
@@ -268,9 +266,9 @@ def _dot_quoted(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def dot_source(d: paths.OutcomeDistribution, s: Scenario) -> str:
+def dot_source(d: paths.OutcomeDistribution) -> str:
     """DOT digraph of the real-path network; vanishing edges are dashed."""
-    graph = paths.real_path_graph(d, s)
+    graph = paths.real_path_graph(d)
     lines = ["digraph real_paths {", "  rankdir=LR;", "  node [shape=box];"]
     for k, (agent, labels) in enumerate(graph.layers):
         lines.append(f"  subgraph cluster_{k} {{")
@@ -325,7 +323,7 @@ def main(argv=None) -> int:
         elif args.fmt == "json":
             rendered = render_json(report)
         else:
-            rendered = dot_source(report.dist, report.scenario)
+            rendered = dot_source(report.dist)
         if args.out:
             Path(args.out).write_text(rendered, "utf-8")
     except (ValueError, OSError) as exc:  # OSError: unreadable source, unwritable --out

@@ -119,8 +119,8 @@ class StateVector:
         scale = float(np.abs(self.amps.view(float)).max())
         return scale * float(np.linalg.norm(self.amps / scale)) if scale else 0.0
 
-    def is_normalized(self, atol: float = ATOL_STRUCT) -> bool:
-        return abs(self.norm() - 1.0) <= atol
+    def is_normalized(self) -> bool:
+        return abs(self.norm() - 1.0) <= ATOL_STRUCT
 
     def require_normalized(self, what: str = "state") -> "StateVector":
         if not self.is_normalized():
@@ -130,9 +130,9 @@ class StateVector:
     def as_tensor(self) -> np.ndarray:
         return self.amps.reshape(self.dims)
 
-    def allclose(self, other: "StateVector", atol: float = ATOL_STRUCT) -> bool:
+    def allclose(self, other: "StateVector") -> bool:
         return self.dims == other.dims and bool(
-            np.allclose(self.amps, other.amps, rtol=0.0, atol=atol)
+            np.allclose(self.amps, other.amps, rtol=0.0, atol=ATOL_STRUCT)
         )
 
 
@@ -270,16 +270,6 @@ def validate_basis(matrix: np.ndarray) -> list[str]:
         row, col = bad[0]
         report.append(f"basis vector {col} has non-finite entry {m[row, col]} at row {row}")
     return report
-
-
-def fire_blocks(columns) -> np.ndarray:
-    """The fire blocks of bases whose columns ``columns`` share one shape
-    (side, n), stacked, from one einsum: rows (k, i), column j hold
-    w_k[i] conj(w_k[j]), the projectors P_k stacked, one product per
-    entry, so a stack of one gives the same block bit for bit."""
-    cols = np.array([c.T for c in columns])  # (measurement, k, target)
-    g, n, side = cols.shape
-    return np.einsum("gki,gkj->gkij", cols, cols.conj()).reshape(g, n * side, side)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

@@ -62,8 +62,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import (ATOL_STRUCT, MAX_AMPLITUDES, StateVector, apply_to_slots, check_budget,
-                      fire_blocks)
+from .hilbert import ATOL_STRUCT, MAX_AMPLITUDES, StateVector, apply_to_slots, check_budget
 from .paths import OutcomeDistribution, outcome_distribution
 from .scenario import Record, RecordErasedError, Scenario, UnitaryEvent
 
@@ -173,6 +172,15 @@ def _embed(stored, ranges, dims):
     full = np.zeros(dims, dtype=complex)
     full[tuple(slice(r.start, r.stop) for r in ranges)] = stored
     return full
+
+
+def fire_blocks(columns) -> np.ndarray:
+    """The fire blocks of bases whose columns ``columns`` share one shape
+    (side, n), stacked, from one einsum: rows (k, i), column j hold
+    w_k[i] conj(w_k[j]), the projectors P_k stacked, one product per entry."""
+    cols = np.array([c.T for c in columns])  # (measurement, k, target)
+    g, n, side = cols.shape
+    return np.einsum("gki,gkj->gkij", cols, cols.conj()).reshape(g, n * side, side)
 
 
 def dilate(s: Scenario) -> DilatedScenario:
@@ -288,8 +296,8 @@ def _check_norm(state, time_index):
 
 
 def _pointer(d: DilatedScenario, i: int, label: str | None) -> tuple[int, int]:
-    """(slot, index) of measurement ``i``'s pointer at ``label``; None and "0" are pointer 0."""
-    if label is None or label == "0":
+    """(slot, index) of measurement ``i``'s pointer at outcome ``label``; None is pointer 0."""
+    if label is None:
         return d.ancillas[i], 0
     e = d.base.events[i]
     if label not in e.labels:

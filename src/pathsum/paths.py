@@ -341,13 +341,12 @@ def implication(d: OutcomeDistribution, given: tuple[str, str],
     return ImplicationResult(given, then, counter <= ATOL_PROB, counter)
 
 
-def real_path_graph(d: OutcomeDistribution, s: Scenario) -> RealPathGraph:
-    """Layered graph of retained outcomes; consecutive-layer edge weights are
-    pairwise marginals, row-major over the two layers' labels since ``d`` is
-    a distribution of ``s``.  Vanishing edges are flagged (dashed in DOT).
+def real_path_graph(d: OutcomeDistribution) -> RealPathGraph:
+    """Layered graph of retained outcomes, one layer per axis of ``d``;
+    consecutive-layer edge weights are pairwise marginals, row-major over the
+    two layers' labels.  Vanishing edges are flagged (dashed in DOT).
     """
-    present = set(d.agents())
-    layers = tuple((e.agent, e.labels) for _, e in s.retained() if e.agent in present)
+    layers = tuple((axis[0][0], tuple([label for _, label in axis])) for axis in d.axes)
     edges = []
     for k in range(len(layers) - 1):
         (agent_a, labels_a), (agent_b, labels_b) = layers[k], layers[k + 1]

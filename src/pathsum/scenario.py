@@ -34,7 +34,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from .hilbert import (
     StateVector,
     apply_to_slots,
     check_budget,
-    fire_blocks,
     gram_defects,
 )
 
@@ -457,29 +455,30 @@ def _disturbance(s: Scenario, chain, u: UnitaryEvent, reversed_at) -> float:
 def _commutator(s: Scenario, chain, u: UnitaryEvent) -> float:
     """max_k ||[U, P_k]||_F over the measurement events ``chain`` and the
     unitary event ``u``, each applied to an identity over the union of their
-    slots; the P_k of a measurement are the rows of its fire block.
+    slots; P_k = w_k w_k^dagger for each basis vector w_k of a measurement.
 
     One projector at a time, each from its own identity, which is dropped
     once P_k is built: the check holds at most four side^2 arrays (U, P_k and
     the two products), not the n-projector stack it is budgeted on."""
     union = sorted(set(s.slots(s.events[chain[0]].targets)).union(s.slots(u.targets)))
-    axis = {slot: a for a, slot in enumerate(union, 1)}  # axis 0 is the pointer
+    axis = {slot: a for a, slot in enumerate(union)}
     dims = [s.dims[sl] for sl in union]
     side = math.prod(dims)
-    check_budget(max([len(s.events[q].labels) for q in chain]) * side * side, len(union) + 2,
+    check_budget(max([len(s.events[q].labels) for q in chain]) * side * side, len(union) + 1,
                  _Unrealizable, "commutator needs")
 
     def eye():
-        return np.eye(side, dtype=complex).reshape([1] + dims + [side])
+        return np.eye(side, dtype=complex).reshape(dims + [side])
 
     op = apply_to_slots(u.op.entries, u.op.dims, [axis[sl] for sl in s.slots(u.targets)],
                         eye()).reshape(side, side)
     residual = 0.0
     for q in chain:
-        basis, tdims = s.events[q].basis, (1,) + s.events[q].basis.dims
-        slots = [0] + [axis[sl] for sl in s.slots(s.events[q].targets)]
-        for rows in np.split(fire_blocks([basis.matrix])[0], len(basis.labels)):
-            proj = apply_to_slots(rows, tdims, slots, eye(), tdims).reshape(side, side)
+        basis = s.events[q].basis
+        slots = [axis[sl] for sl in s.slots(s.events[q].targets)]
+        for w in basis.matrix.T:  # P_k from one product per entry, as a fire block holds it
+            proj = apply_to_slots(np.einsum("i,j->ij", w, w.conj()), basis.dims, slots,
+                                  eye()).reshape(side, side)
             comm = proj @ op
             comm -= op @ proj
             del proj  # the norm below takes two temporaries of its own
@@ -580,21 +579,20 @@ class _ExprParser:
 
 
 class _BadLiteral(ValueError):
-    """A literal the grammar rejects; ``index`` is its place in the run."""
+    """A literal the grammar rejects; ``index`` is its place in the list."""
 
     def __init__(self, index: int, message: str):
         super().__init__(message)
         self.index = index
 
 
-def _literals(tokens: list[str], starts: Sequence[int] = (0,)) -> list[complex]:
+def _literals(tokens: list[str]) -> list[complex]:
     """The values of whitespace-free literals, in order.
 
     A list of plain literals is checked by one match of the joined list, and
     each token is converted by complex(), which rounds each part as the
     grammar's float() does, so every value is bit-identical, -0 included.
-    Otherwise each run, cut at ``starts``, is tried the same way on its own,
-    and a run that is not plain, or that overflows, goes through the grammar
+    A list that is not plain, or that overflows, goes through the grammar
     token by token; the first bad token raises _BadLiteral.
     """
     run = " ".join(tokens)
@@ -604,13 +602,6 @@ def _literals(tokens: list[str], starts: Sequence[int] = (0,)) -> list[complex]:
         if len(values) == len(tokens) and all(map(cmath.isfinite, values)):
             return values
     values = []
-    if len(starts) > 1:
-        for a, b in itertools.pairwise((*starts, len(tokens))):
-            try:
-                values += _literals(tokens[a:b])
-            except _BadLiteral as exc:
-                raise _BadLiteral(a + exc.index, str(exc)) from None
-        return values
     for k, tok in enumerate(tokens):
         try:
             values.append(_ExprParser(tok).parse_complex())
@@ -860,7 +851,7 @@ def _values(items: list[_Item], flat: list[str]):
     build the initial state (None if there is none) and the events, with
     each event's line.  The error raised is the first in source order."""
     try:
-        vals = np.array(_literals(flat, [it.start for it in items if it.size]), dtype=complex)
+        vals = np.array(_literals(flat), dtype=complex)
     except _BadLiteral as exc:
         j = next(j for j, it in enumerate(items) if it.start + it.size > exc.index)
         bad, offset = items[j], exc.index - items[j].start
@@ -958,9 +949,13 @@ def format_complex(z: complex) -> str:
 
 
 def serialize_scenario(s: Scenario) -> str:
-    """Emit canonical ``.scn`` source; parsing it back reproduces ``s``."""
+    """Emit canonical ``.scn`` source; parsing it back reproduces ``s``.  A
+    name or label that is not a ``.scn`` identifier has no such text, so the
+    first one, in text order, raises ValueError and nothing is returned."""
     lines = []
     for sub in s.subsystems:
+        _require_identifiers("subsystem name", sub.name)
+        _require_identifiers("basis label", *sub.basis_labels)
         lines.append("subsystem " + sub.name + " " + " ".join(sub.basis_labels))
     lines.append("")
     lines.append("state " + " ".join(format_complex(a) for a in s.initial.amps))
@@ -971,6 +966,8 @@ def serialize_scenario(s: Scenario) -> str:
             entries = " ".join(format_complex(z) for z in e.op.entries.reshape(-1))
             lines.append(f"unitary {e.time_index} {targets} {entries}")
         else:
+            _require_identifiers("agent name", e.agent)
+            _require_identifiers("outcome label", *e.labels)
             groups = " ".join(
                 f"{label}: " + " ".join(format_complex(a) for a in vec)
                 for label, vec in zip(e.basis.labels, e.basis.matrix.T)
@@ -981,12 +978,19 @@ def serialize_scenario(s: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-def scenario_equal(a: Scenario, b: Scenario, atol: float = ATOL_STRUCT) -> bool:
-    """Structural equality with amplitude tolerance ``atol``."""
+def _require_identifiers(what: str, *names: str) -> None:
+    """Raise ValueError for the first of ``names`` no ``.scn`` text can hold."""
+    for name in names:
+        if not _IDENT_RE.match(name):
+            raise ValueError(f"cannot serialize: {what} {name!r} is not a .scn identifier")
+
+
+def scenario_equal(a: Scenario, b: Scenario) -> bool:
+    """Structural equality with amplitude tolerance ``ATOL_STRUCT``."""
     if [(s.name, s.dim, s.basis_labels) for s in a.subsystems] != \
        [(s.name, s.dim, s.basis_labels) for s in b.subsystems]:
         return False
-    if not a.initial.allclose(b.initial, atol=atol):
+    if not a.initial.allclose(b.initial):
         return False
     if len(a.events) != len(b.events):
         return False
@@ -996,13 +1000,13 @@ def scenario_equal(a: Scenario, b: Scenario, atol: float = ATOL_STRUCT) -> bool:
         if (ea.time_index, ea.targets) != (eb.time_index, eb.targets):
             return False
         if isinstance(ea, UnitaryEvent):
-            if not np.allclose(ea.op.entries, eb.op.entries, rtol=0.0, atol=atol):
+            if not np.allclose(ea.op.entries, eb.op.entries, rtol=0.0, atol=ATOL_STRUCT):
                 return False
         else:
             if (ea.agent, ea.record, ea.basis.labels, ea.basis.dims) != \
                (eb.agent, eb.record, eb.basis.labels, eb.basis.dims):
                 return False
-            if not np.allclose(ea.basis.matrix, eb.basis.matrix, rtol=0.0, atol=atol):
+            if not np.allclose(ea.basis.matrix, eb.basis.matrix, rtol=0.0, atol=ATOL_STRUCT):
                 return False
     return True
 

@@ -349,18 +349,18 @@ class TestRendering:
 
     def test_dot_dashes_vanishing_edges(self):
         report = run("2w2f", regime="both_preserved", engine="paths")
-        dot = dot_source(report.dist, report.scenario)
+        dot = dot_source(report.dist)
         assert '"n0_heads" -> "n1_up" [label="0", style=dashed];' in dot
 
     def test_dot_four_real_paths_when_both_erased(self):
         report = run("2w2f", regime="both_erased", engine="paths")
-        dot = dot_source(report.dist, report.scenario)
+        dot = dot_source(report.dist)
         assert dot.count("->") == 4
         assert "dashed" not in dot
 
     def test_dot_escapes_quotes_and_backslashes(self):
         s = _escaped_names_scenario()
-        dot = dot_source(paths.distribution(s), s)
+        dot = dot_source(paths.distribution(s))
         quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
         for line in dot.splitlines():
             assert '"' not in quoted.sub("", line), line

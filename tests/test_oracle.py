@@ -1266,7 +1266,7 @@ class TestFireBlocks:
                                         library.RegimeTag.F_PRESERVED])
     def test_one_stacked_product_per_shape(self, monkeypatch, regime):
         # the realizability check in the scenario index builds its own
-        # blocks, one at a time, so the four qubit measurements are one stack
+        # projectors, so the four qubit measurements are one stack
         real, stacks = oracle.fire_blocks, []
 
         def spy(columns):
@@ -1475,6 +1475,15 @@ class TestJointProbability:
         with pytest.raises(RecordErasedError, match="outcome undefined"):
             joint_probability(st, {"Fbar": "heads"})
 
+    def test_outcome_labelled_zero_is_a_label(self):
+        # the label "0" is an outcome, not the untriggered pointer level
+        s = Scenario((SubsystemSpec("q", 2, ("a", "b")),), StateVector((2,), [0.6, 0.8]), (
+            MeasurementEvent(1, "A", ("q",), Basis((2,), ("0", "1"), np.eye(2)),
+                             Record.RETAINED),))
+        want = paths.distribution(s).probability({"A": "0"})
+        assert want == pytest.approx(0.36, abs=1e-12)
+        assert joint_probability(evolve(dilate(s)), {"A": "0"}) == pytest.approx(want, abs=1e-12)
+
     def test_unknown_agent_and_label(self):
         st = evolve(dilate(library.double_slit()))
         with pytest.raises(ValueError, match="unknown agent"):
@@ -1544,7 +1553,20 @@ class TestInspectRecord:
 
     def test_untriggered_pointer_after_coupling_is_zero(self):
         st = self._state()
-        assert inspect_record(st, "F", "0") == pytest.approx(0.0, abs=1e-12)
+        assert inspect_record(st, "F", None) == pytest.approx(0.0, abs=1e-12)
+
+    def test_outcome_labelled_zero_is_a_label(self):
+        # F's basis relabelled ("0", "1"): "0" names F's first outcome, read
+        # as "up" is, and None stays the untriggered level
+        s = library.wfs("II")
+        f = s.events[0]
+        relabelled = replace(s, events=(replace(f, basis=Basis(f.basis.dims, ("0", "1"),
+                                                               f.basis.matrix)),) + s.events[1:])
+        st = evolve(dilate(relabelled))
+        assert inspect_record(st, "F", "0", {"W": "ok"}) == pytest.approx(
+            inspect_record(self._state(), "F", "up", {"W": "ok"}), abs=1e-12)
+        assert inspect_record(st, "F", "0") > 0.1
+        assert inspect_record(st, "F", None) == pytest.approx(0.0, abs=1e-12)
 
     def test_retained_record_directs_to_joint_probability(self):
         st = evolve(dilate(library.wfs("I")))

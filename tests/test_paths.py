@@ -455,13 +455,16 @@ class TestAxisSums:
                 assert got.holds == (want <= 1e-9)
 
     def test_real_path_graph_is_the_reference(self):
+        # the graph reads its layers from the distribution's axes, the
+        # reference from the scenario: a marginal keeps the retained order
         for s in _axis_scenarios():
-            d = distribution(s)
-            graph = real_path_graph(d, s)
-            layers, edges = _reference_real_path_graph(d, s)
-            assert graph.layers == layers
-            assert graph.edges == edges
-            assert all(_same_bits(a[3], b[3]) for a, b in zip(graph.edges, edges)), s
+            full = distribution(s)
+            for d in (full, marginal(full, full.agents()[1:]), marginal(full, full.agents()[::2])):
+                graph = real_path_graph(d)
+                layers, edges = _reference_real_path_graph(d, s)
+                assert graph.layers == layers
+                assert graph.edges == edges
+                assert all(_same_bits(a[3], b[3]) for a, b in zip(graph.edges, edges)), s
 
     def test_signed_zeros_sum_as_the_loop_does(self):
         axes = ((("A", "x"), ("A", "y")), (("B", "u"), ("B", "v")))
@@ -496,7 +499,7 @@ class TestAxisSumsAtScale:
 
     def test_dot_and_queries_build_no_keys(self, table):
         d, s = table
-        cli.dot_source(d, s)
+        cli.dot_source(d)
         assert "keys" not in vars(d) and "weights" not in vars(d)
         implication(d, ("A1", "m0"), ("A16", "m1"))
         d.probability({"A3": "m1", "A9": "m0"})
@@ -525,13 +528,13 @@ class TestAxisSumsAtScale:
                 times.append(time.perf_counter() - start)
             return min(times)
 
-        assert best(lambda: real_path_graph(d, s)) <= 5 * best(lambda: distribution(s))
+        assert best(lambda: real_path_graph(d)) <= 5 * best(lambda: distribution(s))
 
     @pytest.mark.parametrize("call, bound", [
         (lambda d, s: implication(d, ("A1", "m0"), ("A16", "m1")), 2),
         (lambda d, s: d.probability({}), 2),
         (lambda d, s: marginal(d, ("A2", "A15")), 2),
-        (lambda d, s: real_path_graph(d, s), 3),
+        (lambda d, s: real_path_graph(d), 3),
     ], ids=["implication", "probability", "marginal", "real_path_graph"])
     def test_peak_is_a_small_multiple_of_the_table(self, table, call, bound):
         d, s = table
@@ -571,7 +574,7 @@ class TestImplication:
 class TestRealPathGraph:
     def test_no_pathway_between_heads_and_up(self):
         s = two_wigners("both_preserved")
-        graph = real_path_graph(distribution(s), s)
+        graph = real_path_graph(distribution(s))
         edge = next(
             e for e in graph.edges if e[0] == 0 and e[1] == "heads" and e[2] == "up"
         )
@@ -579,7 +582,7 @@ class TestRealPathGraph:
 
     def test_both_erased_has_four_real_paths(self):
         s = two_wigners("both_erased")
-        graph = real_path_graph(distribution(s), s)
+        graph = real_path_graph(distribution(s))
         assert len(graph.layers) == 2
         assert len(graph.edges) == 4
         assert all(not vanishing for *_, vanishing in graph.edges)
@@ -589,14 +592,14 @@ class TestRealPathGraph:
             "subsystem sys up down\nstate 0.6 0.8\n"
             "measure 1 F sys retained up: 1 0 down: 0 1\n"
         )
-        graph = real_path_graph(distribution(s), s)
+        graph = real_path_graph(distribution(s))
         assert len(graph.layers) == 1 and graph.edges == ()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_outgoing_weights_match_marginals(self, seed):
         s = random_scenario(seed + 5000)
         dist = distribution(s)
-        graph = real_path_graph(dist, s)
+        graph = real_path_graph(dist)
         if len(graph.layers) < 2:
             return
         agent0 = graph.layers[0][0]

@@ -31,6 +31,7 @@ from pathsum.testing import (
     erased_qubit_chain,
     random_scenario,
     random_unpinned_scenario,
+    random_unrestricted_scenario,
     unrestricted_scenarios,
 )
 
@@ -380,6 +381,17 @@ class TestRoundTrip:
     def test_random_scenarios(self, seed):
         s = random_scenario(seed)
         assert scenario_equal(s, parse_scenario(serialize_scenario(s)))
+
+    def test_non_identifier_names_are_refused(self):
+        # random_unrestricted_scenario labels its qubits' levels "0" and "1",
+        # which no .scn text can hold
+        with pytest.raises(ValueError, match="basis label '0' is not a .scn identifier"):
+            serialize_scenario(random_unrestricted_scenario(3))
+
+    def test_generated_scenarios_round_trip_exactly(self):
+        for seed in range(300):
+            for s in (random_scenario(seed), random_unpinned_scenario(seed)):
+                assert parse_scenario(serialize_scenario(s)) == s, seed
 
     @pytest.mark.parametrize("seed", range(10))
     def test_json_random(self, seed):

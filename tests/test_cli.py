@@ -1,10 +1,14 @@
 import dataclasses
+import gc
 import importlib.util
 import json
 import math
 import operator
+import os
 import random
 import re
+import site
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -508,6 +512,12 @@ class TestMainExitCodes:
             assert cli.main(["run", *argv]) == 2
             assert capsys.readouterr().err.startswith(f"error: unknown scenario {missing!r}; ")
 
+    def test_unknown_regime_exits_2_naming_the_regimes(self, capsys):
+        assert cli.main(["run", "2w2f", "--regime", "nope"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown regime 'nope'; choose both_erased, fbar_preserved, "
+            "f_preserved or both_preserved\n")
+
     def test_regime_on_a_file_exits_2(self, tmp_path, capsys):
         target = tmp_path / "mini.scn"
         target.write_text(serialize_scenario(library.wfs("II")), "utf-8")
@@ -623,3 +633,80 @@ class TestMainExitCodes:
         assert code == 3
         assert out.endswith('"delta": NaN}\n')
         assert err == "error: engines disagree (max entrywise delta = nan)\n"
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestProcessEntry:
+    """``python -m pathsum.cli`` and the ``pathsum`` script run ``cli.entry``."""
+
+    @staticmethod
+    def _child(*args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              encoding="utf-8", timeout=120)
+
+    def _same_as_main(self, argv, capsys):
+        child = self._child("-m", "pathsum.cli", *argv)
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
+        return code, out, err
+
+    def test_process_matches_main(self, tmp_path, capsys):
+        code, out, _ = self._same_as_main(
+            ["run", "2w2f", "--regime", "both_erased", "--format", "json",
+             "--query", "Ok=>Heads"], capsys)
+        assert code == 2 and out == ""
+        code, out, _ = self._same_as_main(
+            ["run", "2w2f", "--regime", "fbar_preserved", "--format", "json",
+             "--query", "Ok=>Heads"], capsys)
+        assert code == 0 and json.loads(out)["queries"]
+        bad = tmp_path / "bad.scn"
+        bad.write_text("subsystem sys up down\nstate 1 1\n", "utf-8")
+        code, _, err = self._same_as_main(["run", str(bad)], capsys)
+        assert code == 2 and err.startswith("error: line 2, col 1: ")
+
+    def test_process_out_file_matches_main(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        argv = ["run", "2w2f", "--regime", "fbar_preserved", "--format", "json",
+                "--query", "Ok=>Heads", "--out", str(target)]
+        child = self._child("-m", "pathsum.cli", *argv)
+        written = target.read_bytes()
+        target.unlink()
+        assert cli.main(argv) == child.returncode == 0
+        out, err = capsys.readouterr()
+        assert (child.stdout, child.stderr) == (out, err) == (f"wrote {target}\n", "")
+        assert target.read_bytes() == written
+
+    def test_entry_freezes_the_collector_after_main(self, capsys):
+        try:
+            assert cli.entry(["list"]) == 0
+            assert gc.get_freeze_count() > 0
+            gc.unfreeze()
+            with pytest.raises(SystemExit):  # argparse's exit on a bad command line
+                cli.entry(["nope"])
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+
+    def test_import_adds_no_importlib_resources_beyond_numpy(self):
+        # -S: no site-packages .pth file runs, so only the imports themselves load modules
+        probe = (
+            "import sys\n"
+            "sys.path[:0] = sys.argv[1:2]\n"
+            "sys.path += sys.argv[2:]\n"
+            "def loaded():\n"
+            "    return {m for m in sys.modules if m.split('.')[:2] == ['importlib', 'resources']}\n"
+            "import numpy\n"
+            "before = loaded()\n"
+            "import pathsum.cli\n"
+            "print(pathsum.cli.__file__)\n"
+            "print(sorted(loaded() - before))\n"
+        )
+        dirs = site.getsitepackages() + [site.getusersitepackages()]
+        child = self._child("-S", "-c", probe, str(SRC), *dirs)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.splitlines() == [str(SRC / "pathsum" / "cli.py"), "[]"]

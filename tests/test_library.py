@@ -10,6 +10,7 @@ from pathsum.library import RegimeTag, builtin, builtin_names, double_slit, two_
 from pathsum.scenario import (
     MeasurementEvent,
     Scenario,
+    ScenarioParseError,
     parse_scenario,
     scenario_equal,
     serialize_scenario,
@@ -27,6 +28,18 @@ class TestShippedFiles:
     def test_validate_and_round_trip(self, name):
         s = builtin(name)
         assert scenario_equal(s, parse_scenario(serialize_scenario(s)))
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_leading_byte_order_mark_is_skipped(self, name):
+        source = library.shipped_source(name)
+        plain = parse_scenario(source)
+        assert parse_scenario(b"\xef\xbb\xbf" + source.encode()) == plain
+        assert parse_scenario("\ufeff" + source) == plain
+        # only the first character may be a byte order mark
+        for line, text in ((1, "\ufeff\ufeff" + source), (2, source.replace("\n", "\n\ufeff", 1))):
+            with pytest.raises(ScenarioParseError) as err:
+                parse_scenario(text)
+            assert str(err.value) == f"line {line}, col 1: unknown directive '\\ufeff'"
 
 
 class TestDoubleSlit:
@@ -153,6 +166,14 @@ class TestBuiltinResolution:
             builtin("2w2f")
         s = builtin("2w2f", "both_erased")
         assert scenario_equal(s, builtin("2w2f_both_erased"))
+
+    def test_unknown_regime_names_the_four(self):
+        message = ("unknown regime 'nope'; choose both_erased, fbar_preserved, "
+                   "f_preserved or both_preserved")
+        for make in (lambda: builtin("2w2f", "nope"), lambda: two_wigners("nope")):
+            with pytest.raises(ValueError) as err:
+                make()
+            assert str(err.value) == message
 
     def test_regime_rejected_elsewhere(self):
         with pytest.raises(ValueError, match="does not take a regime"):

@@ -161,10 +161,6 @@ class Operator:
             )
         object.__setattr__(self, "entries", _frozen_array(entries))
 
-    @property
-    def side(self) -> int:
-        return self.entries.shape[0]
-
     def unitarity_defect(self) -> float:
         """Max-norm of U^dagger U - I."""
         return float(gram_defects(self.entries[np.newaxis])[0])

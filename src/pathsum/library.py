@@ -6,6 +6,9 @@ Three families:
   records the which-way basis, the second measures in a rotated basis.
 * ``wfs``: the one-friend/one-observer setup; case I keeps the friend's
   record, case II erases it by measuring the friend's whole laboratory.
+  Both are one experiment: case I is the double slit with its which-way
+  probe engaged, ``double_slit() == wfs("I")``, and case II is that probe
+  with its record erased.
 * ``two_wigners``: two friends measure a coin and a spin that interact in
   between, then two outside observers measure the laboratories.  The four
   record regimes select which friend records survive.
@@ -47,10 +50,6 @@ class RegimeTag(enum.Enum):
     BOTH_PRESERVED = "both_preserved"
 
 
-def _two_level(name: str, labels=("up", "down")) -> SubsystemSpec:
-    return SubsystemSpec(name, 2, tuple(labels))
-
-
 def _rotated_basis(alpha, beta, gamma, delta, labels=("fail", "ok")) -> Basis:
     coeffs = Operator((2,), [[alpha, beta], [gamma, delta]])
     try:
@@ -64,6 +63,18 @@ def _updown_basis() -> Basis:
     return Basis((2,), ("up", "down"), [[1, 0], [0, 1]])
 
 
+def _probe_then_readout(probe: Record | None, coeffs, s0) -> Scenario:
+    """``sys`` prepared in ``s0``, then F's up/down probe with record
+    ``probe`` (None: no probe), then W's retained readout in the basis of
+    the coefficients ``coeffs``, which are checked before the preparation."""
+    rotated = _rotated_basis(*coeffs)
+    initial = StateVector((2,), list(s0)).require_normalized("preparation")
+    events = (MeasurementEvent(2, "W", ("sys",), rotated, Record.RETAINED),)
+    if probe is not None:
+        events = (MeasurementEvent(1, "F", ("sys",), _updown_basis(), probe),) + events
+    return Scenario((SubsystemSpec("sys", 2, ("up", "down")),), initial, events)
+
+
 def double_slit(alpha=HADAMARD[0], beta=HADAMARD[1], gamma=HADAMARD[2],
                 delta=HADAMARD[3], s0=GENERIC_S0,
                 engage_first_probe: bool = True) -> Scenario:
@@ -72,13 +83,8 @@ def double_slit(alpha=HADAMARD[0], beta=HADAMARD[1], gamma=HADAMARD[2],
     With the probe engaged the readout statistics add probabilities over the
     two ways; without it the ways interfere and amplitudes add first.
     """
-    rotated = _rotated_basis(alpha, beta, gamma, delta)
-    initial = StateVector((2,), list(s0)).require_normalized("preparation")
-    events: list = []
-    if engage_first_probe:
-        events.append(MeasurementEvent(1, "F", ("sys",), _updown_basis(), Record.RETAINED))
-    events.append(MeasurementEvent(2, "W", ("sys",), rotated, Record.RETAINED))
-    return Scenario((_two_level("sys"),), initial, tuple(events))
+    return _probe_then_readout(Record.RETAINED if engage_first_probe else None,
+                               (alpha, beta, gamma, delta), s0)
 
 
 def wfs(case, alpha=HADAMARD[0], beta=HADAMARD[1], gamma=HADAMARD[2],
@@ -90,19 +96,10 @@ def wfs(case, alpha=HADAMARD[0], beta=HADAMARD[1], gamma=HADAMARD[2],
     whole laboratory, erasing the record and restoring interference.
     """
     case = str(case).upper()
-    if case in ("1", "I"):
-        record = Record.RETAINED
-    elif case in ("2", "II"):
-        record = Record.ERASED
-    else:
+    if case not in ("1", "I", "2", "II"):
         raise ValueError(f"case must be I or II, got {case!r}")
-    rotated = _rotated_basis(alpha, beta, gamma, delta)
-    initial = StateVector((2,), list(s0)).require_normalized("preparation")
-    events = (
-        MeasurementEvent(1, "F", ("sys",), _updown_basis(), record),
-        MeasurementEvent(2, "W", ("sys",), rotated, Record.RETAINED),
-    )
-    return Scenario((_two_level("sys"),), initial, events)
+    return _probe_then_readout(Record.RETAINED if case in ("1", "I") else Record.ERASED,
+                               (alpha, beta, gamma, delta), s0)
 
 
 def _coin_spin_interaction() -> Operator:
@@ -118,6 +115,15 @@ def _coin_spin_interaction() -> Operator:
     return Operator((2, 2), u)
 
 
+# regime -> the records of (Fbar, F)
+_REGIME_RECORDS = {
+    RegimeTag.BOTH_ERASED: (Record.ERASED, Record.ERASED),
+    RegimeTag.FBAR_PRESERVED: (Record.RETAINED, Record.ERASED),
+    RegimeTag.F_PRESERVED: (Record.ERASED, Record.RETAINED),
+    RegimeTag.BOTH_PRESERVED: (Record.RETAINED, Record.RETAINED),
+}
+
+
 def two_wigners(regime: RegimeTag | str) -> Scenario:
     """The two-friends/two-observers scenario in one of four record regimes.
 
@@ -131,16 +137,7 @@ def two_wigners(regime: RegimeTag | str) -> Scenario:
     except ValueError:
         *rest, last = (tag.value for tag in RegimeTag)
         raise ValueError(f"unknown regime {regime!r}; choose {', '.join(rest)} or {last}") from None
-    fbar_record = (
-        Record.RETAINED
-        if regime in (RegimeTag.FBAR_PRESERVED, RegimeTag.BOTH_PRESERVED)
-        else Record.ERASED
-    )
-    f_record = (
-        Record.RETAINED
-        if regime in (RegimeTag.F_PRESERVED, RegimeTag.BOTH_PRESERVED)
-        else Record.ERASED
-    )
+    fbar_record, f_record = _REGIME_RECORDS[regime]
     coin = SubsystemSpec("coin", 2, ("heads", "tails"))
     spin = SubsystemSpec("spin", 2, ("up", "down"))
     sq3 = math.sqrt(3.0)

@@ -174,7 +174,7 @@ def _engine_preconditions(s: Scenario) -> tuple[int, ...]:
         )
     for i, e in enumerate(s.events):
         if isinstance(e, UnitaryEvent):
-            late = [t for t in e.targets if last[s.subsystem_index(t)] < i]
+            late = [t for t, slot in zip(e.targets, s.slots(e.targets)) if last[slot] < i]
             if late:
                 raise PathEngineError(
                     f"unitary at time {e.time_index} acts on {late[0]!r} "

@@ -159,8 +159,9 @@ class Scenario:
 
     def __post_init__(self):
         object.__setattr__(self, "subsystems", tuple(self.subsystems))
-        order = {s.name: k for k, s in enumerate(self.subsystems)}
         events = tuple(self.events)
+        _check_types(self.subsystems, events)  # the time sort reads their fields
+        order = {s.name: k for k, s in enumerate(self.subsystems)}
         times = [e.time_index for e in events]
         if not all(map(operator.lt, times, times[1:])):  # else already in time order
             # ties between same-time events on disjoint targets are broken by
@@ -174,12 +175,9 @@ class Scenario:
                 )
             )
         object.__setattr__(self, "events", events)
-        erasers = _check(self)
-        measurements = tuple(
-            (i, e) for i, e in enumerate(events) if isinstance(e, MeasurementEvent)
-        )
-        retained = tuple(m for m in measurements if m[1].record is Record.RETAINED)
-        erased = tuple(m for m in measurements if m[1].record is Record.ERASED)
+        measurements, erasers = _check(self)
+        retained = tuple([m for m in measurements if m[1].record is Record.RETAINED])
+        erased = tuple([m for m in measurements if m[1].record is Record.ERASED])
         tag = "retained=" + ",".join([e.agent for _, e in retained])
         if erased:
             tag += "; erased=" + ",".join([e.agent for _, e in erased])
@@ -199,17 +197,11 @@ class Scenario:
     def dims(self) -> tuple[int, ...]:
         return self._dims
 
-    def subsystem_index(self, name: str) -> int:
-        try:
-            return self._slot[name]
-        except KeyError:
-            raise ScenarioValidationError(f"unknown subsystem {name!r}") from None
-
     def slots(self, targets: tuple[str, ...]) -> tuple[int, ...]:
         try:
             return tuple([self._slot[n] for n in targets])
-        except KeyError:
-            return tuple(map(self.subsystem_index, targets))  # raises for the first unknown
+        except KeyError as exc:  # the first unknown name
+            raise ScenarioValidationError(f"unknown subsystem {exc.args[0]!r}") from None
 
     def measurements(self) -> tuple[tuple[int, MeasurementEvent], ...]:
         """(event_index, event) for measurement events, in time order."""
@@ -254,9 +246,22 @@ class Scenario:
         raise ScenarioValidationError(f"unknown agent {agent!r}")
 
 
-def _check(s: Scenario) -> dict[int, int]:
+def _check_types(subsystems: tuple, events: tuple) -> None:
+    """Raise ScenarioValidationError for the first subsystem or event of a
+    scenario built in code that is not of its class."""
+    for k, sub in enumerate(subsystems):
+        if not isinstance(sub, SubsystemSpec):
+            raise ScenarioValidationError(f"subsystem {k}: expected a SubsystemSpec, got {sub!r}")
+    for j, e in enumerate(events):
+        if not isinstance(e, (UnitaryEvent, MeasurementEvent)):
+            raise ScenarioValidationError(
+                f"event {j}: expected a UnitaryEvent or MeasurementEvent, got {e!r}")
+
+
+def _check(s: Scenario) -> tuple[tuple[tuple[int, MeasurementEvent], ...], dict[int, int]]:
     """Raise ScenarioValidationError for the first violated invariant, or
-    return each erased record's eraser (see ``Scenario.erasers``).
+    return the measurements' (index, event) pairs, each record a ``Record``
+    member, and each erased record's eraser (see ``Scenario.erasers``).
 
     One pass over the events raises an event's own violation at once and
     keeps the first violation of each scenario-wide rule, which is raised
@@ -268,6 +273,8 @@ def _check(s: Scenario) -> dict[int, int]:
     if len(dim_of) != len(s.subsystems):
         raise ScenarioValidationError("duplicate subsystem names")
 
+    if not isinstance(s.initial, StateVector):
+        raise ScenarioValidationError(f"initial state must be a StateVector, got {s.initial!r}")
     dims = tuple(dim_of.values())
     if s.initial.dims != dims:
         raise ScenarioValidationError(
@@ -285,7 +292,7 @@ def _check(s: Scenario) -> dict[int, int]:
     # the least pair (i, j) is the first a scan over all pairs finds
     first: dict[tuple[int, str], int] = {}
     clash: tuple[int, int] | None = None
-    agents: list[str] = []
+    measurements: list[tuple[int, MeasurementEvent]] = []
     unfinished: Event | None = None  # rule B
     pending: list[tuple[int, MeasurementEvent, set[str]]] = []  # rule F
     erasers: dict[int, int] = {}
@@ -312,7 +319,13 @@ def _check(s: Scenario) -> dict[int, int]:
                 clash = (i, j)
         measured = isinstance(e, MeasurementEvent)
         if measured:
-            agents.append(e.agent)
+            if not isinstance(e.agent, str):
+                raise ScenarioValidationError(f"event {j}: agent must be a str, got {e.agent!r}", e)
+            if not isinstance(e.record, Record):
+                raise ScenarioValidationError(
+                    f"event {j}: record must be Record.RETAINED or Record.ERASED, "
+                    f"got {e.record!r}", e)
+            measurements.append((j, e))
             # rule F: an erased record must be destroyed by a later
             # measurement; the first that covers its targets is its eraser
             kept = [p for p in pending if not p[2] <= cover]
@@ -332,9 +345,9 @@ def _check(s: Scenario) -> dict[int, int]:
             f"events {i} and {j} share time {s.events[i].time_index} and overlapping targets",
             s.events[j],
         )
-    if not agents:
+    if not measurements:
         raise ScenarioValidationError("scenario has no measurements")
-    if len(set(agents)) != len(agents):
+    if len({e.agent for _, e in measurements}) != len(measurements):
         raise ScenarioValidationError("agent names are not unique across measurement events")
     if unfinished is not None:
         raise ScenarioValidationError(
@@ -347,7 +360,7 @@ def _check(s: Scenario) -> dict[int, int]:
             f"(needs a later measurement covering {e.targets})",
             e,
         )
-    return erasers
+    return tuple(measurements), erasers
 
 
 class _Unrealizable(ValueError):
@@ -536,8 +549,6 @@ class _ExprParser:
         self.fail(f"unexpected character {self.peek()!r}")
 
     def parse_real(self, depth: int) -> float:
-        if depth > _MAX_DEPTH:
-            self.fail("expression too deeply nested")
         value = self.parse_factor(depth)
         while True:
             if self.take("*"):

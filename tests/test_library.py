@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathsum.hilbert import HilbertError
 from pathsum.library import RegimeTag, builtin, builtin_names, double_slit, two_wigners, wfs
 from pathsum.scenario import (
     MeasurementEvent,
+    Record,
     Scenario,
     ScenarioParseError,
     parse_scenario,
@@ -71,6 +73,24 @@ class TestDoubleSlit:
     def test_unnormalized_preparation_rejected(self):
         with pytest.raises(HilbertError, match="norm"):
             double_slit(s0=(1, 1))
+
+    def test_coefficients_are_checked_before_the_preparation(self):
+        for build in (lambda: double_slit(1, 0, 1, 0, s0=(1, 1)),
+                      lambda: wfs("II", 1, 0, 1, 0, s0=(1, 1))):
+            with pytest.raises(HilbertError, match="non-unitary coefficient"):
+                build()
+
+    def test_engaged_probe_is_wfs_case_one(self):
+        assert double_slit() == wfs("I")
+        assert double_slit(1, 0, 0, 1, s0=(0, 1)) == wfs(1, 1, 0, 0, 1, s0=(0, 1))
+        # case II is the same probe with its record erased
+        probe, readout = double_slit().events
+        assert wfs("II").events == (dataclasses.replace(probe, record=Record.ERASED), readout)
+
+    def test_unengaged_probe_leaves_only_the_readout(self):
+        s = double_slit(engage_first_probe=False)
+        assert s.events == double_slit().events[1:]
+        assert [e.agent for e in s.events] == ["W"]
 
 
 class TestWfs:

@@ -1384,7 +1384,7 @@ class TestInvariances:
                                        Operator((sub.dim,), random_unitary(rng, sub.dim))))
             k = len(events) - 1
         u = events[k]
-        first = random_unitary(rng, u.op.side)
+        first = random_unitary(rng, u.op.entries.shape[0])
         second = u.op.entries @ first.conj().T
         split = events[:k] + events[k + 1:] + [
             UnitaryEvent(u.time_index - 1, u.targets, Operator(u.op.dims, first)),

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -530,6 +531,29 @@ def _rule_cases():
     ]
 
 
+def _type_cases():
+    """(case, scenario parts, expected message, index of the offending event or None)
+    for parts of a scenario built in code that are not of their class."""
+    sub = SubsystemSpec("sys", 2, ("up", "down"))
+    up = StateVector((2,), [1, 0])
+    basis = Basis((2,), ("up", "down"), [[1, 0], [0, 1]])
+    # two events out of time order, so the time sort runs after the checks
+    flip = UnitaryEvent(2, ("sys",), Operator((2,), [[0, 1], [1, 0]]))
+    late = MeasurementEvent(3, "F", ("sys",), basis, Record.RETAINED)
+    return [
+        ("initial_none", ((sub,), None, (late,)),
+         "initial state must be a StateVector, got None", None),
+        ("event_str", ((sub,), up, (late, "measure 1 F sys")),
+         "event 1: expected a UnitaryEvent or MeasurementEvent, got 'measure 1 F sys'", None),
+        ("subsystem_str", (("sys",), up, (late, flip)),
+         "subsystem 0: expected a SubsystemSpec, got 'sys'", None),
+        ("agent_none", ((sub,), up, (dataclasses.replace(late, agent=None), flip)),
+         "event 1: agent must be a str, got None", 0),
+        ("agent_int", ((sub,), up, (dataclasses.replace(late, agent=3), flip)),
+         "event 1: agent must be a str, got 3", 0),
+    ]
+
+
 class TestValidate:
     def test_unnormalized_initial_reported(self):
         sub = SubsystemSpec("sys", 2, ("up", "down"))
@@ -556,6 +580,30 @@ class TestValidate:
     def test_builtin_scenarios_validate(self):
         for name in library.builtin_names():
             assert isinstance(library.builtin(name), Scenario)
+
+    @pytest.mark.parametrize("parts, message, index",
+                             [case[1:] for case in _type_cases()],
+                             ids=[case[0] for case in _type_cases()])
+    def test_constructor_refuses_a_part_of_the_wrong_class(self, parts, message, index):
+        with pytest.raises(ScenarioValidationError) as info:
+            Scenario(*parts)
+        assert str(info.value) == message
+        assert info.value.event is (None if index is None else parts[2][index])
+
+    @pytest.mark.parametrize("build", [lambda: library.wfs("I"),
+                                       lambda: library.two_wigners("both_preserved")],
+                             ids=["wfs_case1", "2w2f_both_preserved"])
+    @pytest.mark.parametrize("record", ["RETAINED", "ERASED", None, 1])
+    def test_record_must_be_a_record_member(self, build, record):
+        # a string record passed both identity filters: the path engine read
+        # case I as case II, and 2w2f_both_preserved as f_preserved
+        s = build()
+        bad = dataclasses.replace(s.events[0], record=record)
+        with pytest.raises(ScenarioValidationError) as info:
+            Scenario(s.subsystems, s.initial, (bad,) + s.events[1:])
+        assert str(info.value) == (
+            f"event 0: record must be Record.RETAINED or Record.ERASED, got {record!r}")
+        assert info.value.event is bad
 
 
 def _index_scenarios():
@@ -611,6 +659,14 @@ class TestIndex:
             assert s.retained_axes() is s.retained_axes()
             assert s.erasers() is s.erasers()
 
+    def test_retained_and_erased_partition_the_measurements(self):
+        scenarios = itertools.chain((random_scenario(seed) for seed in range(1000)),
+                                    (random_unpinned_scenario(seed) for seed in range(1000)),
+                                    unrestricted_scenarios().values())
+        for s in scenarios:
+            merged = tuple(sorted(s.retained() + s.erased(), key=lambda m: m[0]))
+            assert merged == s.measurements()
+
     def test_erasers_of_unrestricted_scenarios(self):
         # records moved by unitaries and erasers that partly overlap others
         for s in unrestricted_scenarios().values():
@@ -635,10 +691,9 @@ class TestIndex:
     @pytest.mark.parametrize("name", ["spin", ""])
     def test_unknown_name_raises_the_same_message(self, name):
         s = parse_scenario(MINIMAL)
-        for lookup in (lambda: s.subsystem_index(name), lambda: s.slots(("sys", name))):
-            with pytest.raises(ScenarioValidationError) as info:
-                lookup()
-            assert str(info.value) == f"unknown subsystem {name!r}"
+        with pytest.raises(ScenarioValidationError) as info:
+            s.slots(("sys", name))
+        assert str(info.value) == f"unknown subsystem {name!r}"
 
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,9 +68,23 @@ class HilbertError(ValueError):
     """Dimension mismatch or a malformed state/operator/basis."""
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is an int and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def are_names(value) -> bool:
+    """Whether ``value`` is a tuple or list of str."""
+    return isinstance(value, (tuple, list)) and all([isinstance(x, str) for x in value])
+
+
 def _frozen_array(data, shape=None) -> np.ndarray:
+    """``data`` as a read-only complex array: finite numbers, not bools or strings."""
     try:
-        arr = np.array(data, dtype=complex, order="C")
+        arr = np.asarray(data)
+        if arr.dtype.kind not in "iufc":
+            raise TypeError(f"entries of dtype {arr.dtype} are not numbers")
+        arr = np.array(arr, dtype=complex, order="C")
         if shape is not None:
             arr = arr.reshape(shape)
     except (TypeError, ValueError) as exc:
@@ -81,11 +95,10 @@ def _frozen_array(data, shape=None) -> np.ndarray:
     return arr
 
 
-def _dims_tuple(dims: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
-    if not out or any(d < 1 for d in out):
-        raise HilbertError(f"invalid subsystem dimensions {out!r}")
-    return out
+def _dims_tuple(dims: Sequence[int]) -> tuple[int, ...]:
+    if isinstance(dims, (tuple, list)) and dims and all([is_int(d) and d >= 1 for d in dims]):
+        return tuple(dims)
+    raise HilbertError(f"invalid subsystem dimensions {dims!r}")
 
 
 @dataclass(frozen=True, eq=False)  # ``__eq__`` below: ``amps`` is an ndarray
@@ -105,8 +118,7 @@ class StateVector:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _dims_tuple(self.dims))
-        amps = _frozen_array(self.amps, shape=(math.prod(self.dims),))
-        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "amps", _frozen_array(self.amps, shape=(math.prod(self.dims),)))
 
     def norm(self) -> float:
         return self._norm
@@ -154,12 +166,11 @@ class Operator:
     def __post_init__(self):
         object.__setattr__(self, "dims", _dims_tuple(self.dims))
         side = math.prod(self.dims)
-        entries = np.array(self.entries, dtype=complex)
+        entries = _frozen_array(self.entries)
         if entries.shape != (side, side):
             raise HilbertError(
-                f"operator entries have shape {entries.shape}, expected {(side, side)}"
-            )
-        object.__setattr__(self, "entries", _frozen_array(entries))
+                f"operator entries have shape {entries.shape}, expected {(side, side)}")
+        object.__setattr__(self, "entries", entries)
 
     def unitarity_defect(self) -> float:
         """Max-norm of U^dagger U - I."""
@@ -197,6 +208,8 @@ class Basis:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _dims_tuple(self.dims))
+        if not are_names(self.labels):
+            raise HilbertError(f"basis labels must be a tuple or list of str, got {self.labels!r}")
         object.__setattr__(self, "labels", tuple(self.labels))
         matrix = _frozen_array(self.matrix)
         object.__setattr__(self, "matrix", matrix)
@@ -212,8 +225,7 @@ class Basis:
             raise HilbertError(f"duplicate basis labels in {self.labels!r}")
         if n != side:
             raise HilbertError(f"partial basis: {n} vectors for dimension {side}")
-        report = validate_basis(matrix)
-        if report:
+        if report := validate_basis(matrix):
             raise HilbertError(report[0])
 
     def vector(self, label: str) -> StateVector:

@@ -44,8 +44,10 @@ from .hilbert import (
     Operator,
     StateVector,
     apply_to_slots,
+    are_names,
     check_budget,
     gram_defects,
+    is_int,
 )
 
 
@@ -60,9 +62,9 @@ class ScenarioParseError(ValueError):
 
 
 class ScenarioValidationError(ValueError):
-    """A constructed Scenario violates a structural invariant.
+    """A constructed Scenario, or a part of one, violates an invariant.
 
-    ``event`` is the offending event, or None for a scenario-wide rule.
+    ``event`` is the offending event, or None for a scenario-wide rule or a field.
     """
 
     def __init__(self, message: str, event: Event | None = None):
@@ -85,6 +87,20 @@ class Record(enum.Enum):
     ERASED = "ERASED"
 
 
+def _fields(obj, **rules) -> None:
+    """Raise ScenarioValidationError naming ``obj``'s class and the first of
+    its fields whose value fails its rule, a (test, description) pair."""
+    for name, (test, what) in rules.items():
+        if not test(value := getattr(obj, name)):
+            raise ScenarioValidationError(
+                f"{type(obj).__name__}.{name} must be {what}, got {value!r}")
+
+
+_TIME = (lambda v: is_int(v) and v >= 0, "a non-negative int")
+_STR = (lambda v: isinstance(v, str), "a str")
+_NAMES = (are_names, "a tuple or list of str")
+
+
 @dataclass(frozen=True)
 class SubsystemSpec:
     name: str
@@ -92,17 +108,15 @@ class SubsystemSpec:
     basis_labels: tuple[str, ...]
 
     def __post_init__(self):
+        _fields(self, name=_STR, dim=(is_int, "an int"), basis_labels=_NAMES)
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
         if self.dim < 1:
             raise ScenarioValidationError(f"subsystem {self.name!r} has dim {self.dim}")
         if len(self.basis_labels) != self.dim:
             raise ScenarioValidationError(
-                f"subsystem {self.name!r}: {len(self.basis_labels)} labels for dim {self.dim}"
-            )
+                f"subsystem {self.name!r}: {len(self.basis_labels)} labels for dim {self.dim}")
         if len(set(self.basis_labels)) != self.dim:
-            raise ScenarioValidationError(
-                f"subsystem {self.name!r} has duplicate basis labels"
-            )
+            raise ScenarioValidationError(f"subsystem {self.name!r} has duplicate basis labels")
 
 
 @dataclass(frozen=True)
@@ -112,6 +126,8 @@ class UnitaryEvent:
     op: Operator
 
     def __post_init__(self):
+        _fields(self, time_index=_TIME, targets=_NAMES,
+                op=(lambda v: isinstance(v, Operator), "an Operator"))
         object.__setattr__(self, "targets", tuple(self.targets))
         self.op.require_unitary(f"unitary at time {self.time_index}")
 
@@ -125,6 +141,9 @@ class MeasurementEvent:
     record: Record
 
     def __post_init__(self):
+        _fields(self, time_index=_TIME, agent=_STR, targets=_NAMES,
+                basis=(lambda v: isinstance(v, Basis), "a Basis"),
+                record=(lambda v: isinstance(v, Record), "Record.RETAINED or Record.ERASED"))
         object.__setattr__(self, "targets", tuple(self.targets))
 
     @property
@@ -310,8 +329,6 @@ def _check(s: Scenario) -> tuple[tuple[tuple[int, MeasurementEvent], ...], dict[
             raise ScenarioValidationError(
                 f"event {j}: operator/basis dims {obj.dims} do not match targets {tdims}", e
             )
-        if e.time_index < 0:
-            raise ScenarioValidationError(f"event {j}: negative time index", e)
 
         for t in targets:
             i = first.setdefault((e.time_index, t), j)
@@ -319,12 +336,6 @@ def _check(s: Scenario) -> tuple[tuple[tuple[int, MeasurementEvent], ...], dict[
                 clash = (i, j)
         measured = isinstance(e, MeasurementEvent)
         if measured:
-            if not isinstance(e.agent, str):
-                raise ScenarioValidationError(f"event {j}: agent must be a str, got {e.agent!r}", e)
-            if not isinstance(e.record, Record):
-                raise ScenarioValidationError(
-                    f"event {j}: record must be Record.RETAINED or Record.ERASED, "
-                    f"got {e.record!r}", e)
             measurements.append((j, e))
             # rule F: an erased record must be destroyed by a later
             # measurement; the first that covers its targets is its eraser
@@ -1083,22 +1094,6 @@ def scenario_to_json(s: Scenario) -> str:
     return json.dumps(doc, indent=2)
 
 
-def _strings(items) -> tuple[str, ...]:
-    if isinstance(items, str) or not all(isinstance(x, str) for x in items):
-        raise TypeError(f"expected a list of strings, got {items!r}")
-    return tuple(items)
-
-
-def _integer(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _dims(items) -> tuple[int, ...]:
-    return tuple(_integer(x, "dims entry") for x in items)
-
-
 def scenario_from_json(text: str | bytes) -> Scenario:
     """Load the canonical JSON form into a validated Scenario.
 
@@ -1117,28 +1112,21 @@ def scenario_from_json(text: str | bytes) -> Scenario:
         subsystems = []
         for k, d in enumerate(subs):
             where = f"subsystems[{k}]"
-            (name,) = _strings([d["name"]])
-            subsystems.append(SubsystemSpec(name, _integer(d["dim"], "dim"),
-                                             _strings(d["basis_labels"])))
+            subsystems.append(SubsystemSpec(d["name"], d["dim"], d["basis_labels"]))
         where = "initial"
-        initial = StateVector(_dims(init["dims"]), [_j2c(p) for p in init["amps"]])
+        initial = StateVector(init["dims"], [_j2c(p) for p in init["amps"]])
         events: list[Event] = []
         for k, d in enumerate(evs):
             where = f"events[{k}]"
-            targets = _strings(d["targets"])
-            time = _integer(d["time_index"], "time_index")
             if d["kind"] == "unitary":
-                op = Operator(
-                    _dims(d["op"]["dims"]),
-                    np.array([[_j2c(z) for z in row] for row in d["op"]["entries"]]),
-                )
-                events.append(UnitaryEvent(time, targets, op))
+                op = Operator(d["op"]["dims"],
+                              [[_j2c(z) for z in row] for row in d["op"]["entries"]])
+                events.append(UnitaryEvent(d["time_index"], d["targets"], op))
             elif d["kind"] == "measurement":
                 vectors = [[_j2c(p) for p in vec] for vec in d["basis"]["vectors"]]
-                basis = Basis(_dims(d["basis"]["dims"]), _strings(d["basis"]["labels"]),
+                basis = Basis(d["basis"]["dims"], d["basis"]["labels"],
                               np.array(vectors, dtype=complex).T)
-                (agent,) = _strings([d["agent"]])
-                events.append(MeasurementEvent(time, agent, targets, basis,
+                events.append(MeasurementEvent(d["time_index"], d["agent"], d["targets"], basis,
                                                Record(d["record"])))
             else:
                 raise ValueError(f"kind must be 'unitary' or 'measurement', got {d['kind']!r}")

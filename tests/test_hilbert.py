@@ -79,6 +79,35 @@ qubitish = st.builds(
 )
 
 
+class TestFieldTypes:
+    """Amplitudes must be numbers, dims ints and basis labels strs: each class
+    refuses anything else with a HilbertError, never by coercing it."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: StateVector((1,), ["1"]), "bad amplitude data: entries of dtype <U1 are not numbers"),
+        (lambda: StateVector((2,), [True, False]),
+         "bad amplitude data: entries of dtype bool are not numbers"),
+        (lambda: Basis((2,), ("a", "b"), None),
+         "bad amplitude data: entries of dtype object are not numbers"),
+        (lambda: Operator((2,), [[1, 0], [0]]), "bad amplitude data: setting an array element"),
+        (lambda: Operator((2,), [[1, 0], [0, "x"]]), "bad amplitude data: entries of dtype <U"),
+        (lambda: Operator((2,), [[1, 0, 0]]), "operator entries have shape (1, 3), expected (2, 2)"),
+        (lambda: StateVector(("2",), [1, 0]), "invalid subsystem dimensions ('2',)"),
+        (lambda: StateVector((2.5,), [1, 0]), "invalid subsystem dimensions (2.5,)"),
+        (lambda: Operator((True,), [[1]]), "invalid subsystem dimensions (True,)"),
+        (lambda: StateVector(2, [1, 0]), "invalid subsystem dimensions 2"),
+        (lambda: Basis((2,), (1, 2), np.eye(2)),
+         "basis labels must be a tuple or list of str, got (1, 2)"),
+        (lambda: Basis((2,), "ab", np.eye(2)), "basis labels must be a tuple or list of str, got 'ab'"),
+    ], ids=["state_str", "state_bool", "basis_none", "operator_ragged", "operator_str",
+            "operator_shape", "dims_str", "dims_float", "dims_bool", "dims_int", "labels_int",
+            "labels_str"])
+    def test_wrong_types_are_refused(self, build, message):
+        with pytest.raises(HilbertError) as info:
+            build()
+        assert str(info.value).startswith(message)
+
+
 class TestStateVector:
     def test_length_must_match_dims(self):
         with pytest.raises(HilbertError):

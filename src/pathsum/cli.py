@@ -285,6 +285,9 @@ def dot_source(d: paths.OutcomeDistribution) -> str:
     return "\n".join(lines) + "\n"
 
 
+_REGIMES = [tag.value for tag in library.RegimeTag]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathsum",
@@ -294,8 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a built-in scenario or a .scn file")
     run_p.add_argument("source", help="built-in name (see 'pathsum list') or path to a .scn file")
     run_p.add_argument("--regime", default=None,
-                       help="record regime for the built-in 2w2f "
-                            "(both_erased, fbar_preserved, f_preserved, both_preserved)")
+                       help=f"record regime for the built-in 2w2f ({', '.join(_REGIMES)})")
     run_p.add_argument("--engine", default="both", choices=("paths", "oracle", "both"))
     run_p.add_argument("--format", dest="fmt", default="table",
                        choices=("table", "json", "dot"))
@@ -312,7 +314,7 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     if args.command == "list":
-        print("2w2f  (--regime both_erased | fbar_preserved | f_preserved | both_preserved)")
+        print(f"2w2f  (--regime {' | '.join(_REGIMES)})")
         for name in library.builtin_names():
             print(name)
         return 0
@@ -325,13 +327,13 @@ def main(argv=None) -> int:
             rendered = render_json(report)
         else:
             rendered = dot_source(report.dist)
-        if args.out:
+        if args.out is not None:  # "" names the working directory and fails
             Path(args.out).write_text(rendered, "utf-8")
     except (ValueError, OSError) as exc:  # OSError: unreadable source, unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.out:
+    if args.out is not None:
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(rendered)

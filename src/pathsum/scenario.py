@@ -609,7 +609,8 @@ class _BadLiteral(ValueError):
 
 
 def _literals(tokens: list[str]) -> list[complex]:
-    """The values of whitespace-free literals, in order.
+    """The values of whitespace-free literals, in order: one ``.scn`` line's,
+    or one literal's.
 
     A list of plain literals is checked by one match of the joined list, and
     each token is converted by complex(), which rounds each part as the
@@ -702,40 +703,16 @@ def _targets(ln: _Line, k: int,
     return targets, tuple(dim_of[t] for t in targets)
 
 
-class _Item:
-    """One line's literals, which the value pass converts and checks.
-
-    ``kind`` is "state", "unitary" or "basis".  The literals are
-    ``flat[start:start + size]`` of the file's list, and a basis' are its
-    vectors, ``side`` literals each, with a label token before each one.
-    ``k`` is the line's token of the first literal, and ``args`` what the
-    item's object is built from: None for the complete vectors of a measure
-    line the structure pass stopped on, which are checked one by one only.
-    """
-
-    __slots__ = ("kind", "ln", "k", "start", "size", "side", "args")
-
-    def __init__(self, kind, ln, k, start, size, side, args):
-        self.kind, self.ln, self.k, self.start = kind, ln, k, start
-        self.size, self.side, self.args = size, side, args
-
-    def error(self, offset: int, message: str, label: bool = False) -> ScenarioParseError:
-        """An error at literal ``offset``, or at the label of its vector."""
-        if self.kind != "basis":
-            return self.ln.error(self.k + offset, message)
-        vector, entry = divmod(offset, self.side)
-        return self.ln.error(self.k + vector * (self.side + 1) + (-1 if label else entry),
-                             message)
-
-
 def parse_scenario(text: str | bytes) -> Scenario:
     """Parse ``.scn`` source into a validated Scenario.
 
     Total: any input produces either a Scenario or a ScenarioParseError with
-    a line/column diagnostic.  The structure pass reads every line without
-    its numbers; the value pass then converts and checks them in bulk.  The
-    error reported is the first in source order.  A leading byte order mark
-    (the bytes ``EF BB BF``, or U+FEFF at the start of a str) is skipped.
+    a line/column diagnostic.  Each line is read once: its structure is
+    checked, its literals converted and its object built.  Only the Gram
+    checks of unitaries and bases wait, for one stack per matrix side, and
+    they are made before any later line's error is raised, so the error
+    reported is the first in source order.  A leading byte order mark (the
+    bytes ``EF BB BF``, or U+FEFF at the start of a str) is skipped.
     """
     if isinstance(text, bytes):
         try:
@@ -747,10 +724,9 @@ def parse_scenario(text: str | bytes) -> Scenario:
 
     subsystems: list[SubsystemSpec] = []
     dim_of: dict[str, int] = {}
-    items: list[_Item] = []
-    flat: list[str] = []  # every amplitude token, in source order
+    initial = None
     state_line = 0
-    error = None
+    events: list[tuple[Event, _Line]] = []  # in source order, Gram checks pending
 
     try:
         for ln in _lines(text):
@@ -765,7 +741,7 @@ def parse_scenario(text: str | bytes) -> Scenario:
                 labels = [_ident(ln, k, "basis label") for k in range(2, len(toks))]
                 if len(set(labels)) != len(labels):
                     raise ln.error(0, f"duplicate basis labels for subsystem {name!r}")
-                if items:
+                if state_line or events:
                     raise ln.error(0, "subsystem declared after state/events")
                 subsystems.append(SubsystemSpec(name, len(labels), tuple(labels)))
                 dim_of[name] = len(labels)
@@ -778,8 +754,11 @@ def parse_scenario(text: str | bytes) -> Scenario:
                 need = math.prod(dims)
                 if n_rest != need:
                     raise ln.error(0, f"state needs {need} amplitudes, got {n_rest}")
-                items.append(_Item("state", ln, 1, len(flat), need, 0, dims))
-                flat += toks[1:]
+                try:
+                    initial = StateVector(dims, _converted(ln, 1, toks[1:]))
+                    initial.require_normalized("initial state")
+                except HilbertError as exc:
+                    raise ln.error(0, str(exc)) from None
                 state_line = ln.number
             elif head == "unitary":
                 if n_rest < 2:
@@ -790,9 +769,11 @@ def parse_scenario(text: str | bytes) -> Scenario:
                 if n_rest - 2 != side * side:
                     raise ln.error(0, f"unitary on {toks[2]} needs {side * side} entries, "
                                       f"got {n_rest - 2}")
-                items.append(_Item("unitary", ln, 3, len(flat), n_rest - 2, side,
-                                   (time, targets, dims)))
-                flat += toks[3:]
+                matrix = np.array(_converted(ln, 3, toks[3:]), dtype=complex).reshape(side, side)
+                matrix.setflags(write=False)
+                op = _prechecked(Operator, dims=dims, entries=matrix)
+                events.append((_prechecked(UnitaryEvent, time_index=time, targets=targets, op=op),
+                               ln))
             elif head == "measure":
                 if n_rest < 4:
                     raise ln.error(0, "measure needs time, agent, targets and a record policy")
@@ -806,21 +787,20 @@ def parse_scenario(text: str | bytes) -> Scenario:
                         4, f"record policy must be 'retained' or 'erased', got {toks[4]!r}"
                     ) from None
                 need = math.prod(dims)
-                labels, amps, malformed = _vectors(ln, need)
-                args = (time, agent, targets, dims, labels, record)
-                items.append(_Item("basis", ln, 6, len(flat), len(amps), need,
-                                   None if malformed else args))
-                flat += amps
-                if malformed is not None:
-                    raise malformed
+                labels, vals = _vectors(ln, need)
+                # the vectors as the columns of a C-contiguous matrix, the layout
+                # both engines' last bits were pinned with
+                matrix = np.array(vals, dtype=complex).reshape(need, need).T.copy()
+                matrix.setflags(write=False)
+                basis = _prechecked(Basis, dims=dims, labels=labels, matrix=matrix)
+                events.append((_prechecked(MeasurementEvent, time_index=time, agent=agent,
+                                           targets=targets, basis=basis, record=record), ln))
             else:
                 raise ln.error(0, f"unknown directive {head!r}")
-    except ScenarioParseError as exc:
-        error = exc  # reported after any value error before it
-
-    initial, events, event_lines = _values(items, flat)
-    if error is not None:
-        raise error
+    except ScenarioParseError:
+        _gram_checks(events)  # an earlier matrix's error comes first
+        raise
+    _gram_checks(events)
     if not subsystems:
         raise ScenarioParseError("no subsystems declared", 1, 1)
     if initial is None:
@@ -829,17 +809,29 @@ def parse_scenario(text: str | bytes) -> Scenario:
         raise ScenarioParseError("no events declared", 1, 1)
 
     try:
-        return Scenario(tuple(subsystems), initial, tuple(events))
+        return Scenario(tuple(subsystems), initial, tuple(ev for ev, _ in events))
     except ScenarioValidationError as exc:
         # events were sorted by time inside Scenario; map back to source lines
-        line = next((ln for ev, ln in zip(events, event_lines) if ev is exc.event),
-                    state_line or 1)
+        line = next((ln.number for ev, ln in events if ev is exc.event), state_line or 1)
         raise ScenarioParseError(str(exc), line, 1) from None
 
 
-def _vectors(ln: _Line, need: int):
-    """The ``label: COMPLEX...`` groups from token 5 on: their labels, the
-    literals of every complete group, and the first error or None."""
+def _converted(ln: _Line, k: int, tokens: list[str]) -> list[complex]:
+    """The values of ``tokens``, the line's literals from token ``k`` on."""
+    try:
+        return _literals(tokens)
+    except _BadLiteral as exc:
+        raise ln.error(k + exc.index, str(exc)) from None
+
+
+def _vectors(ln: _Line, need: int) -> tuple[tuple[str, ...], list[complex]]:
+    """The labels and values of the ``label: COMPLEX...`` groups from token
+    5 on, ``need`` of them with ``need`` literals each.
+
+    The line's first error is raised: a vector holding a NaN or Inf at its
+    label, or a bad literal, each after the complete vectors before it are
+    checked; then a malformed group or a wrong set of labels.
+    """
     toks = ln.toks
     heads = toks[5::need + 1]
     labels = tuple(tok[:-1] for tok in heads)
@@ -862,96 +854,56 @@ def _vectors(ln: _Line, need: int):
             error = ln.error(0, f"invalid measurement basis: duplicate basis labels in {labels!r}")
         else:
             error = None
-    amps = toks[6:k]
+    amps = toks[6:k]  # the complete vectors' literals
     del amps[need::need + 1]
-    return labels, amps, error
-
-
-# the context a state's, unitary's or basis' own check is reported in
-_CONTEXT = {"state": "", "unitary": "non-unitary matrix: ", "basis": "invalid measurement basis: "}
-
-
-def _values(items: list[_Item], flat: list[str]):
-    """The value pass: convert every literal at once, check every item, and
-    build the initial state (None if there is none) and the events, with
-    each event's line.  The error raised is the first in source order."""
     try:
-        vals = np.array(_literals(flat), dtype=complex)
-    except _BadLiteral as exc:
-        j = next(j for j, it in enumerate(items) if it.start + it.size > exc.index)
-        bad, offset = items[j], exc.index - items[j].start
-        # anything wrong before it comes first, the vectors before it included
-        head = items[:j]
-        done = offset - offset % bad.side if bad.kind == "basis" else 0
-        if done:
-            head.append(_Item("basis", bad.ln, bad.k, bad.start, done, bad.side, None))
-        _values(head, flat[:bad.start + done])
-        raise bad.error(offset, str(exc)) from None
-    finite = np.isfinite(vals)
-    all_finite = bool(finite.all())
-    matrices = _gram_checks(items, vals)
-    initial, events, lines = None, [], []
-    for j, it in enumerate(items):
-        if it.kind == "basis" and not all_finite:
-            nonfinite = np.flatnonzero(~finite[it.start:it.start + it.size])
-            if nonfinite.size:
-                raise it.error(int(nonfinite[0]), "non-finite amplitude (NaN or Inf)", label=True)
-        if it.args is None:
-            continue
+        vals, bad = _literals(amps), None
+    except _BadLiteral as exc:  # every literal before it converts
+        vals, bad = _literals(amps[:exc.index - exc.index % need]), exc
+    if not all(map(cmath.isfinite, vals)):
+        j = next(j for j, v in enumerate(vals) if not cmath.isfinite(v))
+        raise ln.error(5 + j // need * (need + 1), "non-finite amplitude (NaN or Inf)")
+    if bad is not None:
+        vector, entry = divmod(bad.index, need)
+        raise ln.error(6 + vector * (need + 1) + entry, str(bad))
+    if error is not None:
+        raise error
+    return labels, vals
+
+
+def _gram_checks(events: list[tuple[Event, _Line]]) -> None:
+    """Check the matrix of every event by one ``gram_defects`` call per
+    matrix side; a basis passes at half the tolerance, as in
+    ``validate_basis``.  The matrices that fail are built again through
+    their constructors, in source order, and the first error raised is
+    reported at its line."""
+    sides: dict[int, list[tuple[int, np.ndarray, float]]] = {}
+    for j, (event, _) in enumerate(events):
+        if isinstance(event, UnitaryEvent):
+            matrix, tol = event.op.entries, ATOL_STRUCT
+        else:
+            matrix, tol = event.basis.matrix, ATOL_STRUCT / 2
+        sides.setdefault(len(matrix), []).append((j, matrix, tol))
+    failed = []
+    for group in sides.values():
+        defects = gram_defects(np.array([matrix for _, matrix, _ in group])).tolist()
+        failed += [j for (j, _, tol), defect in zip(group, defects) if not defect <= tol]
+    for j in sorted(failed):
+        event, ln = events[j]
         try:
-            if it.kind == "state":
-                initial = StateVector(it.args, vals[it.start:it.start + it.size])
-                initial.require_normalized("initial state")
-                continue
-            # a matrix that failed the stacked check is checked again on its own
-            matrix, passed = matrices[j]
-            if it.kind == "unitary":
-                time, targets, dims = it.args
-                if not passed:
-                    UnitaryEvent(time, targets, Operator(dims, matrix))
-                events.append(_prechecked(UnitaryEvent, time_index=time, targets=targets,
-                                          op=_prechecked(Operator, dims=dims, entries=matrix)))
+            if isinstance(event, UnitaryEvent):
+                context, op = "non-unitary matrix", event.op
+                UnitaryEvent(event.time_index, event.targets, Operator(op.dims, op.entries))
             else:
-                time, agent, targets, dims, labels, record = it.args
-                if not passed:
-                    Basis(dims, labels, matrix)
-                basis = _prechecked(Basis, dims=dims, labels=labels, matrix=matrix)
-                events.append(_prechecked(MeasurementEvent, time_index=time, agent=agent,
-                                          targets=targets, basis=basis, record=record))
+                context, basis = "invalid measurement basis", event.basis
+                Basis(basis.dims, basis.labels, basis.matrix)
         except HilbertError as exc:
-            raise it.ln.error(0, _CONTEXT[it.kind] + str(exc)) from None
-        lines.append(it.ln.number)
-    return initial, events, lines
-
-
-def _gram_checks(items: list[_Item], vals: np.ndarray) -> dict[int, tuple[np.ndarray, bool]]:
-    """(frozen matrix, whether it passed) for each unitary and basis item,
-    by index, from one ``gram_defects`` call per matrix side.  A basis'
-    vectors are its columns, and it passes at half the tolerance, as in
-    ``validate_basis``."""
-    sides: dict[int, list[int]] = {}
-    for j, it in enumerate(items):
-        if it.side and it.args is not None:
-            sides.setdefault(it.side, []).append(j)
-    out = {}
-    for side, js in sides.items():
-        stack = np.array([_matrix(items[j], vals) for j in js])
-        stack.setflags(write=False)
-        for j, matrix, defect in zip(js, stack, gram_defects(stack).tolist()):
-            out[j] = matrix, defect <= (ATOL_STRUCT / 2 if items[j].kind == "basis"
-                                        else ATOL_STRUCT)
-    return out
-
-
-def _matrix(it: _Item, vals: np.ndarray) -> np.ndarray:
-    """A unitary's entries, or a basis' vectors as columns."""
-    rows = vals[it.start:it.start + it.side * it.side].reshape(it.side, it.side)
-    return rows.T if it.kind == "basis" else rows
+            raise ln.error(0, f"{context}: {exc}") from None
 
 
 def _prechecked(cls, **fields):
     """An instance of the frozen dataclass ``cls`` with ``fields`` as given
-    and its own checks skipped, for values the value pass has checked."""
+    and its own checks skipped, for values the parser checks itself."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj

@@ -536,11 +536,14 @@ class TestMainExitCodes:
         assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: {str(target)!r}\n"
 
     def test_out_into_missing_directory_exits_2(self, tmp_path, capsys):
+        # an empty --out names the working directory, which is not a file
         target = tmp_path / "missing" / "x"
-        assert cli.main(["run", "wfs_case2", "--out", str(target)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and "No such file" in captured.err
-        assert captured.out == "" and not target.parent.exists()
+        for out, reason in ((str(target), "No such file"), ("", "Is a directory")):
+            assert cli.main(["run", "wfs_case2", "--out", out]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and reason in captured.err
+            assert captured.out == ""
+        assert not target.parent.exists()
 
     def test_invalid_utf8_source_gets_the_parser_diagnostic(self, tmp_path, capsys):
         bad = tmp_path / "bad.scn"
@@ -595,8 +598,10 @@ class TestMainExitCodes:
 
     def test_list(self, capsys):
         assert cli.main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "2w2f" in out and "double_slit" in out
+        assert capsys.readouterr().out == (
+            "2w2f  (--regime both_erased | fbar_preserved | f_preserved | both_preserved)\n"
+            "double_slit\nwfs_case1\nwfs_case2\n2w2f_both_erased\n2w2f_fbar_preserved\n"
+            "2w2f_f_preserved\n2w2f_both_preserved\n")
 
     def test_oracle_engine_only(self, capsys):
         assert cli.main(["run", "wfs_case1", "--engine", "oracle"]) == 0

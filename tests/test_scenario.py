@@ -143,6 +143,15 @@ class TestParser:
         for name in library.builtin_names():
             assert isinstance(library.load_shipped(name), Scenario)
 
+    def test_parsed_matrices_are_read_only_and_c_contiguous(self):
+        # a basis holds its vectors as columns; the engines' last bits were
+        # pinned with this layout
+        for name in library.builtin_names():
+            for array in _amplitude_arrays(library.load_shipped(name)):
+                assert array.flags.c_contiguous and not array.flags.writeable, name
+        rotated = parse_scenario(MINIMAL.replace("up: 1 0 down: 0 1", "up: 0.6 0.8 down: -0.8 0.6"))
+        assert rotated.events[-1].basis.matrix.tolist() == [[0.6, -0.8], [0.8, 0.6]]
+
     def test_empty_input(self):
         with pytest.raises(ScenarioParseError, match="no subsystems declared"):
             parse_scenario("")
@@ -294,10 +303,16 @@ class TestParser:
         (["measure 1 F sys erased up: 1 0 down: 1 0",
           "measure 2 W sys retained up: 1 1 down: 0 1"], 1,
          "invalid measurement basis: basis vectors 0 and 1 are not orthogonal (|overlap| = 1)"),
+        (["unitary 1 sys 1 1 1 1", "measure 2 W sys retained fail: 1/0 0 ok: 0 1"], 1,
+         "non-unitary matrix: unitary at time 1 is not unitary (defect 2)"),
+        (["measure 1 W sys retained fail: 1 0 ok: 0.6 0.8",
+          "measure 2 V sys retained a 1 0 b: 0 1"], 1,
+         "invalid measurement basis: basis vectors 0 and 1 are not orthogonal (|overlap| = 0.6)"),
     ], ids=["basis-before-unknown-directive", "literal-before-malformed-label",
-            "first-of-two-bases"])
+            "first-of-two-bases", "unitary-before-bad-literal", "basis-before-malformed-label"])
     def test_first_error_in_source_order_is_on_line_3(self, lines, col, message):
-        # values are checked in bulk after the whole file's structure is read
+        # the Gram checks wait for one stack per matrix side, and are made
+        # before a later line's error is reported
         text = "\n".join(["subsystem sys up down", "state 1 0", *lines]) + "\n"
         with pytest.raises(ScenarioParseError) as err:
             parse_scenario(text)
@@ -331,9 +346,13 @@ class TestDiagnostics:
         (_SYS + "state 1 0\n", 1, 1, "no events declared"),
         (_SYS + "state 1 0\nmeasure 1 F sys retained up: 1 0 up: 0 1\n", 3, 1,
          "invalid measurement basis: duplicate basis labels in ('up', 'up')"),
+        # a state may follow an event, whose Gram check waits but comes first
+        (_SYS + "unitary 1 sys 1 1 1 1\nstate 0.6 0.6\n"
+         "measure 2 W sys retained up: 1 0 down: 0 1\n", 2, 1,
+         "non-unitary matrix: unitary at time 1 is not unitary (defect 2)"),
     ], ids=["subsystem_unnamed", "subsystem_twice", "subsystem_late", "state_first",
             "no_subsystems", "state_twice", "unitary_short", "no_state", "no_events",
-            "duplicate_outcome_labels"])
+            "duplicate_outcome_labels", "unitary_before_state"])
     def test_scn(self, text, line, col, message):
         with pytest.raises(ScenarioParseError) as info:
             parse_scenario(text)
